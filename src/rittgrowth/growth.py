@@ -2,9 +2,12 @@
 
 A *source* is any strictly increasing curve evaluable at fresh sigma
 (series surrogates or synthetic closed-form rules); profiles are sampled
-snapshots of a source on a grid.  Inversion always bisects the continuous
-source rather than interpolating samples, so no interpolation error enters
-the extended domain.
+snapshots of a source on a grid.  Inversion brackets the root on the
+continuous source rather than interpolating samples, so no interpolation
+error enters the extended domain.  Its ITP solver (Oliveira & Takahashi,
+ACM TOMS 47(1), 2020) interpolates only to choose where to probe; every
+bracket update is an exact level-index comparison, so the bracket and its
+stopping rule are those of bisection, in at most one step more.
 
 The composition M_g^{-1}(M_f(sigma)) at the heart of every relative
 indicator is one inversion per point, carried out entirely on (level,
@@ -16,20 +19,26 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import BracketError, NumericError
-from .levelindex import ExtReal, compare
+from .errors import BracketError, DomainError, ExtRangeError, NumericError
+from .levelindex import ExtReal, compare, log_iter, to_real
 from . import series as series_mod
 from .series import SeriesSpec
 
-# Relative sigma resolution of the bisection and the expansion budget.
+# Relative sigma width at which an inversion bracket stops shrinking, and
+# the expansion budget.
 INVERT_REL_TOL = 1e-12
 BRACKET_DOUBLINGS = 120
+# ITP constants: truncation delta = _ITP_K1 * width**2 / initial width
+# (kappa2 = 2) and n0 = 1 step of slack over bisection.
+_ITP_K1 = 0.2
+_ITP_N0 = 1
 
 
 @dataclass(frozen=True)
@@ -82,12 +91,9 @@ class SeriesLowerSource(GrowthSource):
     def __init__(self, spec: SeriesSpec, n_max: int = 64):
         self.spec = spec
         self.n_max = n_max
-        self._hint: Optional[int] = None  # warm start only; results do not depend on it
 
     def log_m(self, sigma: float) -> ExtReal:
-        n_star, value = series_mod.max_term_log(self.spec, sigma, n_max=self.n_max, hint=self._hint)
-        self._hint = n_star if isinstance(n_star, int) else None
-        return value
+        return series_mod.max_term_log(self.spec, sigma, n_max=self.n_max)[1]
 
     def describe(self) -> dict:
         return {"kind": "series", "surrogate": "lower", "spec": self.spec.describe()}
@@ -102,11 +108,9 @@ class SeriesUpperSource(GrowthSource):
         self.tail_tol = tail_tol
         self.window_cap = window_cap
         self.n_max = n_max
-        self._hint: Optional[int] = None
 
     def log_m(self, sigma: float) -> ExtReal:
-        n_star, _ = series_mod.max_term_log(self.spec, sigma, n_max=self.n_max, hint=self._hint)
-        self._hint = n_star if isinstance(n_star, int) else None
+        n_star, _ = series_mod.max_term_log(self.spec, sigma, n_max=self.n_max)
         return series_mod.log_sum_upper(self.spec, sigma, tail_tol=self.tail_tol,
                                         window_cap=self.window_cap, n_max=self.n_max,
                                         n_star=n_star)
@@ -185,12 +189,52 @@ def sample_profile(source: GrowthSource, grid: GridSpec) -> GrowthProfile:
     return GrowthProfile(source.describe(), grid, tuple(sigmas), tuple(values))
 
 
+def _reduced(v: ExtReal, k: int) -> float:
+    """log^[k] v as a machine real; -inf/+inf where it leaves the machine range."""
+    try:
+        return to_real(log_iter(v, k))
+    except DomainError:
+        return -math.inf
+    except ExtRangeError:
+        return math.inf
+
+
+def _itp_probe(lo: float, hi: float, f_lo: float, f_hi: float,
+               width0: float, step: int, tol: float) -> float:
+    """Next ITP abscissa inside (lo, hi) for reduced residuals f_lo <= 0 <= f_hi.
+
+    Interpolate (regula falsi), truncate towards the midpoint, then
+    project into the ball that keeps the bracket after step+1 steps no
+    wider than bisection's after step+1-_ITP_N0.  The truncation is at
+    least a quarter of the stopping width, so a converged interpolant
+    closes the bracket from both sides.  Non-finite residuals or a
+    degenerate secant give the midpoint.
+    """
+    mid = 0.5 * (lo + hi)
+    if not (math.isfinite(f_lo) and math.isfinite(f_hi) and f_lo < f_hi):
+        return mid
+    width = hi - lo
+    x_f = lo - f_lo * (width / (f_hi - f_lo))
+    side = math.copysign(1.0, mid - x_f)
+    delta = max(_ITP_K1 * width * width / width0, 0.25 * tol)
+    x_t = x_f + side * delta if delta <= abs(mid - x_f) else mid
+    radius = max(width0 * 2.0 ** (_ITP_N0 - 1 - step) - 0.5 * width, 0.0)
+    x = x_t if abs(x_t - mid) <= radius else mid - side * radius
+    return x if lo < x < hi else mid
+
+
 def invert_modulus(source: GrowthSource, y: ExtReal,
                    bracket: Optional[tuple[float, float]] = None) -> float:
     """sigma with log M(sigma) = y, resolved to 1e-12 relative in sigma.
 
     The bracket hint is expanded by doubling until it straddles y; the
-    lower end floors at max(source floor, 0).
+    lower end floors at max(source floor, 0).  The bracket then shrinks by
+    ITP steps, whose probes interpolate the curve reduced into machine
+    range, log^[k] M with k = max(y.level - 1, 0).  Each update is decided
+    by the exact compare() against y, so the invariant
+    log M(lo) <= y <= log M(hi) and the stopping rule are bisection's,
+    and at most one step is spent beyond bisection's count.  Returns the
+    midpoint of the final bracket.
     """
     floor = max(source.sigma_floor, 0.0)
     if bracket is None:
@@ -201,11 +245,13 @@ def invert_modulus(source: GrowthSource, y: ExtReal,
         hi = max(hi, lo)
 
     # Expand upward until log M(hi) >= y.
+    v_lo = None
     span = max(hi - floor, 1.0)
     for _ in range(BRACKET_DOUBLINGS):
-        if compare(source.log_m(hi), y) >= 0:
+        v_hi = source.log_m(hi)
+        if compare(v_hi, y) >= 0:
             break
-        lo = hi
+        lo, v_lo = hi, v_hi
         span *= 2.0
         hi = floor + span
     else:
@@ -213,26 +259,38 @@ def invert_modulus(source: GrowthSource, y: ExtReal,
 
     # Contract downward until log M(lo) <= y, flooring at the source floor.
     for _ in range(BRACKET_DOUBLINGS):
-        if compare(source.log_m(lo), y) <= 0:
+        if v_lo is None:
+            v_lo = source.log_m(lo)
+        if compare(v_lo, y) <= 0:
             break
-        hi = lo
+        hi, v_hi = lo, v_lo
         lo = floor + (lo - floor) / 2.0
+        v_lo = None
         if lo - floor < 1e-12 * max(1.0, floor):
             lo = floor
-            if compare(source.log_m(lo), y) > 0:
+            v_lo = source.log_m(lo)
+            if compare(v_lo, y) > 0:
                 raise BracketError("inversion target below the achievable range at the floor")
             break
     else:
         raise BracketError("bracket contraction exhausted its budget")
 
+    k = max(y.level - 1, 0)
+    target = _reduced(y, k)
+    f_lo, f_hi = _reduced(v_lo, k) - target, _reduced(v_hi, k) - target
+    width0 = hi - lo
+    step = 0
     while (hi - lo) > INVERT_REL_TOL * max(1.0, abs(hi)):
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break
-        if compare(source.log_m(mid), y) < 0:
-            lo = mid
+        x = _itp_probe(lo, hi, f_lo, f_hi, width0, step, INVERT_REL_TOL * max(1.0, abs(lo)))
+        v = source.log_m(x)
+        if compare(v, y) < 0:
+            lo, f_lo = x, _reduced(v, k) - target
         else:
-            hi = mid
+            hi, f_hi = x, _reduced(v, k) - target
+        step += 1
     return 0.5 * (lo + hi)
 
 

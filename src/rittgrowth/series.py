@@ -12,25 +12,29 @@ computable from norms alone, but it is sandwiched:
 
 and both bounds are computed here.  Term sequences of interest are
 strictly log-concave in n once past the first term, so the maximum term
-is located by a doubling bracket plus integer ternary search instead of
-full enumeration (the maximizing index grows like exp(sigma) and cannot
-be enumerated).  The sum keeps an explicit window of significant terms;
-when the window would be enormous, a certified upper bound
-peak + log(window width) replaces the explicit log-sum-exp.  That slack
-is O(log n*) on a value of size exp(a*sigma) and is invisible at the
-iterated-log level where every indicator lives.
+sits at the central index of Wiman-Valiron theory: the root of the
+continuous stationarity equation d/dn log(term) = 0.  A spec that knows
+that root supplies it as its `peak` generator (expexp solves
+digamma(n+1) = log c + a*sigma); the rounded root is accepted once its
+neighbours confirm the maximum, which log-concavity makes sufficient.
+Specs without a peak generator, or a candidate that fails the check,
+fall back to a doubling bracket plus integer ternary search (the
+maximizing index grows like exp(sigma) and cannot be enumerated).  The
+sum keeps an explicit window of significant terms; when the window would
+be enormous, a certified upper bound peak + log(window width) replaces
+the explicit log-sum-exp.  That slack is O(log n*) on a value of size
+exp(a*sigma) and is invisible at the iterated-log level where every
+indicator lives.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import digamma, gammaln, zeta
 
 from .errors import DomainError, NumericError, SearchLimitError, SpecFormatError, TailBoundError
 from .levelindex import ExtReal, from_real, lse_accumulate
@@ -40,6 +44,11 @@ from .levelindex import ExtReal, from_real, lse_accumulate
 _MAX_DOUBLINGS = 2000
 DEFAULT_WINDOW_CAP = 1 << 20
 DEFAULT_TAIL_TOL = 1e-12
+# Largest index that doubles still carry exactly; past it indices are floats.
+_EXACT_INDEX = 2 ** 53
+_RANGE_HINT = "series evaluation needs roughly a*sigma < 700 for the expexp family"
+_DIGAMMA_ONE = -0.5772156649015329  # digamma(1) = -Euler's gamma
+_PEAK_CLIMB = 4  # neighbour steps from a peak candidate before the generic search
 
 
 @dataclass(frozen=True)
@@ -49,6 +58,9 @@ class SeriesSpec:
     lam / log_norm are scalar generators (1-based n).  The optional
     *_array variants accept a float ndarray of indices and are used to
     vectorize window sums; they must agree with the scalar generators.
+    The optional peak generator maps sigma to the continuous maximizer of
+    n -> log||a_n|| + sigma*lambda_n; max_term_log verifies the integer
+    it rounds to and falls back to its generic search without one.
     """
 
     name: str
@@ -58,11 +70,7 @@ class SeriesSpec:
     lam_array: Optional[Callable[[np.ndarray], np.ndarray]] = None
     log_norm_array: Optional[Callable[[np.ndarray], np.ndarray]] = None
     n_limit: Optional[int] = None  # finite tables only
-
-    def digest(self) -> str:
-        """Stable identity used for cache keys."""
-        payload = json.dumps({"name": self.name, "params": self.params}, sort_keys=True)
-        return hashlib.sha256(payload.encode()).hexdigest()[:16]
+    peak: Optional[Callable[[float], float]] = None
 
     def describe(self) -> dict:
         return {"name": self.name, "params": dict(self.params)}
@@ -100,10 +108,30 @@ def expexp_spec(a: float, c: float, log_scale: float = 0.0) -> SeriesSpec:
     def log_norm_arr(ns: np.ndarray) -> np.ndarray:
         return ns * log_c - gammaln(ns + 1.0) + log_scale
 
+    def peak(sigma: float) -> float:
+        # Central index: d/dn [n log c - log n! + a*sigma*n] = 0 reads
+        # digamma(n+1) = log c + a*sigma.
+        target = log_c + a * sigma
+        if target <= _DIGAMMA_ONE:  # stationary point at n <= 0: the first term leads
+            return 0.0
+        try:
+            x = math.exp(target) + 0.5  # digamma(x) = log(x - 1/2) + O(x**-2)
+        except OverflowError as exc:
+            raise NumericError(
+                f"central index of 'expexp' at sigma={sigma} exceeds the machine range; {_RANGE_HINT}"
+            ) from exc
+        if x < 1e8:  # above, the start is already exact to double precision
+            for _ in range(4):
+                step = (float(digamma(x)) - target) / float(zeta(2.0, x))  # zeta(2, x) = trigamma
+                x -= step
+                if abs(step) <= 1e-13 * x:
+                    break
+        return x - 1.0
+
     params = {"a": a, "c": c}
     if log_scale:
         params["log_scale"] = log_scale
-    return SeriesSpec("expexp", lam, log_norm, params, lam_arr, log_norm_arr)
+    return SeriesSpec("expexp", lam, log_norm, params, lam_arr, log_norm_arr, peak=peak)
 
 
 def table_spec(name: str, lam_values: Sequence[float], log_norm_values: Sequence[float]) -> SeriesSpec:
@@ -205,16 +233,23 @@ def validate(spec: SeriesSpec, n_max: int = 128) -> ValidationReport:
 
 def term_log(spec: SeriesSpec, n: int, sigma: float) -> float:
     """log of one term norm: log||a_n|| + sigma * lambda_n  (-inf if vanishing)."""
-    ln = spec.log_norm(n)
-    if ln == -math.inf:
-        return -math.inf
-    t = ln + sigma * spec.lam(n)
+    try:
+        ln = spec.log_norm(n)
+        if ln == -math.inf:
+            return -math.inf
+        t = ln + sigma * spec.lam(n)
+    except OverflowError as exc:  # e.g. lgamma of an index past ~1e305
+        raise _term_range_error(spec, n, sigma) from exc
     if math.isnan(t) or t == math.inf:
-        raise NumericError(
-            f"term magnitude at n={n}, sigma={sigma} exceeds the machine range; "
-            "sigma is too large for direct series evaluation"
-        )
+        raise _term_range_error(spec, n, sigma)
     return t
+
+
+def _term_range_error(spec: SeriesSpec, n, sigma: float) -> NumericError:
+    return NumericError(
+        f"term magnitude at n={n}, sigma={sigma} of series '{spec.name}' exceeds "
+        f"the machine range; {_RANGE_HINT}"
+    )
 
 
 class _TermCache:
@@ -252,30 +287,64 @@ def _mid(lo, hi):
 def _geom_probe(lo, hi, frac: float):
     """Geometric interpolation between positive indices, type-preserving."""
     m = math.exp(math.log(lo) + frac * (math.log(hi) - math.log(lo)))
-    if isinstance(lo, int) and isinstance(hi, int) and hi <= 2 ** 53:
+    if isinstance(lo, int) and isinstance(hi, int) and hi <= _EXACT_INDEX:
         return min(hi - 1, max(lo + 1, int(m)))
     return m
+
+
+def _verified_peak(spec: SeriesSpec, t: _TermCache, sigma: float):
+    """The spec's central index rounded to an index, if it is the maximum.
+
+    Log-concavity makes a local maximum global, so the candidate is
+    accepted once t(n-1) <= t(n) >= t(n+1).  A rising neighbour is
+    climbed to first: the integer argmax can sit one off the rounded
+    continuous root, and past n ~ 1e7 rounding of the term values is as
+    large as the one-step differences.  Beyond 2**53 those differences
+    vanish entirely and the factor-2 neighbours are checked instead.
+    None means the check failed and the generic search decides.
+    """
+    n_c = spec.peak(sigma)
+    if n_c < _EXACT_INDEX:
+        n = max(1, int(math.floor(n_c + 0.5)))
+        for _ in range(_PEAK_CLIMB):
+            if n > 1 and t(n - 1) > t(n):
+                n -= 1
+            elif t(n + 1) > t(n):
+                n += 1
+            else:
+                return n
+        return None
+    if t(n_c / 2.0) <= t(n_c) >= t(n_c * 2.0):
+        return n_c
+    return None
 
 
 def max_term_log(spec: SeriesSpec, sigma: float, n_max: int = 64,
                  hint: Optional[int] = None) -> tuple[int, ExtReal]:
     """Index and log-value of the maximum term at abscissa sigma.
 
-    Searches 1..n_max and doubles the bound while the sequence is still
+    Finite tables are enumerated.  Otherwise the spec's peak generator, if
+    any, proposes the index and its neighbours confirm it.  The generic
+    search, used without a peak generator or when the check fails,
+    searches 1..n_max and doubles the bound while the sequence is still
     rising at the edge, then ternary-searches the (log-concave) bracket.
     Beyond 2**53 the index is tracked as a float; the flat peak makes the
     sub-integer placement irrelevant there.  `hint` warm-starts the
-    bracket (used by repeated evaluations along a curve).
+    generic bracket.
     """
     t = _TermCache(spec, sigma)
     if spec.n_limit is not None:
         best = max(range(1, spec.n_limit + 1), key=t)
         return best, from_real(t(best))
+    if spec.peak is not None:
+        best = _verified_peak(spec, t, sigma)
+        if best is not None:
+            return best, from_real(t(best))
 
     lo = None
     if hint is not None and hint > 4:
         h = int(hint)
-        edge = h if h <= 2 ** 53 else float(h)
+        edge = h if h <= _EXACT_INDEX else float(h)
         if t(edge // 2 if isinstance(edge, int) else edge / 2) < t(edge) and t(edge * 2) < t(edge):
             lo, hi = h // 2, h * 2  # warm bracket around the previous peak
     if lo is None:
@@ -283,7 +352,7 @@ def max_term_log(spec: SeriesSpec, sigma: float, n_max: int = 64,
         for _ in range(_MAX_DOUBLINGS):
             # factor-2 probe: one-step differences fall below double rounding
             # at tower-sized magnitudes, factor-2 differences never do
-            edge = hi if hi <= 2 ** 53 else float(hi)
+            edge = hi if hi <= _EXACT_INDEX else float(hi)
             if t(edge * 2) < t(edge):
                 hi = hi * 2  # peak lies in [1, 2*edge]
                 break
@@ -296,7 +365,7 @@ def max_term_log(spec: SeriesSpec, sigma: float, n_max: int = 64,
         lo = 1
 
     lo = max(lo, 1)
-    hi = hi if hi <= 2 ** 53 else float(hi)
+    hi = hi if hi <= _EXACT_INDEX else float(hi)
     # Ternary search with geometric probes (uniform progress on the index's
     # order of magnitude) and a flat-top stop: once the two probes agree at
     # double resolution the peak value is already pinned.

@@ -133,6 +133,13 @@ class TestIndicator:
         assert code == 3
         assert "order in (0, inf)" in err
 
+    def test_series_overflow_is_numeric_error(self, capsys):
+        # a*sigma = 720 puts the central index past the double range
+        code, _, err = run(["profile", "--spec", "expexp:a=30,c=1", "--sigma", "20:24:3"],
+                           capsys)
+        assert code == 3
+        assert "a*sigma < 700" in err
+
 
 class TestRelative:
     def test_direct(self, capsys):

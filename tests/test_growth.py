@@ -1,16 +1,18 @@
 """Profiles, inversion, composition, and the profile cache."""
 
 import math
+import random
 
+import numpy as np
 import pytest
 
 from rittgrowth.corpus import osc_rule_source, parse_shorthand, tower_rule_source
 from rittgrowth.errors import BracketError, NumericError
-from rittgrowth.growth import (GridSpec, SeriesUpperSource, SyntheticSource, compose_relative,
-                               compose_samples, invert_modulus, load_or_sample,
-                               profile_cache_key, read_profile_csv, sample_profile,
-                               write_profile_csv)
-from rittgrowth.levelindex import ExtReal, from_real, to_real
+from rittgrowth.growth import (INVERT_REL_TOL, GridSpec, SeriesUpperSource, SyntheticSource,
+                               compose_relative, compose_samples, invert_modulus,
+                               load_or_sample, profile_cache_key, read_profile_csv,
+                               sample_profile, write_profile_csv)
+from rittgrowth.levelindex import ExtReal, compare, from_real, to_real
 from rittgrowth.series import expexp_spec
 
 
@@ -84,6 +86,86 @@ class TestInvert:
         for sigma in (1.0, 3.0, 11.0, 30.0):
             got = invert_modulus(bundle.upper, bundle.upper.log_m(sigma))
             assert abs(got - sigma) <= 1e-9
+
+
+class CountingSource:
+    """Wraps a source and counts its log_m calls."""
+
+    def __init__(self, source):
+        self.source = source
+        self.sigma_floor = source.sigma_floor
+        self.calls = 0
+
+    def log_m(self, sigma):
+        self.calls += 1
+        return self.source.log_m(sigma)
+
+
+def bisection_calls(source, y):
+    """log_m calls of plain bisection from invert_modulus's cold bracket."""
+    counted = CountingSource(source)
+    lo, hi = 0.0, 1.0
+    while compare(counted.log_m(hi), y) < 0:
+        lo, hi = hi, 2.0 * hi
+    assert compare(counted.log_m(lo), y) <= 0
+    while (hi - lo) > INVERT_REL_TOL * max(1.0, abs(hi)):
+        mid = 0.5 * (lo + hi)
+        if compare(counted.log_m(mid), y) < 0:
+            lo = mid
+        else:
+            hi = mid
+    return counted.calls
+
+
+SOLVER_SOURCES = [("expexp:a=1,c=1", "upper"), ("expexp:a=1,c=1", "lower"),
+                  ("expexp:a=2,c=3", "upper"), ("tower:k=3,rho=2,q=0", "upper"),
+                  ("tower:k=4,rho=1,q=0", "upper")]
+SOLVER_SIGMAS = (1.7, 4.3, 9.1, 14.6, 22.9, 29.3)
+
+
+class TestSolver:
+    """ITP inversion: bisection's bracket and stopping rule in fewer calls."""
+
+    @pytest.mark.parametrize("shorthand,surrogate", SOLVER_SOURCES)
+    def test_never_beyond_bisection_plus_one(self, shorthand, surrogate):
+        source = dict(parse_shorthand(shorthand).bundle(fast=True).surrogates())[surrogate]
+        for sigma in SOLVER_SIGMAS:
+            y = source.log_m(sigma)
+            counted = CountingSource(source)
+            invert_modulus(counted, y)
+            assert counted.calls <= bisection_calls(source, y) + 1
+
+    @pytest.mark.parametrize("surrogate", ["upper", "lower"])
+    def test_smooth_expexp_is_cheap(self, surrogate):
+        source = dict(parse_shorthand("expexp:a=2,c=3").bundle(fast=True).surrogates())[surrogate]
+        for sigma in SOLVER_SIGMAS:
+            counted = CountingSource(source)
+            invert_modulus(counted, source.log_m(sigma))
+            assert counted.calls <= 15
+
+    @pytest.mark.parametrize("shorthand,surrogate", SOLVER_SOURCES)
+    def test_result_straddles_the_target(self, shorthand, surrogate):
+        source = dict(parse_shorthand(shorthand).bundle(fast=True).surrogates())[surrogate]
+        target = parse_shorthand("expexp:a=1,c=5").bundle(fast=True).upper
+        for sigma in SOLVER_SIGMAS:
+            y = target.log_m(sigma)
+            s = invert_modulus(source, y)
+            assert compare(source.log_m(s * (1 - 2e-12)), y) <= 0
+            assert compare(source.log_m(s * (1 + 2e-12)), y) >= 0
+
+
+class TestHistoryIndependence:
+    def test_shuffled_evaluation_order(self):
+        sigmas = [float(s) for s in np.linspace(5.0, 30.0, 400)]
+        shuffled = sigmas[:]
+        random.Random(0).shuffle(shuffled)
+        for shorthand in ("expexp:a=1,c=1", "expexp:a=2,c=1", "expexp:a=1,c=3"):
+            entry = parse_shorthand(shorthand)
+            for fast in (False, True):
+                for _, source in entry.bundle(fast=fast).surrogates():
+                    in_order = {s: source.log_m(s) for s in sigmas}
+                    for s in shuffled:
+                        assert source.log_m(s) == in_order[s]
 
 
 class TestCompose:

@@ -1,11 +1,13 @@
 """Series validation, maximum term, and the certified sum surrogate."""
 
+import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
-from rittgrowth.errors import DomainError, SpecFormatError
+from rittgrowth.errors import DomainError, NumericError, SpecFormatError
 from rittgrowth.levelindex import compare, to_real
 from rittgrowth.series import (SeriesSpec, expexp_spec, log_sum_upper, max_term_log,
                                spec_from_json, table_spec, term_log, validate)
@@ -97,6 +99,79 @@ class TestMaxTerm:
         for hint in (2, 50, 5000):
             n, v = max_term_log(spec, 4.0, hint=hint)
             assert (n, to_real(v)) == (ref[0], to_real(ref[1]))
+
+
+class TestPeakGenerator:
+    """max_term_log through expexp's central index against an mpmath oracle."""
+
+    @staticmethod
+    def oracle(a, c, sigma):
+        # the term ratio is c e^(a sigma) / n, so the argmax is its floor (at least 1)
+        mpmath.mp.dps = 50
+        x = mpmath.mpf(c) * mpmath.exp(mpmath.mpf(a) * mpmath.mpf(sigma))
+        n = max(1, int(mpmath.floor(x)))
+        value = n * mpmath.log(c) - mpmath.loggamma(n + 1) + mpmath.mpf(sigma) * a * n
+        return n, float(value)
+
+    @pytest.mark.parametrize("a,c", [(0.5, 0.5), (0.5, 2.9), (1.3, 1.1), (1.3, 0.7),
+                                     (3.0, 2.3), (3.0, 0.5)])
+    def test_index_and_value_against_oracle(self, a, c):
+        spec = expexp_spec(a, c)
+        generic = dataclasses.replace(spec, peak=None)
+        for step in range(1, 200):
+            sigma = 0.37 * step / a
+            ref_n, ref_t = self.oracle(a, c, sigma)
+            if ref_n > 2 ** 53:
+                break
+            n, v = max_term_log(spec, sigma)
+            gn, gv = max_term_log(generic, sigma)
+            assert isinstance(n, int)  # the generic bracket may pass 2**53 and go float
+            if ref_n <= 10 ** 6:
+                assert n == gn == ref_n
+            else:
+                # rounding of the term values (about 1e-16 * n log n) reaches
+                # the one-step differences (about 1/n) near n ~ 1e7, so
+                # neighbouring indices tie; both paths land within that flat top
+                assert abs(n - ref_n) <= 1e-6 * ref_n
+                assert abs(gn - ref_n) <= 1e-6 * ref_n
+            assert to_real(v) == pytest.approx(ref_t, rel=1e-13, abs=1e-13)
+            assert to_real(v) == pytest.approx(to_real(gv), rel=1e-13, abs=1e-13)
+
+    def test_beyond_exact_indices_is_float(self):
+        spec = expexp_spec(1, 1)
+        n, v = max_term_log(spec, 50.0)
+        gn, gv = max_term_log(dataclasses.replace(spec, peak=None), 50.0)
+        assert isinstance(n, float)
+        assert n == pytest.approx(math.exp(50.0), rel=1e-12)
+        assert to_real(v) == pytest.approx(to_real(gv), rel=1e-14)
+
+    def test_peak_solves_the_digamma_equation(self):
+        from scipy.special import digamma
+        spec = expexp_spec(2.0, 3.0)
+        for sigma in (0.5, 2.0, 6.0):
+            n_c = spec.peak(sigma)
+            assert float(digamma(n_c + 1.0)) == pytest.approx(math.log(3.0) + 2.0 * sigma,
+                                                              rel=1e-13)
+
+    def test_first_term_leads_below_the_first_index(self):
+        assert max_term_log(expexp_spec(1, 0.1), 0.0)[0] == 1
+
+
+class TestMachineRange:
+    """Overflow past a*sigma ~ 700 is a NumericError that names the limit."""
+
+    def test_peak_overflow(self):
+        with pytest.raises(NumericError, match=r"a\*sigma < 700"):
+            max_term_log(expexp_spec(30, 1), 24.0)
+
+    def test_generic_search_overflow(self):
+        spec = dataclasses.replace(expexp_spec(30, 1), peak=None)
+        with pytest.raises(NumericError, match=r"a\*sigma < 700"):
+            max_term_log(spec, 24.0)
+
+    def test_term_overflow(self):
+        with pytest.raises(NumericError, match=r"a\*sigma < 700"):
+            term_log(expexp_spec(1, 1), 1e306, 0.0)
 
 
 class TestLogSum:

@@ -1,6 +1,8 @@
 """Inequality-chain checking: chains, corollaries, degenerate and vacuous paths."""
 
+import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -186,3 +188,16 @@ class TestBatch:
         payload = reports[0].to_json()
         assert payload["theorem"] == "C5"
         assert payload["verdict"] == "pass"
+
+    def test_permuted_batch_gives_identical_reports(self):
+        # the workspace shares bundles across instances, so a history-dependent
+        # surrogate would make a report depend on its place in the batch
+        path = Path(__file__).resolve().parent.parent / "batches" / "acceptance_triples.json"
+        instances = load_batch(json.loads(path.read_text()))
+        subset = [instances[i] for i in (0, 2, 3, 9, 22, 29)]
+        order = [5, 3, 0, 4, 2, 1]
+        forward = run_batch(subset)
+        permuted = run_batch([subset[i] for i in order])
+        for report, i in zip(permuted, order):
+            assert json.dumps(report.to_json(), sort_keys=True) == \
+                json.dumps(forward[i].to_json(), sort_keys=True)
