@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -23,10 +22,10 @@ from . import oracle as oracle_mod
 from . import series as series_mod
 from . import theorems as theorems_mod
 from .errors import NumericError, RittGrowthError, SpecFormatError
-from .growth import GridSpec, load_or_sample
+from .growth import GridSpec, sample_profile
 from .indicators import (DEFAULT_CONFIG, EstimatorConfig, detect_index_pair,
-                         detect_relative_index_pair, order_pair, relative_indicators,
-                         type_pair, weak_type_pair)
+                         detect_relative_index_pair, json_number, order_pair,
+                         relative_indicators, type_pair, weak_type_pair)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -69,13 +68,6 @@ def _config_from_args(args) -> EstimatorConfig:
     return DEFAULT_CONFIG
 
 
-def _cache_dir(args):
-    if getattr(args, "cache_dir", None):
-        return Path(args.cache_dir)
-    env = os.environ.get("RITTGROWTH_CACHE_DIR")
-    return Path(env) if env else None
-
-
 def cmd_validate(args) -> int:
     path = Path(args.spec)
     if path.suffix == ".json" or path.exists():
@@ -101,7 +93,7 @@ def cmd_profile(args) -> int:
     bundle = entry.bundle()
     source = bundle.upper if args.surrogate == "upper" else bundle.lower_or_upper
     grid = _parse_grid(args.sigma)
-    profile = load_or_sample(source, grid, _cache_dir(args))
+    profile = sample_profile(source, grid)
     if args.format == "csv":
         lines = ["sigma,level,mantissa"]
         lines += [f"{s!r},{v.level},{v.mantissa!r}" for s, v in zip(profile.sigmas, profile.values)]
@@ -136,7 +128,6 @@ def cmd_indicator(args) -> int:
         estimates += [tb, t]
     if args.plot_data:
         from .indicators import ratio_sequence
-        from .growth import sample_profile
         prof = sample_profile(bundle.upper, grid)
         seq = ratio_sequence(list(zip(prof.sigmas, prof.values)), "order", args.p, args.q)
         lines = [f"{pt.sigma!r} {pt.ratio!r}" for pt in seq.points]
@@ -179,7 +170,7 @@ def cmd_detect(args) -> int:
         "pair": {"p": result.pair.p, "q": result.pair.q},
         "order": result.order.to_json(),
         "evidence": [
-            {"p": p, "q": q, "order": (v if v == v else "nan")}
+            {"p": p, "q": q, "order": json_number(v)}
             for p, q, v in result.evidence
         ],
     }, args)
@@ -237,7 +228,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p):
         p.add_argument("--output", help="write the JSON report here instead of stdout")
-        p.add_argument("--cache-dir", help="profile cache directory (env RITTGROWTH_CACHE_DIR)")
 
     p = sub.add_parser("validate", help="check series convergence conditions at a truncation")
     p.add_argument("--spec", required=True)

@@ -16,12 +16,8 @@ mantissa) pairs; the curve value M_f(sigma) is never materialized.
 
 from __future__ import annotations
 
-import csv
-import hashlib
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable, Optional
 
 import numpy as np
@@ -80,9 +76,6 @@ class GrowthSource:
 
     def describe(self) -> dict:
         raise NotImplementedError
-
-    def key(self) -> str:
-        return hashlib.sha256(json.dumps(self.describe(), sort_keys=True).encode()).hexdigest()[:16]
 
 
 class SeriesLowerSource(GrowthSource):
@@ -160,9 +153,6 @@ class SourceBundle:
         if self.lower is not None:
             out.append(("lower", self.lower))
         return out
-
-    def key(self) -> str:
-        return self.upper.key()
 
 
 @dataclass(frozen=True)
@@ -312,49 +302,3 @@ def compose_samples(g_source: GrowthSource, f_source: GrowthSource,
         step = max(abs(psi) * 0.25, 1.0)
         bracket = (psi, psi + step)
     return out
-
-
-# ---------------------------------------------------------------------------
-# Profile cache: CSV rows (sigma, level, mantissa), keyed by source + grid.
-# ---------------------------------------------------------------------------
-
-def profile_cache_key(source: GrowthSource, grid: GridSpec) -> str:
-    payload = json.dumps({"source": source.describe(), "grid": grid.describe()}, sort_keys=True)
-    return hashlib.sha256(payload.encode()).hexdigest()[:24]
-
-
-def write_profile_csv(profile: GrowthProfile, path: Path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["sigma", "level", "mantissa"])
-        for s, v in zip(profile.sigmas, profile.values):
-            writer.writerow([repr(s), v.level, repr(v.mantissa)])
-
-
-def read_profile_csv(path: Path, source_desc: dict, grid: GridSpec) -> GrowthProfile:
-    sigmas: list[float] = []
-    values: list[ExtReal] = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != ["sigma", "level", "mantissa"]:
-            raise NumericError(f"profile cache {path} has an unexpected header {header}")
-        for row in reader:
-            sigmas.append(float(row[0]))
-            values.append(ExtReal(int(row[1]), float(row[2])))
-    return GrowthProfile(source_desc, grid, tuple(sigmas), tuple(values))
-
-
-def load_or_sample(source: GrowthSource, grid: GridSpec,
-                   cache_dir: Optional[Path] = None) -> GrowthProfile:
-    """Sample a profile, going through the CSV cache when a directory is given."""
-    if cache_dir is None:
-        return sample_profile(source, grid)
-    cache_dir = Path(cache_dir)
-    cache_dir.mkdir(parents=True, exist_ok=True)
-    path = cache_dir / f"profile_{profile_cache_key(source, grid)}.csv"
-    if path.exists():
-        return read_profile_csv(path, source.describe(), grid)
-    profile = sample_profile(source, grid)
-    write_profile_csv(profile, path)
-    return profile

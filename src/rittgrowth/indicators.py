@@ -74,6 +74,13 @@ class RatioSequence:
     dropped: tuple[float, ...]
 
 
+def json_number(v):
+    """A float as JSON can carry it: infinities and nan become "inf", "-inf", "nan"."""
+    if isinstance(v, float) and not math.isfinite(v):
+        return "nan" if math.isnan(v) else ("inf" if v > 0 else "-inf")
+    return v
+
+
 @dataclass(frozen=True)
 class IndicatorEstimate:
     kind: str
@@ -100,12 +107,7 @@ class IndicatorEstimate:
         return 0.5 * (self.hi - self.lo)
 
     def to_json(self, grid: Optional[GridSpec] = None) -> dict:
-        def num(v):
-            if v == math.inf:
-                return "inf"
-            if v == -math.inf:
-                return "-inf"
-            return v
+        num = json_number
         doc = {
             "kind": self.kind, "p": self.p, "q": self.q,
             "value": num(self.value), "lo": num(self.lo), "hi": num(self.hi),

@@ -155,9 +155,9 @@ def mul_scalar(x: ExtReal, c: float) -> ExtReal:
     if c <= 0.0 or math.isinf(c) or math.isnan(c):
         raise DomainError(f"mul_scalar requires a finite positive scalar, got {c}")
     v = to_real_or_none(x)
-    if v is not None:
+    if v is not None and math.isfinite(v * c):
         return from_real(v * c)
-    # x is huge and positive: multiply in log domain.
+    # x or the product is huge and positive: multiply in log domain.
     return exp_iter(add_scalar(log_iter(x, 1), math.log(c)), 1)
 
 
@@ -173,9 +173,9 @@ def pow_scale(x: ExtReal, alpha: float) -> ExtReal:
         return ExtReal(0, 1.0)
     w = log_iter(x, 1)
     wv = to_real_or_none(w)
-    if wv is not None:
+    if wv is not None and math.isfinite(alpha * wv):
         return exp_iter(from_real(alpha * wv), 1)
-    # log x itself is beyond machine range (x at level >= 3).
+    # alpha * log x is beyond machine range (always so when x is at level >= 3).
     if alpha < 0.0:
         raise ExtRangeError("negative power of a tower-sized value underflows the representation")
     return exp_iter(mul_scalar(w, alpha), 1)

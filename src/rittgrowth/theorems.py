@@ -1,20 +1,22 @@
 """Inequality-chain checking for relative growth indicators.
 
-Each supported statement relates the indicators of f and g measured
-through a third function h.  The checker estimates every quantity the
-statement mentions, assembles the chain, and reports per-link slack.
-Statements are conditional: when a hypothesis (regularity, finiteness of
-an order) is not met by the estimates, the verdict is "vacuous", never
-"fail" - a conditional claim cannot be falsified by a failed premise.
+Each statement relates the indicators of f and g measured through a third
+function h.  Statements are data: a row of STATEMENTS lists hypotheses
+and clauses (``_clause``), compiled once, at import, into a function.
+Hypotheses are reported under their own text; once a group is not met by
+the estimates the verdict is "vacuous", never "fail" - a conditional
+claim cannot be falsified by a failed premise.  Operands are evaluated
+left to right; the first ill-posed one (an interval touching zero) makes
+the instance vacuous, with its message as a note.
 
 Per-link tolerance is the instance tolerance plus the interval
 half-widths of the two linked quantities, so certified estimation slack
 never masquerades as a counterexample.
 
 Two readings forced by gaps in the source statements are flagged in the
-report notes: the sigma-like symbols in the lower-type corollary are
-read as the type/lower type of g, and a malformed exponent in the
-tau-bar chain is read as 1/lambda of g at (m, p).
+report notes: the sigma-like symbols in the lower-type corollary (Ct2)
+are read as the type/lower type of g, and a malformed exponent in the
+tau-bar chain (Tt3) is read as 1/lambda of g at (m, p).
 """
 
 from __future__ import annotations
@@ -22,16 +24,14 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property, partial
 from typing import Optional
 
 from .corpus import CorpusEntry, resolve_source
 from .errors import IncompleteInstanceError, SpecFormatError
 from .growth import GridSpec
 from .indicators import (DEFAULT_CONFIG, EstimatorConfig, IndicatorEstimate,
-                         RelativeIndicators, relative_indicators)
-
-THEOREM_IDS = ("T1", "C1", "C2", "C3", "C4", "C5", "C6", "C7", "C8", "R1",
-               "Tt1", "Ct1", "Tt2", "Ct2", "Tt3", "Ct3", "Tt4", "Ct4", "T41", "T42")
+                         RelativeIndicators, json_number, relative_indicators)
 
 DEFAULT_GRID = GridSpec(5.0, 30.0, 64)
 
@@ -72,14 +72,16 @@ class Quantity:
         return 0.5 * (self.hi - self.lo)
 
 
-def _qty(est: IndicatorEstimate, label: str) -> Quantity:
-    return Quantity(label, est.value, est.lo, est.hi)
-
-
 def _q_ratio(a: Quantity, b: Quantity, label: str) -> Quantity:
     if b.lo <= 0:
         raise IncompleteInstanceError(f"ratio {label} needs a positive denominator interval")
     return Quantity(label, a.value / b.value, a.lo / b.hi, a.hi / b.lo)
+
+
+def _q_mul(a: Quantity, b: Quantity, label: str) -> Quantity:
+    if a.lo < 0 or b.lo < 0:
+        raise IncompleteInstanceError(f"product {label} needs non-negative intervals")
+    return Quantity(label, a.value * b.value, a.lo * b.lo, a.hi * b.hi)
 
 
 def _q_pow_inv(base: Quantity, expo: Quantity, label: str) -> Quantity:
@@ -91,22 +93,19 @@ def _q_pow_inv(base: Quantity, expo: Quantity, label: str) -> Quantity:
     return Quantity(label, base.value ** (1.0 / expo.value), min(corners), max(corners))
 
 
-def _q_min(label: str, *qs: Quantity) -> Quantity:
-    return Quantity(label, min(q.value for q in qs), min(q.lo for q in qs), min(q.hi for q in qs))
+def _q_fold(fold, label: str, *qs: Quantity) -> Quantity:
+    """min or max of quantities, taken separately on values and interval ends."""
+    return Quantity(label, fold(q.value for q in qs), fold(q.lo for q in qs), fold(q.hi for q in qs))
 
 
-def _q_max(label: str, *qs: Quantity) -> Quantity:
-    return Quantity(label, max(q.value for q in qs), max(q.lo for q in qs), max(q.hi for q in qs))
-
-
-def _q_mul(a: Quantity, b: Quantity, label: str) -> Quantity:
-    if a.lo < 0 or b.lo < 0:
-        raise IncompleteInstanceError(f"product {label} needs non-negative intervals")
-    return Quantity(label, a.value * b.value, a.lo * b.lo, a.hi * b.hi)
-
-
-def _q_const(v: float, label: str) -> Quantity:
+def _point(label: str, v: float) -> Quantity:
     return Quantity(label, v, v, v)
+
+
+def _quantity(est: Optional[IndicatorEstimate], label: str) -> Quantity:
+    if est is None:
+        raise IncompleteInstanceError(f"estimate {label} was gated off and is unavailable")
+    return Quantity(label, est.value, est.lo, est.hi)
 
 
 @dataclass(frozen=True)
@@ -121,14 +120,8 @@ class Link:
 
 def _link(relation: str, left: Quantity, right: Quantity, base_tol: float) -> Link:
     tol = base_tol + left.halfwidth + right.halfwidth
-    if relation == "le":
-        slack = right.value - left.value
-    elif relation == "ge":
-        slack = left.value - right.value
-    elif relation == "eq":
-        slack = -abs(left.value - right.value)
-    else:
-        raise ValueError(f"unknown relation '{relation}'")
+    gap = left.value - right.value
+    slack = {"le": -gap, "ge": gap, "eq": -abs(gap)}[relation]
     if math.isnan(slack):
         return Link(relation, left, right, slack, tol, False)
     # Degenerate agreements (inf vs inf) count as satisfied comparisons.
@@ -149,15 +142,7 @@ class CheckReport:
     verdict: str  # "pass" | "vacuous" | "fail"
 
     def to_json(self) -> dict:
-        def num(v):
-            if isinstance(v, float):
-                if v == math.inf:
-                    return "inf"
-                if v == -math.inf:
-                    return "-inf"
-                if math.isnan(v):
-                    return "nan"
-            return v
+        num = json_number
         return {
             "theorem": self.theorem_id,
             "subject": self.subject,
@@ -210,452 +195,281 @@ class IndicatorWorkspace:
         return self._sets[key]
 
 
-def _fn(config: EstimatorConfig, est: Optional[IndicatorEstimate]) -> bool:
-    return est is not None and config.finite_nonzero(est.value)
-
-
 def _regular(rho: IndicatorEstimate, lam: IndicatorEstimate, tol: float) -> bool:
     gap = abs(rho.value - lam.value)
     return gap <= tol + 0.5 * abs(rho.hi - rho.lo) + 0.5 * abs(lam.hi - lam.lo)
 
 
-class _Checker:
-    """Shared state for one instance: quantity construction and verdicts."""
+# The table compiler.  Generated code reads the run ``c``: "rho_h(f)" is c.fh.rho.
+_NAMES = {f"{sym}_{of}": f"c.{pair}.{'lam' if sym == 'lambda' else sym.lower()}"
+          for sym in ("rho", "lambda", "Delta", "Delta_bar", "tau", "tau_bar")
+          for of, pair in (("h(f)", "fh"), ("h(g)", "gh"), ("g(f)", "fg"), ("f(g)", "gf"))}
 
-    def __init__(self, instance: TheoremInstance, ws: IndicatorWorkspace):
-        self.inst = instance
-        self.ws = ws
-        self.grid = instance.grid or DEFAULT_GRID
-        self.tol = instance.tolerance
-        self.cfg = ws.config
-        self.hyp: dict = {}
-        self.notes: list = []
-        m, p, q = instance.m, instance.p, instance.q
-        self.fh = ws.rel_set(instance.f, instance.h, m, q, self.grid)
-        self.gh = ws.rel_set(instance.g, instance.h, m, p, self.grid)
-        self.fg = ws.rel_set(instance.f, instance.g, p, q, self.grid)
-        self._gf: Optional[RelativeIndicators] = None
 
-    @property
+def _src(e, local: dict) -> str:
+    """Python source of an expression: a named quantity, a let name, "a/b",
+    "a * b", ("pow_inv", base, exponent, label), ("min" | "max", label,
+    *operands), ("const", value, label), ("as", name, label), ("point",
+    operand, label) or ("threshold", "ge" | "le").  ``local`` maps let
+    names, and named quantities and constants once used, to variables."""
+    if e in local:
+        return local[e]
+    if e in _NAMES or e[0] == "const":  # built at first use, then reused
+        local[e] = var = f"v{len(local)}"
+        value = f"_point({e[2]!r}, {e[1]!r})" if e[0] == "const" else f"_quantity({_NAMES[e]}, {e!r})"
+        return f"({var} := {value})"
+    if isinstance(e, str):  # labelled by its text, so both operands are named
+        sep, op = ("/", "_q_ratio") if "/" in e else (" * ", "_q_mul")
+        a, b = e.split(sep)
+        return f"{op}({_src(a, local)}, {_src(b, local)}, {e!r})"
+    op, x, *rest = e
+    if op == "pow_inv":
+        return f"_q_pow_inv({_src(x, local)}, {_src(rest[0], local)}, {rest[1]!r})"
+    if op in ("min", "max"):
+        return f"_q_fold({op}, {x!r}, {', '.join(_src(y, local) for y in rest)})"
+    if op == "threshold":
+        return f"_point('threshold', {'1.0 / ' if x == 'ge' else ''}c.cfg.finite_eps)"
+    if op == "as":
+        return f"_quantity({_NAMES[x]}, {rest[0]!r})"
+    if op == "point":
+        return f"_point({rest[0]!r}, {_src(x, local)}.value)"
+    raise ValueError(f"unknown operation '{op}'")
+
+
+def _cond_src(text: str, local: dict) -> str:
+    """Python source of a hypothesis or guard, from the text it is reported under."""
+    if text.endswith(" wrt h regular"):
+        return f"_regular(c.{text[0]}h.rho, c.{text[0]}h.lam, c.tol)"
+    name, _, claim = text.partition(" ")
+    if claim.startswith("= "):  # equal within the instance tolerance and half-widths
+        return f"_link('eq', {_src(name, local)}, {_src(claim[2:], local)}, c.tol).ok"
+    est = _NAMES[name]
+    return {"finite nonzero": f"({est} is not None and c.cfg.finite_nonzero({est}.value))",
+            "available": f"{est} is not None",
+            "~ 0": f"{est}.value < c.cfg.finite_eps",
+            "~ inf": f"{est}.value > 1.0 / c.cfg.finite_eps"}[claim]
+
+
+def _clause(rel, *entries, let=(), when=(), otherwise=(), note="", tol=None) -> list:
+    """Source of a chain, its consecutive entries linked by ``rel`` ("le" or
+    "ge"), or with ``rel=None`` of (left, relation, right) claims reporting
+    their left sides.  ``let`` binds (name, expression) pairs first.  It
+    runs when its guards ``when`` hold, else ``otherwise`` does; ``note``
+    follows it; ``tol`` replaces the instance tolerance."""
+    local: dict = {}
+    guard = " and ".join(_cond_src(text, local) for text in when)
+    lines = []
+    for name, e in let:
+        value = _src(e, local)
+        local[name] = f"v{len(local)}"
+        lines.append(f"{local[name]} = {value}")
+    tol = "c.tol" if tol is None else repr(tol)
+    if rel is None:
+        for i, (left, r, right) in enumerate(entries):
+            lines += [f"l{i} = _link({r!r}, {_src(left, local)}, {_src(right, local)}, {tol})",
+                      f"chain.append(l{i}.left)", f"links.append(l{i})"]
+    else:
+        lines += [f"q{i} = {_src(e, local)}" for i, e in enumerate(entries)]
+        lines.append(f"chain += [{', '.join(f'q{i}' for i in range(len(entries)))}]")
+        lines += [f"links.append(_link({rel!r}, q{i - 1}, q{i}, {tol}))"
+                  for i in range(1, len(entries))]
+    lines += [f"c.notes.append({note!r})"] if note else []
+    if not when:
+        return lines
+    return [f"if {guard}:"] + _indent(lines) + (["else:"] + _indent(otherwise) if otherwise else [])
+
+
+_claims = partial(_clause, None)  # (left, relation, right) claims
+
+
+def _indent(lines: list) -> list:
+    return ["    " + line for line in lines]
+
+
+def _statement(hyp, *clauses, note="", none_fired=None):
+    """A function of the run giving the reported entries and links, or None if
+    vacuous: a hypothesis group failed, or no clause ran (``none_fired``)."""
+    lines = ["chain, links = [], []"]
+    for group in hyp:
+        lines += [f"c.hyp[{text!r}] = {_cond_src(text, {})}" for text in group]
+        lines.append("if not all(c.hyp.values()): return None")
+    lines += [f"c.notes.append({note!r})"] if note else []
+    for clause in clauses:
+        lines += clause
+    if none_fired:
+        text, missing = none_fired
+        lines += ["if not links:", f"    c.hyp[{text!r}] = False",
+                  f"    c.notes.append({missing!r})" if missing else "    pass", "    return None"]
+    code: dict = {}
+    exec("\n".join(["def statement(c):"] + _indent(lines + ["return chain, links"])),
+         globals(), code)
+    return code["statement"]
+
+
+# The statements.
+
+_FN_ORDERS = ("rho_h(f) finite nonzero", "lambda_h(f) finite nonzero",
+              "rho_h(g) finite nonzero", "lambda_h(g) finite nonzero")
+_REGULAR_BOTH = ("rho_h(f) finite nonzero", "rho_h(g) finite nonzero",
+                 "f wrt h regular", "g wrt h regular")
+_FN_TYPES = tuple(f"{sym}_h({x}) finite nonzero" for sym in ("Delta", "Delta_bar", "tau", "tau_bar")
+                  for x in "fg") + ("rho_h(g) finite nonzero", "lambda_h(g) finite nonzero")
+_ONE = ("const", 1.0, "1")
+_EQUAL_ORDERS = "rho_h(f) = rho_h(g)"
+_SKIPPED = _claims(note="equal-orders clause skipped: rho_h(f) != rho_h(g)")
+
+
+def _root(label: str, bound: str) -> tuple:
+    """"num/den ^ 1/expo" is (num_h(f) / den_h(g)) ** (1 / expo_h(g))."""
+    ratio, expo = bound.split(" ^ 1/")
+    num, den = ratio.split("/")
+    return ("pow_inv", f"{num}_h(f)/{den}_h(g)", f"{expo}_h(g)", label)
+
+
+def _fold(side: str, bounds: list):
+    fold, which = ("max", "lower") if side == "lb" else ("min", "upper")
+    roots = [_root(f"{side}{i}", b) for i, b in enumerate(bounds, 1)]
+    return (fold, f"{fold} of {which} bounds", *roots) if len(roots) > 1 else _root(side, bounds[0])
+
+
+def _type(target: str, lower: list, upper: list, note: str = ""):
+    """Tt1-Tt4, Ct1-Ct4: a type of f through g between its bounds' max and min."""
+    t = f"{target}_g(f)"
+    chain = (_clause("le", *([_fold("lb", lower)] if lower else []), t, _fold("ub", upper))
+             if upper else _clause("ge", t, _fold("lb", lower)))
+    return _statement((_FN_TYPES, (f"{t} available",)), chain, note=note)
+
+
+def _product(prod: str, one_sided: str):
+    """C5/C6: the product of the two orientations is 1 for a regular pair."""
+    return _statement((_FN_ORDERS,), _claims(
+        (prod, "eq", _ONE), when=("f wrt h regular", "g wrt h regular"),
+        note="both regular: equality",
+        otherwise=_claims((prod, one_sided, _ONE), note="irregular pair: one-sided bound")))
+
+
+def _degenerate(hyp: str, *cases):
+    """C7/C8: once an estimate crosses the zero or infinity threshold, the
+    conclusion's point value must cross it too.  No trigger: vacuous."""
+    return _statement(((hyp,),), *(
+        _claims((("point", target, f"{trigger} => {target} = {'inf' if rel == 'ge' else '0'}"),
+                rel, ("threshold", rel)), when=(trigger,), tol=0.0)
+        for trigger, target, rel in cases),
+        none_fired=("some degenerate case triggered", "no degenerate hypothesis triggered"))
+
+
+def _sandwich(regular: str, a: tuple, b: tuple):
+    """T41/T42: targets ``a`` between Delta-type ratios, ``b`` between tau-type ones."""
+    def target(part, sym):
+        return ("as", f"{sym}_g(f)", f"{part}:{sym.lower()}_g(f)")
+    return _statement(
+        (_FN_TYPES, (f"{regular} wrt h regular",) + tuple(
+            f"{sym}_g(f) available" for sym in ("Delta", "Delta_bar", "tau", "tau_bar"))),
+        _clause("le", _root("lbA", "Delta_bar/Delta ^ 1/rho"), target("A", a[0]),
+               ("min", "A:min", "m1", "m2"), ("max", "A:max", "m1", "m2"), target("A", a[1]),
+               _root("ubA", "Delta/Delta_bar ^ 1/rho"),
+               let=(("m1", _root("m1", "Delta_bar/Delta_bar ^ 1/rho")),
+                    ("m2", _root("m2", "Delta/Delta ^ 1/rho")))),
+        _clause("le", _root("lbB", "tau/tau_bar ^ 1/lambda"), target("B", b[0]),
+               ("min", "B:min", "m3", "m4"), ("max", "B:max", "m3", "m4"), target("B", b[1]),
+               _root("ubB", "tau_bar/tau ^ 1/lambda"),
+               let=(("m3", _root("m3", "tau/tau ^ 1/lambda")),
+                    ("m4", _root("m4", "tau_bar/tau_bar ^ 1/lambda")))))
+
+
+STATEMENTS = {
+    "T1": _statement((_FN_ORDERS,), _clause(
+        "le", "lambda_h(f)/rho_h(g)", "lambda_g(f)",
+        ("min", "min(lambda/lambda, rho/rho)", "ll", "rr"),
+        ("max", "max(lambda/lambda, rho/rho)", "ll", "rr"), "rho_g(f)", "rho_h(f)/lambda_h(g)",
+        let=(("ll", "lambda_h(f)/lambda_h(g)"), ("rr", "rho_h(f)/rho_h(g)")))),
+    "C1": _statement((_FN_ORDERS + ("f wrt h regular",),),
+        _claims(("lambda_g(f)", "eq", "rho_h(f)/rho_h(g)"), ("rho_g(f)", "eq", "rho_h(f)/lambda_h(g)")),
+        _claims(("lambda_g(f)", "eq", _ONE), ("rho_f(g)", "eq", _ONE), when=(_EQUAL_ORDERS,),
+               note="equal-orders clause: both orientations checked separately", otherwise=_SKIPPED)),
+    "C2": _statement((_FN_ORDERS + ("g wrt h regular",),),
+        _claims(("lambda_g(f)", "eq", "lambda_h(f)/rho_h(g)"), ("rho_g(f)", "eq", "rho_h(f)/rho_h(g)")),
+        _claims(("rho_g(f)", "eq", _ONE), ("lambda_f(g)", "eq", _ONE), when=(_EQUAL_ORDERS,),
+               otherwise=_SKIPPED)),
+    "C3": _statement((_REGULAR_BOTH,), _claims(("lambda_g(f)", "eq", "t"), ("rho_g(f)", "eq", "t"),
+                                                let=(("t", "rho_h(f)/rho_h(g)"),))),
+    "C4": _statement((_REGULAR_BOTH + (_EQUAL_ORDERS,),), _claims(
+        *((name, "eq", _ONE) for name in ("lambda_g(f)", "rho_g(f)", "lambda_f(g)", "rho_f(g)")))),
+    "C5": _product("rho_g(f) * rho_f(g)", "ge"),
+    "C6": _product("lambda_g(f) * lambda_f(g)", "le"),
+    "C7": _degenerate("rho_h(f) finite nonzero",
+                      ("rho_h(g) ~ 0", "lambda_g(f)", "ge"), ("lambda_h(g) ~ 0", "rho_g(f)", "ge"),
+                      ("rho_h(g) ~ inf", "lambda_g(f)", "le"), ("lambda_h(g) ~ inf", "rho_g(f)", "le")),
+    "C8": _degenerate("rho_h(g) finite nonzero",
+                      ("rho_h(f) ~ 0", "rho_g(f)", "le"), ("lambda_h(f) ~ 0", "lambda_g(f)", "le"),
+                      ("rho_h(f) ~ inf", "rho_g(f)", "ge"), ("lambda_h(f) ~ inf", "lambda_g(f)", "ge")),
+    "R1": _statement((_FN_ORDERS,),
+        _claims(("rho_g(f)", "eq", "rho_h(f)/rho_h(g)"), ("lambda_g(f)", "eq", "lambda_h(f)/lambda_h(g)"),
+               when=("g wrt h regular",), note="branch: g regular wrt h"),
+        _claims(("rho_g(f)", "eq", "lambda_h(f)/lambda_h(g)"), ("lambda_g(f)", "eq", "rho_h(f)/rho_h(g)"),
+               when=("f wrt h regular",), note="branch: f regular wrt h"),
+        none_fired=("one side regular", "")),
+    "Tt1": _type("Delta", ["Delta_bar/tau ^ 1/lambda", "Delta/tau_bar ^ 1/lambda"],
+                 ["Delta/Delta_bar ^ 1/rho"]),
+    "Ct1": _type("Delta", [], ["tau_bar/tau ^ 1/lambda", "tau_bar/Delta_bar ^ 1/rho"]),
+    "Tt2": _type("Delta_bar", ["Delta_bar/tau_bar ^ 1/lambda"],
+                 ["Delta_bar/Delta_bar ^ 1/rho", "Delta/Delta ^ 1/rho"]),
+    "Ct2": _type("Delta_bar", [], ["tau/tau ^ 1/lambda", "tau_bar/tau_bar ^ 1/lambda",
+                                   "tau_bar/Delta ^ 1/rho", "tau/Delta_bar ^ 1/rho"],
+                 note="sigma-type symbols read as Delta_h(g) / Delta_bar_h(g)"),
+    "Tt3": _type("tau_bar", ["tau_bar/tau_bar ^ 1/lambda", "tau/tau ^ 1/lambda"],
+                 ["tau_bar/Delta_bar ^ 1/rho"], note="malformed exponent read as 1/lambda_h(g)"),
+    "Ct3": _type("tau_bar", ["Delta_bar/Delta_bar ^ 1/rho", "Delta/Delta ^ 1/rho",
+                             "Delta/tau_bar ^ 1/lambda", "Delta_bar/tau ^ 1/lambda"], []),
+    "Tt4": _type("tau", ["tau/tau_bar ^ 1/lambda"], ["tau/Delta_bar ^ 1/rho", "tau_bar/Delta ^ 1/rho"]),
+    "Ct4": _type("tau", ["Delta_bar/Delta ^ 1/rho", "Delta_bar/tau_bar ^ 1/lambda"], []),
+    "T41": _sandwich("g", ("Delta_bar", "Delta"), ("tau", "tau_bar")),
+    "T42": _sandwich("f", ("tau", "tau_bar"), ("Delta_bar", "Delta")),
+}
+
+THEOREM_IDS = tuple(STATEMENTS)
+
+
+class _Run:
+    """One instance: its relative sets, hypotheses and notes."""
+
+    def __init__(self, inst: TheoremInstance, ws: IndicatorWorkspace):
+        self.inst, self.ws, self.grid = inst, ws, inst.grid or DEFAULT_GRID
+        self.fh = ws.rel_set(inst.f, inst.h, inst.m, inst.q, self.grid)
+        self.gh = ws.rel_set(inst.g, inst.h, inst.m, inst.p, self.grid)
+        self.fg = ws.rel_set(inst.f, inst.g, inst.p, inst.q, self.grid)
+        self.tol, self.cfg = inst.tolerance, ws.config
+        self.hyp, self.notes = {}, []
+
+    @cached_property
     def gf(self) -> RelativeIndicators:
-        if self._gf is None:
-            self._gf = self.ws.rel_set(self.inst.g, self.inst.f, self.inst.q, self.inst.p, self.grid)
-        return self._gf
-
-    # quantity shorthands -------------------------------------------------
-    def q(self, est: Optional[IndicatorEstimate], label: str) -> Quantity:
-        if est is None:
-            raise IncompleteInstanceError(f"estimate {label} was gated off and is unavailable")
-        return _qty(est, label)
-
-    def require_fn(self, name: str, est: Optional[IndicatorEstimate]) -> None:
-        self.hyp[f"{name} finite nonzero"] = _fn(self.cfg, est)
-
-    def require_regular(self, name: str, rho, lam) -> None:
-        self.hyp[f"{name} regular"] = _regular(rho, lam, self.tol)
-
-    def hypotheses_hold(self) -> bool:
-        return all(self.hyp.values())
+        """g measured through f, fetched only when a statement names it."""
+        inst = self.inst
+        return self.ws.rel_set(inst.g, inst.f, inst.q, inst.p, self.grid)
 
     def report(self, chain_qs: list, links: list) -> CheckReport:
-        chain = [(q.label, q.value) for q in chain_qs]
-        slacks = [links[i].slack for i in range(len(links))] if links else []
-        if not self.hypotheses_hold():
-            verdict = "vacuous"
-        elif all(l.ok for l in links):
-            verdict = "pass"
-        else:
-            verdict = "fail"
+        verdict = ("vacuous" if not all(self.hyp.values())
+                   else "pass" if all(l.ok for l in links) else "fail")
         return CheckReport(self.inst.theorem_id, self.inst.describe(), dict(self.hyp),
-                           chain, slacks, links, list(self.notes), verdict)
-
-    def chain_links(self, qs: list) -> list:
-        return [_link("le", qs[i], qs[i + 1], self.tol) for i in range(len(qs) - 1)]
-
-
-def _order_quantities(c: _Checker):
-    lam_fh = c.q(c.fh.lam, "lambda_h(f)")
-    rho_fh = c.q(c.fh.rho, "rho_h(f)")
-    lam_gh = c.q(c.gh.lam, "lambda_h(g)")
-    rho_gh = c.q(c.gh.rho, "rho_h(g)")
-    return lam_fh, rho_fh, lam_gh, rho_gh
-
-
-def _check_t1(c: _Checker) -> CheckReport:
-    lam_fh, rho_fh, lam_gh, rho_gh = _order_quantities(c)
-    for name, est in (("rho_h(f)", c.fh.rho), ("lambda_h(f)", c.fh.lam),
-                      ("rho_h(g)", c.gh.rho), ("lambda_h(g)", c.gh.lam)):
-        c.require_fn(name, est)
-    if not c.hypotheses_hold():
-        return c.report([], [])
-    r_ll = _q_ratio(lam_fh, lam_gh, "lambda_h(f)/lambda_h(g)")
-    r_rr = _q_ratio(rho_fh, rho_gh, "rho_h(f)/rho_h(g)")
-    chain = [
-        _q_ratio(lam_fh, rho_gh, "lambda_h(f)/rho_h(g)"),
-        c.q(c.fg.lam, "lambda_g(f)"),
-        _q_min("min(lambda/lambda, rho/rho)", r_ll, r_rr),
-        _q_max("max(lambda/lambda, rho/rho)", r_ll, r_rr),
-        c.q(c.fg.rho, "rho_g(f)"),
-        _q_ratio(rho_fh, lam_gh, "rho_h(f)/lambda_h(g)"),
-    ]
-    return c.report(chain, c.chain_links(chain))
-
-
-def _check_c1_c2(c: _Checker, regular_f: bool) -> CheckReport:
-    lam_fh, rho_fh, lam_gh, rho_gh = _order_quantities(c)
-    for name, est in (("rho_h(f)", c.fh.rho), ("lambda_h(f)", c.fh.lam),
-                      ("rho_h(g)", c.gh.rho), ("lambda_h(g)", c.gh.lam)):
-        c.require_fn(name, est)
-    if regular_f:
-        c.require_regular("f wrt h", c.fh.rho, c.fh.lam)
-    else:
-        c.require_regular("g wrt h", c.gh.rho, c.gh.lam)
-    if not c.hypotheses_hold():
-        return c.report([], [])
-    links = []
-    if regular_f:  # C1
-        links.append(_link("eq", c.q(c.fg.lam, "lambda_g(f)"),
-                           _q_ratio(rho_fh, rho_gh, "rho_h(f)/rho_h(g)"), c.tol))
-        links.append(_link("eq", c.q(c.fg.rho, "rho_g(f)"),
-                           _q_ratio(rho_fh, lam_gh, "rho_h(f)/lambda_h(g)"), c.tol))
-    else:  # C2
-        links.append(_link("eq", c.q(c.fg.lam, "lambda_g(f)"),
-                           _q_ratio(lam_fh, rho_gh, "lambda_h(f)/rho_h(g)"), c.tol))
-        links.append(_link("eq", c.q(c.fg.rho, "rho_g(f)"),
-                           _q_ratio(rho_fh, rho_gh, "rho_h(f)/rho_h(g)"), c.tol))
-    if abs(rho_fh.value - rho_gh.value) <= c.tol + rho_fh.halfwidth + rho_gh.halfwidth:
-        one = _q_const(1.0, "1")
-        if regular_f:
-            links.append(_link("eq", c.q(c.fg.lam, "lambda_g(f)"), one, c.tol))
-            links.append(_link("eq", c.q(c.gf.rho, "rho_f(g)"), one, c.tol))
-            c.notes.append("equal-orders clause: both orientations checked separately")
-        else:
-            links.append(_link("eq", c.q(c.fg.rho, "rho_g(f)"), one, c.tol))
-            links.append(_link("eq", c.q(c.gf.lam, "lambda_f(g)"), one, c.tol))
-    else:
-        c.notes.append("equal-orders clause skipped: rho_h(f) != rho_h(g)")
-    qs = [l.left for l in links]
-    return c.report(qs, links)
-
-
-def _check_c3_c4(c: _Checker, with_unit: bool) -> CheckReport:
-    lam_fh, rho_fh, lam_gh, rho_gh = _order_quantities(c)
-    for name, est in (("rho_h(f)", c.fh.rho), ("rho_h(g)", c.gh.rho)):
-        c.require_fn(name, est)
-    c.require_regular("f wrt h", c.fh.rho, c.fh.lam)
-    c.require_regular("g wrt h", c.gh.rho, c.gh.lam)
-    if with_unit:
-        c.hyp["rho_h(f) = rho_h(g)"] = (
-            abs(rho_fh.value - rho_gh.value) <= c.tol + rho_fh.halfwidth + rho_gh.halfwidth
-        )
-    if not c.hypotheses_hold():
-        return c.report([], [])
-    links = []
-    if with_unit:  # C4
-        one = _q_const(1.0, "1")
-        for est, label in ((c.fg.lam, "lambda_g(f)"), (c.fg.rho, "rho_g(f)"),
-                           (c.gf.lam, "lambda_f(g)"), (c.gf.rho, "rho_f(g)")):
-            links.append(_link("eq", c.q(est, label), one, c.tol))
-    else:  # C3
-        target = _q_ratio(rho_fh, rho_gh, "rho_h(f)/rho_h(g)")
-        links.append(_link("eq", c.q(c.fg.lam, "lambda_g(f)"), target, c.tol))
-        links.append(_link("eq", c.q(c.fg.rho, "rho_g(f)"), target, c.tol))
-    qs = [l.left for l in links]
-    return c.report(qs, links)
-
-
-def _check_c5_c6(c: _Checker, upper: bool) -> CheckReport:
-    for name, est in (("rho_h(f)", c.fh.rho), ("lambda_h(f)", c.fh.lam),
-                      ("rho_h(g)", c.gh.rho), ("lambda_h(g)", c.gh.lam)):
-        c.require_fn(name, est)
-    if not c.hypotheses_hold():
-        return c.report([], [])
-    both_regular = (_regular(c.fh.rho, c.fh.lam, c.tol) and _regular(c.gh.rho, c.gh.lam, c.tol))
-    one = _q_const(1.0, "1")
-    if upper:  # C5: product of orders
-        prod = _q_mul(c.q(c.fg.rho, "rho_g(f)"), c.q(c.gf.rho, "rho_f(g)"),
-                      "rho_g(f) * rho_f(g)")
-        link = _link("eq" if both_regular else "ge", prod, one, c.tol)
-    else:  # C6: product of lower orders
-        prod = _q_mul(c.q(c.fg.lam, "lambda_g(f)"), c.q(c.gf.lam, "lambda_f(g)"),
-                      "lambda_g(f) * lambda_f(g)")
-        link = _link("eq" if both_regular else "le", prod, one, c.tol)
-    c.notes.append("both regular: equality" if both_regular else "irregular pair: one-sided bound")
-    return c.report([prod], [link])
-
-
-def _check_degenerate(c: _Checker, on_f: bool) -> CheckReport:
-    """C7 (triggers on g's quantities) and C8 (triggers on f's).
-
-    A case fires when an estimate crosses the numeric zero/infinity
-    thresholds; the conclusion is asserted against the same thresholds.
-    No trigger leaves the instance vacuous.
-    """
-    eps = c.cfg.finite_eps
-    big, small = 1.0 / eps, eps
-    if on_f:  # C7: f must have its relative pair; g's quantities trigger
-        c.require_fn("rho_h(f)", c.fh.rho)
-        trig_rho, trig_lam = c.gh.rho, c.gh.lam
-        cases = [
-            ("rho_h(g) ~ 0 => lambda_g(f) = inf", trig_rho.value < small, c.fg.lam, "ge"),
-            ("lambda_h(g) ~ 0 => rho_g(f) = inf", trig_lam.value < small, c.fg.rho, "ge"),
-            ("rho_h(g) ~ inf => lambda_g(f) = 0", trig_rho.value > big, c.fg.lam, "le"),
-            ("lambda_h(g) ~ inf => rho_g(f) = 0", trig_lam.value > big, c.fg.rho, "le"),
-        ]
-    else:  # C8
-        c.require_fn("rho_h(g)", c.gh.rho)
-        trig_rho, trig_lam = c.fh.rho, c.fh.lam
-        cases = [
-            ("rho_h(f) ~ 0 => rho_g(f) = 0", trig_rho.value < small, c.fg.rho, "le"),
-            ("lambda_h(f) ~ 0 => lambda_g(f) = 0", trig_lam.value < small, c.fg.lam, "le"),
-            ("rho_h(f) ~ inf => rho_g(f) = inf", trig_rho.value > big, c.fg.rho, "ge"),
-            ("lambda_h(f) ~ inf => lambda_g(f) = inf", trig_lam.value > big, c.fg.lam, "ge"),
-        ]
-    if not c.hypotheses_hold():
-        return c.report([], [])
-    links = []
-    for label, fired, target, direction in cases:
-        if not fired:
-            continue
-        bound = _q_const(big if direction == "ge" else small, "threshold")
-        # point-value assertion: the conclusion estimate must itself cross
-        # the threshold, interval slack does not substitute for it
-        point = _q_const(c.q(target, label).value, label)
-        links.append(_link(direction, point, bound, 0.0))
-    if not links:
-        c.hyp["some degenerate case triggered"] = False
-        c.notes.append("no degenerate hypothesis triggered")
-        return c.report([], [])
-    return c.report([l.left for l in links], links)
-
-
-def _check_remark(c: _Checker) -> CheckReport:
-    lam_fh, rho_fh, lam_gh, rho_gh = _order_quantities(c)
-    for name, est in (("rho_h(f)", c.fh.rho), ("lambda_h(f)", c.fh.lam),
-                      ("rho_h(g)", c.gh.rho), ("lambda_h(g)", c.gh.lam)):
-        c.require_fn(name, est)
-    if not c.hypotheses_hold():
-        return c.report([], [])
-    g_regular = _regular(c.gh.rho, c.gh.lam, c.tol)
-    f_regular = _regular(c.fh.rho, c.fh.lam, c.tol)
-    links = []
-    if g_regular:
-        links.append(_link("eq", c.q(c.fg.rho, "rho_g(f)"),
-                           _q_ratio(rho_fh, rho_gh, "rho_h(f)/rho_h(g)"), c.tol))
-        links.append(_link("eq", c.q(c.fg.lam, "lambda_g(f)"),
-                           _q_ratio(lam_fh, lam_gh, "lambda_h(f)/lambda_h(g)"), c.tol))
-        c.notes.append("branch: g regular wrt h")
-    if f_regular:
-        links.append(_link("eq", c.q(c.fg.rho, "rho_g(f)"),
-                           _q_ratio(lam_fh, lam_gh, "lambda_h(f)/lambda_h(g)"), c.tol))
-        links.append(_link("eq", c.q(c.fg.lam, "lambda_g(f)"),
-                           _q_ratio(rho_fh, rho_gh, "rho_h(f)/rho_h(g)"), c.tol))
-        c.notes.append("branch: f regular wrt h")
-    if not links:
-        c.hyp["one side regular"] = False
-        return c.report([], [])
-    return c.report([l.left for l in links], links)
-
-
-def _type_quantities(c: _Checker):
-    """Delta/tau quantities of f and g wrt h plus the inverted-order exponents."""
-    names = {}
-    for attr, sym in (("delta", "Delta"), ("delta_bar", "Delta_bar"),
-                      ("tau", "tau"), ("tau_bar", "tau_bar")):
-        for setname, s in (("f", c.fh), ("g", c.gh)):
-            est = getattr(s, attr)
-            label = f"{sym}_h({setname})"
-            c.hyp[f"{label} finite nonzero"] = _fn(c.cfg, est)
-            if est is not None:
-                names[f"{attr}_{setname}"] = _qty(est, label)
-    c.require_fn("rho_h(g)", c.gh.rho)
-    c.require_fn("lambda_h(g)", c.gh.lam)
-    if not c.hypotheses_hold():
-        return None
-    er = _qty(c.gh.rho, "rho_h(g)")
-    el = _qty(c.gh.lam, "lambda_h(g)")
-    return names, er, el
-
-
-def _check_type_theorem(c: _Checker) -> CheckReport:
-    tq = _type_quantities(c)
-    if tq is None:
-        return c.report([], [])
-    n, er, el = tq
-    tid = c.inst.theorem_id
-    P = _q_pow_inv
-    R = _q_ratio
-
-    def target(attr, label):
-        est = getattr(c.fg, attr)
-        c.hyp[f"{label} available"] = est is not None
-        return est
-
-    if tid == "Tt1":
-        t = target("delta", "Delta_g(f)")
-        if not c.hypotheses_hold():
-            return c.report([], [])
-        chain = [
-            _q_max("max of lower bounds",
-                   P(R(n["delta_bar_f"], n["tau_g"], "Delta_bar_h(f)/tau_h(g)"), el, "lb1"),
-                   P(R(n["delta_f"], n["tau_bar_g"], "Delta_h(f)/tau_bar_h(g)"), el, "lb2")),
-            c.q(t, "Delta_g(f)"),
-            P(R(n["delta_f"], n["delta_bar_g"], "Delta_h(f)/Delta_bar_h(g)"), er, "ub"),
-        ]
-        return c.report(chain, c.chain_links(chain))
-    if tid == "Ct1":
-        t = target("delta", "Delta_g(f)")
-        if not c.hypotheses_hold():
-            return c.report([], [])
-        ub = _q_min("min of upper bounds",
-                    P(R(n["tau_bar_f"], n["tau_g"], "tau_bar_h(f)/tau_h(g)"), el, "ub1"),
-                    P(R(n["tau_bar_f"], n["delta_bar_g"], "tau_bar_h(f)/Delta_bar_h(g)"), er, "ub2"))
-        links = [_link("le", c.q(t, "Delta_g(f)"), ub, c.tol)]
-        return c.report([links[0].left, ub], links)
-    if tid == "Tt2":
-        t = target("delta_bar", "Delta_bar_g(f)")
-        if not c.hypotheses_hold():
-            return c.report([], [])
-        chain = [
-            P(R(n["delta_bar_f"], n["tau_bar_g"], "Delta_bar_h(f)/tau_bar_h(g)"), el, "lb"),
-            c.q(t, "Delta_bar_g(f)"),
-            _q_min("min of upper bounds",
-                   P(R(n["delta_bar_f"], n["delta_bar_g"], "Delta_bar_h(f)/Delta_bar_h(g)"), er, "ub1"),
-                   P(R(n["delta_f"], n["delta_g"], "Delta_h(f)/Delta_h(g)"), er, "ub2")),
-        ]
-        return c.report(chain, c.chain_links(chain))
-    if tid == "Ct2":
-        t = target("delta_bar", "Delta_bar_g(f)")
-        if not c.hypotheses_hold():
-            return c.report([], [])
-        c.notes.append("sigma-type symbols read as Delta_h(g) / Delta_bar_h(g)")
-        ub = _q_min("min of upper bounds",
-                    P(R(n["tau_f"], n["tau_g"], "tau_h(f)/tau_h(g)"), el, "ub1"),
-                    P(R(n["tau_bar_f"], n["tau_bar_g"], "tau_bar_h(f)/tau_bar_h(g)"), el, "ub2"),
-                    P(R(n["tau_bar_f"], n["delta_g"], "tau_bar_h(f)/Delta_h(g)"), er, "ub3"),
-                    P(R(n["tau_f"], n["delta_bar_g"], "tau_h(f)/Delta_bar_h(g)"), er, "ub4"))
-        links = [_link("le", c.q(t, "Delta_bar_g(f)"), ub, c.tol)]
-        return c.report([links[0].left, ub], links)
-    if tid == "Tt3":
-        t = target("tau_bar", "tau_bar_g(f)")
-        if not c.hypotheses_hold():
-            return c.report([], [])
-        c.notes.append("malformed exponent read as 1/lambda_h(g)")
-        chain = [
-            _q_max("max of lower bounds",
-                   P(R(n["tau_bar_f"], n["tau_bar_g"], "tau_bar_h(f)/tau_bar_h(g)"), el, "lb1"),
-                   P(R(n["tau_f"], n["tau_g"], "tau_h(f)/tau_h(g)"), el, "lb2")),
-            c.q(t, "tau_bar_g(f)"),
-            P(R(n["tau_bar_f"], n["delta_bar_g"], "tau_bar_h(f)/Delta_bar_h(g)"), er, "ub"),
-        ]
-        return c.report(chain, c.chain_links(chain))
-    if tid == "Ct3":
-        t = target("tau_bar", "tau_bar_g(f)")
-        if not c.hypotheses_hold():
-            return c.report([], [])
-        lb = _q_max("max of lower bounds",
-                    P(R(n["delta_bar_f"], n["delta_bar_g"], "Delta_bar_h(f)/Delta_bar_h(g)"), er, "lb1"),
-                    P(R(n["delta_f"], n["delta_g"], "Delta_h(f)/Delta_h(g)"), er, "lb2"),
-                    P(R(n["delta_f"], n["tau_bar_g"], "Delta_h(f)/tau_bar_h(g)"), el, "lb3"),
-                    P(R(n["delta_bar_f"], n["tau_g"], "Delta_bar_h(f)/tau_h(g)"), el, "lb4"))
-        links = [_link("ge", c.q(t, "tau_bar_g(f)"), lb, c.tol)]
-        return c.report([links[0].left, lb], links)
-    if tid == "Tt4":
-        t = target("tau", "tau_g(f)")
-        if not c.hypotheses_hold():
-            return c.report([], [])
-        chain = [
-            P(R(n["tau_f"], n["tau_bar_g"], "tau_h(f)/tau_bar_h(g)"), el, "lb"),
-            c.q(t, "tau_g(f)"),
-            _q_min("min of upper bounds",
-                   P(R(n["tau_f"], n["delta_bar_g"], "tau_h(f)/Delta_bar_h(g)"), er, "ub1"),
-                   P(R(n["tau_bar_f"], n["delta_g"], "tau_bar_h(f)/Delta_h(g)"), er, "ub2")),
-        ]
-        return c.report(chain, c.chain_links(chain))
-    if tid == "Ct4":
-        t = target("tau", "tau_g(f)")
-        if not c.hypotheses_hold():
-            return c.report([], [])
-        lb = _q_max("max of lower bounds",
-                    P(R(n["delta_bar_f"], n["delta_g"], "Delta_bar_h(f)/Delta_h(g)"), er, "lb1"),
-                    P(R(n["delta_bar_f"], n["tau_bar_g"], "Delta_bar_h(f)/tau_bar_h(g)"), el, "lb2"))
-        links = [_link("ge", c.q(t, "tau_g(f)"), lb, c.tol)]
-        return c.report([links[0].left, lb], links)
-    if tid in ("T41", "T42"):
-        if tid == "T41":
-            c.require_regular("g wrt h", c.gh.rho, c.gh.lam)
-        else:
-            c.require_regular("f wrt h", c.fh.rho, c.fh.lam)
-        for attr, label in (("delta", "Delta_g(f)"), ("delta_bar", "Delta_bar_g(f)"),
-                            ("tau", "tau_g(f)"), ("tau_bar", "tau_bar_g(f)")):
-            c.hyp[f"{label} available"] = getattr(c.fg, attr) is not None
-        if not c.hypotheses_hold():
-            return c.report([], [])
-        d_lo, d_hi = (("delta_bar", "delta") if tid == "T41" else ("tau", "tau_bar"))
-        t_lo, t_hi = (("tau", "tau_bar") if tid == "T41" else ("delta_bar", "delta"))
-        mid_d1 = P(R(n["delta_bar_f"], n["delta_bar_g"], "Delta_bar_h(f)/Delta_bar_h(g)"), er, "m1")
-        mid_d2 = P(R(n["delta_f"], n["delta_g"], "Delta_h(f)/Delta_h(g)"), er, "m2")
-        chain_a = [
-            P(R(n["delta_bar_f"], n["delta_g"], "Delta_bar_h(f)/Delta_h(g)"), er, "lbA"),
-            c.q(getattr(c.fg, d_lo), f"A:{d_lo}_g(f)"),
-            _q_min("A:min", mid_d1, mid_d2),
-            _q_max("A:max", mid_d1, mid_d2),
-            c.q(getattr(c.fg, d_hi), f"A:{d_hi}_g(f)"),
-            P(R(n["delta_f"], n["delta_bar_g"], "Delta_h(f)/Delta_bar_h(g)"), er, "ubA"),
-        ]
-        mid_t1 = P(R(n["tau_f"], n["tau_g"], "tau_h(f)/tau_h(g)"), el, "m3")
-        mid_t2 = P(R(n["tau_bar_f"], n["tau_bar_g"], "tau_bar_h(f)/tau_bar_h(g)"), el, "m4")
-        chain_b = [
-            P(R(n["tau_f"], n["tau_bar_g"], "tau_h(f)/tau_bar_h(g)"), el, "lbB"),
-            c.q(getattr(c.fg, t_lo), f"B:{t_lo}_g(f)"),
-            _q_min("B:min", mid_t1, mid_t2),
-            _q_max("B:max", mid_t1, mid_t2),
-            c.q(getattr(c.fg, t_hi), f"B:{t_hi}_g(f)"),
-            P(R(n["tau_bar_f"], n["tau_g"], "tau_bar_h(f)/tau_h(g)"), el, "ubB"),
-        ]
-        links = c.chain_links(chain_a) + c.chain_links(chain_b)
-        return c.report(chain_a + chain_b, links)
-    raise SpecFormatError(f"unhandled type theorem id '{tid}'")
+                           [(q.label, q.value) for q in chain_qs], [l.slack for l in links],
+                           links, list(self.notes), verdict)
 
 
 def check_instance(instance: TheoremInstance, ws: Optional[IndicatorWorkspace] = None) -> CheckReport:
-    if instance.theorem_id not in THEOREM_IDS:
+    if instance.theorem_id not in STATEMENTS:
         raise SpecFormatError(f"unknown theorem id '{instance.theorem_id}'")
     if min(instance.m, instance.p, instance.q) < 0:
         raise SpecFormatError("theorem indices m, p, q must be non-negative")
     if not instance.tolerance > 0:
         raise SpecFormatError("instance tolerance must be positive")
-    ws = ws or IndicatorWorkspace()
-    c = _Checker(instance, ws)
-    tid = instance.theorem_id
+    run = _Run(instance, ws or IndicatorWorkspace())
     try:
-        if tid == "T1":
-            return _check_t1(c)
-        if tid == "C1":
-            return _check_c1_c2(c, regular_f=True)
-        if tid == "C2":
-            return _check_c1_c2(c, regular_f=False)
-        if tid == "C3":
-            return _check_c3_c4(c, with_unit=False)
-        if tid == "C4":
-            return _check_c3_c4(c, with_unit=True)
-        if tid == "C5":
-            return _check_c5_c6(c, upper=True)
-        if tid == "C6":
-            return _check_c5_c6(c, upper=False)
-        if tid == "C7":
-            return _check_degenerate(c, on_f=True)
-        if tid == "C8":
-            return _check_degenerate(c, on_f=False)
-        if tid == "R1":
-            return _check_remark(c)
-        return _check_type_theorem(c)
+        return run.report(*(STATEMENTS[instance.theorem_id](run) or ([], [])))
     except IncompleteInstanceError as exc:
-        # an interval degenerated (a bound touched zero/infinity): the
-        # statement's quantities are not usable, so the claim is untested
-        c.hyp["chain quantities well-posed"] = False
-        c.notes.append(str(exc))
-        return c.report([], [])
+        # a bound touched zero or infinity: the claim is untested
+        run.hyp["chain quantities well-posed"] = False
+        run.notes.append(str(exc))
+        return run.report([], [])
 
 
 def load_batch(doc: dict) -> list[TheoremInstance]:

@@ -63,23 +63,6 @@ class TestProfile:
         assert lines[0] == "sigma,level,mantissa"
         assert len(lines) == 6
 
-    def test_cache_warm_equals_cold(self, tmp_path, capsys):
-        cache = tmp_path / "cache"
-        args = ["profile", "--spec", "expexp:a=1,c=2", "--sigma", "1:8:10",
-                "--cache-dir", str(cache)]
-        code1, out1, _ = run(args, capsys)
-        code2, out2, _ = run(args, capsys)
-        assert code1 == code2 == 0
-        assert out1 == out2
-        assert len(list(cache.glob("profile_*.csv"))) == 1
-
-    def test_cache_dir_env_var(self, tmp_path, capsys, monkeypatch):
-        cache = tmp_path / "envcache"
-        monkeypatch.setenv("RITTGROWTH_CACHE_DIR", str(cache))
-        code, _, _ = run(["profile", "--spec", "expexp:a=1,c=2", "--sigma", "1:8:10"], capsys)
-        assert code == 0
-        assert len(list(cache.glob("profile_*.csv"))) == 1
-
     def test_inline_table_source(self, tmp_path, capsys):
         doc = {"family": "table", "name": "demo", "lambda": [1, 2, 3, 4],
                "log_norm": [0, -1, -2.5, -4.5]}
@@ -163,6 +146,19 @@ class TestDetect:
                             "--p-max", "2", "--q-max", "2"], capsys)
         assert code == 3
         assert "no admissible" in err
+
+
+class TestJsonNumbers:
+    def test_detect_evidence_is_strict_json(self, capsys):
+        # a depth-3 tower's order at (1, 1) overflows to inf; JSON has no
+        # Infinity, so the evidence must carry it as the string "inf"
+        code, out, _ = run(["detect", "--spec", "tower:k=3,rho=2,q=0"], capsys)
+        assert code == 0
+
+        def reject(token):
+            raise ValueError(f"non-JSON constant {token}")
+        doc = json.loads(out, parse_constant=reject)
+        assert doc["evidence"][0] == {"p": 1, "q": 1, "order": "inf"}
 
 
 class TestOracle:

@@ -1,4 +1,4 @@
-"""Profiles, inversion, composition, and the profile cache."""
+"""Profiles, inversion and composition."""
 
 import math
 import random
@@ -10,8 +10,7 @@ from rittgrowth.corpus import osc_rule_source, parse_shorthand, tower_rule_sourc
 from rittgrowth.errors import BracketError, NumericError
 from rittgrowth.growth import (INVERT_REL_TOL, GridSpec, SeriesUpperSource, SyntheticSource,
                                compose_relative, compose_samples, invert_modulus,
-                               load_or_sample, profile_cache_key, read_profile_csv,
-                               sample_profile, write_profile_csv)
+                               sample_profile)
 from rittgrowth.levelindex import ExtReal, compare, from_real, to_real
 from rittgrowth.series import expexp_spec
 
@@ -197,34 +196,6 @@ class TestCompose:
         samples = compose_samples(g, f, GridSpec(5.0, 20.0, 24).sigmas())
         psis = [p for _, p in samples]
         assert all(b > a for a, b in zip(psis, psis[1:]))
-
-
-class TestProfileCache:
-    def test_roundtrip(self, tmp_path):
-        src = tower_rule_source(2, 1.0, 0)
-        grid = GridSpec(1.0, 6.0, 8)
-        prof = sample_profile(src, grid)
-        path = tmp_path / "prof.csv"
-        write_profile_csv(prof, path)
-        back = read_profile_csv(path, src.describe(), grid)
-        assert back.sigmas == prof.sigmas
-        assert back.values == prof.values
-
-    def test_warm_equals_cold(self, tmp_path):
-        src = SeriesUpperSource(expexp_spec(1, 2))
-        grid = GridSpec(1.0, 8.0, 10)
-        cold = load_or_sample(src, grid, tmp_path)
-        assert (tmp_path / f"profile_{profile_cache_key(src, grid)}.csv").exists()
-        warm = load_or_sample(src, grid, tmp_path)
-        assert warm.sigmas == cold.sigmas
-        assert warm.values == cold.values
-
-    def test_key_distinguishes_surrogate(self):
-        spec = expexp_spec(1, 2)
-        grid = GridSpec(1.0, 8.0, 10)
-        k1 = profile_cache_key(SeriesUpperSource(spec), grid)
-        k2 = profile_cache_key(SeriesUpperSource(spec, tail_tol=1e-6), grid)
-        assert k1 != k2
 
 
 from hypothesis import given, settings, strategies as st

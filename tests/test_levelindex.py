@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -146,6 +147,18 @@ class TestPowScale:
         x = exp_iter(from_real(40.0), 2)
         y = pow_scale(x, 3.0)
         assert to_real(log_iter(y, 1)) == pytest.approx(3.0 * math.exp(40.0), rel=1e-12)
+
+    def test_exponent_beyond_machine_range(self):
+        # (e^(1e300))^(1e9) = e^(1e309): alpha * log x overflows a double,
+        # but the power is representable one level up
+        y = pow_scale(exp_iter(from_real(1e300), 1), 1e9)
+        with mpmath.workdps(50):
+            expected = mpmath.log(mpmath.mpf(10) ** 9) + mpmath.log(mpmath.mpf(10) ** 300)
+        assert to_real(log_iter(y, 2)) == pytest.approx(float(expected), rel=1e-13)
+
+    def test_negative_exponent_beyond_machine_range(self):
+        with pytest.raises(ExtRangeError):
+            pow_scale(exp_iter(from_real(1e300), 1), -1e9)
 
 
 class TestRatio:

@@ -8,10 +8,12 @@ import pytest
 
 from rittgrowth.errors import SpecFormatError
 from rittgrowth.growth import GridSpec
-from rittgrowth.theorems import (IndicatorWorkspace, TheoremInstance, check_instance,
-                                 load_batch, run_batch)
+from rittgrowth.indicators import IndicatorEstimate, RelativeIndicators
+from rittgrowth.theorems import (THEOREM_IDS, IndicatorWorkspace, TheoremInstance,
+                                 check_instance, load_batch, run_batch)
 
 OSC_GRID = GridSpec(3.0, 3.0 * math.exp(6 * math.pi), 480, "log")
+GOLDEN = Path(__file__).resolve().parent / "golden" / "theorem_paths.json"
 
 
 @pytest.fixture(scope="module")
@@ -201,3 +203,84 @@ class TestBatch:
         for report, i in zip(permuted, order):
             assert json.dumps(report.to_json(), sort_keys=True) == \
                 json.dumps(forward[i].to_json(), sort_keys=True)
+
+
+# Every (f, g, h) triple used above, with its indices and grid.
+PATH_TRIPLES = [
+    ("expexp:a=2,c=1", "expexp:a=1,c=1", "expexp:a=3,c=1", {}),
+    ("osc:rho=2,lam=1,p=2,q=0", "tower:k=2,rho=2,q=0", "tower:k=2,rho=1,q=0",
+     {"grid": OSC_GRID}),
+    ("tower:k=2,rho=1,q=0", "tower:k=3,rho=1,q=0", "tower:k=2,rho=2,q=0", {}),
+    ("expexp:a=1,c=6", "expexp:a=1,c=2", "expexp:a=1,c=3", {}),
+    ("expexp:a=1,c=3", "expexp:a=1,c=5", "expexp:a=1,c=2", {}),
+    ("tower:k=3,rho=2,q=0", "tower:k=2,rho=1,q=0", "tower:k=2,rho=2,q=0", {}),
+    ("tower:k=2,rho=2,q=0", "tower:k=3,rho=1,q=0", "tower:k=2,rho=1,q=0", {}),
+    ("tower:k=2,rho=2,q=1", "tower:k=1,rho=1,q=0", "tower:k=2,rho=1,q=0",
+     {"m": 0, "p": 0, "q": 1, "grid": GridSpec(5.0, 3e4, 200, "log")}),
+    ("osc:rho=2,lam=1,p=2,q=0", "osc:rho=3,lam=2,p=2,q=0", "tower:k=2,rho=1,q=0",
+     {"grid": OSC_GRID}),
+]
+
+KINDS = ("rho", "lam", "delta", "delta_bar", "tau", "tau_bar")
+PAIRS = ("fh", "gh", "fg", "gf")
+
+
+def _skeleton(report):
+    """Everything a report says except its floats: verdict, hypotheses,
+    labels, relations and notes."""
+    return {
+        "verdict": report.verdict,
+        "hypotheses": [[k, bool(v)] for k, v in report.hypothesis_status.items()],
+        "chain": [label for label, _ in report.chain],
+        "links": [[l.relation, l.left.label, l.right.label] for l in report.links],
+        "notes": list(report.notes),
+    }
+
+
+def _estimate(lo):
+    return IndicatorEstimate("stub", 0, 0, 1.0, lo, 1.1, 0.0, 0.5, True, "stub", 8)
+
+
+class _StubWorkspace(IndicatorWorkspace):
+    """Serves fixed relative sets for the sources 'f', 'g', 'h'."""
+
+    def __init__(self, sets):
+        super().__init__()
+        self.sets = sets
+
+    def rel_set(self, x_ref, y_ref, i, j, grid):
+        return self.sets[x_ref + y_ref]
+
+
+def _degraded_reports(pair, kind):
+    """All statements on unit estimates, one of which has an interval
+    reaching below zero: the first quantity built on it is ill-posed."""
+    sets = {key: RelativeIndicators(**{k: _estimate(-0.5 if (key, k) == (pair, kind) else 0.9)
+                                       for k in KINDS})
+            for key in PAIRS}
+    ws = _StubWorkspace(sets)
+    reports = [check_instance(TheoremInstance(tid, "f", "g", "h"), ws) for tid in THEOREM_IDS]
+    return {r.theorem_id: [r.verdict] + r.notes for r in reports}
+
+
+class TestEveryPath:
+    """Report skeletons of every statement, recorded from the hand-written
+    checkers that the statement table replaced."""
+
+    @pytest.fixture(scope="class")
+    def golden(self):
+        return json.loads(GOLDEN.read_text())
+
+    @pytest.mark.parametrize("index", range(len(PATH_TRIPLES)))
+    def test_triple(self, ws, golden, index):
+        f, g, h, kw = PATH_TRIPLES[index]
+        got = {tid: _skeleton(check_instance(TheoremInstance(tid, f, g, h, **kw), ws))
+               for tid in THEOREM_IDS}
+        assert got == golden["triples"][index]
+
+    @pytest.mark.parametrize("pair", PAIRS)
+    def test_ill_posed_quantity(self, golden, pair):
+        # the first failing operation's message goes into the notes, so
+        # this pins the order in which operands are evaluated
+        for kind in KINDS:
+            assert _degraded_reports(pair, kind) == golden["degraded"][pair][kind], kind
