@@ -15,9 +15,9 @@ from .series import SeriesSpec, ValidationReport, expexp_spec, log_sum_upper, ma
 from .growth import (GridSpec, GrowthProfile, SourceBundle, compose_relative,
                      invert_modulus, sample_profile)
 from .indicators import (EstimatorConfig, IndexPair, IndicatorEstimate, RelativeIndicators,
-                         detect_index_pair, detect_relative_index_pair, order_pair,
-                         ratio_sequence, relative_indicators, tail_estimate, type_pair,
-                         weak_type_pair)
+                         Samples, detect_index_pair, detect_relative_index_pair, order_pair,
+                         profile_samples, ratio_sequence, relative_indicators, tail_estimate,
+                         type_pair, weak_type_pair)
 from .oracle import TailSequence, check_difference_rules, exact_limits
 from .theorems import CheckReport, TheoremInstance, check_instance, load_batch, run_batch
 from .corpus import CorpusEntry, analytic_relative, default_entries, instantiate

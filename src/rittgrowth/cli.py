@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -24,8 +25,8 @@ from . import theorems as theorems_mod
 from .errors import NumericError, RittGrowthError, SpecFormatError
 from .growth import GridSpec, sample_profile
 from .indicators import (DEFAULT_CONFIG, EstimatorConfig, detect_index_pair,
-                         detect_relative_index_pair, json_number, order_pair,
-                         relative_indicators, type_pair, weak_type_pair)
+                         detect_relative_index_pair, json_number, order_pair, profile_samples,
+                         ratio_sequence, relative_indicators, type_pair, weak_type_pair)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -118,18 +119,16 @@ def cmd_indicator(args) -> int:
     bundle = entry.bundle()
     grid = _parse_grid(args.sigma)
     cfg = _config_from_args(args)
-    rho, lam = order_pair(bundle, args.p, args.q, grid, cfg)
+    samples = profile_samples(bundle, grid)
+    rho, lam = order_pair(samples, args.p, args.q, cfg)
     estimates = [rho, lam]
     if args.kind in ("type", "all"):
-        d, db = type_pair(bundle, args.p, args.q, rho.value, grid, cfg)
-        estimates += [d, db]
+        estimates += type_pair(samples, args.p, args.q, rho.value, cfg)
     if args.kind in ("weak-type", "all"):
-        tb, t = weak_type_pair(bundle, args.p, args.q, lam.value, grid, cfg)
-        estimates += [tb, t]
+        estimates += weak_type_pair(samples, args.p, args.q, lam.value, cfg)
     if args.plot_data:
-        from .indicators import ratio_sequence
-        prof = sample_profile(bundle.upper, grid)
-        seq = ratio_sequence(list(zip(prof.sigmas, prof.values)), "order", args.p, args.q)
+        # the upper surrogate's samples, the first set
+        seq = ratio_sequence(samples.sets[0][1], "order", args.p, args.q)
         lines = [f"{pt.sigma!r} {pt.ratio!r}" for pt in seq.points]
         Path(args.plot_data).write_text("\n".join(lines) + "\n")
     _emit({
@@ -186,7 +185,15 @@ def cmd_check(args) -> int:
             raise SpecFormatError("--tol must be positive")
         instances = [theorems_mod.TheoremInstance(
             i.theorem_id, i.f, i.g, i.h, i.m, i.p, i.q, args.tol, i.grid) for i in instances]
-    reports = theorems_mod.run_batch(instances)
+    ws = theorems_mod.IndicatorWorkspace()
+    reports = []
+    for inst in instances:
+        t0 = time.perf_counter()
+        r = theorems_mod.check_instance(inst, ws)
+        reports.append(r)
+        if not args.quiet:  # progress: one line per instance as it finishes
+            print(f"{r.theorem_id:4s} f={r.subject['f']} g={r.subject['g']} h={r.subject['h']} "
+                  f"-> {r.verdict} ({time.perf_counter() - t0:.2f} s)", file=sys.stderr)
     failed = sum(1 for r in reports if r.verdict == "fail")
     vacuous = sum(1 for r in reports if r.verdict == "vacuous")
     _emit({
@@ -194,10 +201,6 @@ def cmd_check(args) -> int:
                     "vacuous": vacuous, "fail": failed},
         "reports": [r.to_json() for r in reports],
     }, args)
-    if not args.quiet:
-        for r in reports:
-            print(f"{r.theorem_id:4s} f={r.subject['f']} g={r.subject['g']} "
-                  f"h={r.subject['h']} -> {r.verdict}", file=sys.stderr)
     return EXIT_CHECK_FAILED if failed else EXIT_OK
 
 

@@ -14,13 +14,16 @@ grid they become tail-window statistics:
 
 Each estimate carries a convergence diagnostic (least-squares drift of
 the ratio across the window) and an interval obtained by re-estimating
-on the certified lower/upper growth surrogates.
+on the certified lower/upper growth surrogates.  The curve is sampled
+once per surrogate pairing (``Samples``); every indicator and both
+index-pair scans read those samples.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import chain
 from typing import Optional, Sequence
 
 import numpy as np
@@ -175,15 +178,15 @@ def ratio_sequence(samples: Sequence[tuple[float, ExtReal]], kind: str, p: int, 
     return RatioSequence(kind, p, q, aux_exponent, tuple(points), tuple(dropped))
 
 
-def tail_estimate(seq: RatioSequence, mode: str, window_fraction: Optional[float] = None,
-                  config: EstimatorConfig = DEFAULT_CONFIG, kind_label: Optional[str] = None) -> IndicatorEstimate:
+def tail_estimate(seq: RatioSequence, mode: str, config: EstimatorConfig = DEFAULT_CONFIG,
+                  kind_label: Optional[str] = None) -> IndicatorEstimate:
     """Finite-grid stand-in for the limsup/liminf of a ratio sequence."""
     if mode not in (LIMSUP, LIMINF):
         raise ValueError(f"mode must be '{LIMSUP}' or '{LIMINF}'")
     pts = seq.points
     if len(pts) < 8:
         raise ValueError(f"tail estimation needs >= 8 ratio points, got {len(pts)}")
-    frac = config.window_fraction if window_fraction is None else window_fraction
+    frac = config.window_fraction
     if not 0.0 < frac <= 1.0:
         raise ValueError("window_fraction must lie in (0, 1]")
     w = min(len(pts), max(config.min_points, math.ceil(frac * len(pts))))
@@ -230,12 +233,6 @@ def tail_estimate(seq: RatioSequence, mode: str, window_fraction: Optional[float
     )
 
 
-def _combine_surrogates(primary: IndicatorEstimate,
-                        others: Sequence[IndicatorEstimate]) -> IndicatorEstimate:
-    values = [primary.value] + [e.value for e in others]
-    return replace(primary, lo=min(values), hi=max(values))
-
-
 def _admissible(est: IndicatorEstimate, threshold: float, config: EstimatorConfig) -> bool:
     """An order estimate counts as finite nonzero for index-pair purposes only
     if the ratio sequence is not simply drifting: either the bias-removed
@@ -245,30 +242,84 @@ def _admissible(est: IndicatorEstimate, threshold: float, config: EstimatorConfi
     return est.method == "extrapolated" or est.direction_balance >= 0.2
 
 
-def _profile_samples(bundle: SourceBundle, grid: GridSpec) -> list[tuple[str, list[tuple[float, ExtReal]]]]:
-    out = []
+# ---------------------------------------------------------------------------
+# Samples: a curve sampled once per surrogate pairing, shared by every ratio.
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Samples:
+    """A growth curve sampled along a grid, once for each surrogate pairing.
+
+    sets holds (pairing, ((sigma, value), ...)) with the pairing of the
+    point estimate first; the others only widen its interval.  value_depth
+    is the log-depth of the stored values (1 for a log M profile, 0 for a
+    composed M_g^{-1}M_f curve); prefix starts every estimate's label.
+    """
+
+    sets: tuple[tuple[str, tuple[tuple[float, ExtReal], ...]], ...]
+    value_depth: int = 1
+    prefix: str = ""
+
+
+def profile_samples(bundle: SourceBundle, grid: GridSpec) -> Samples:
+    """log M of each surrogate of the bundle, upper first, sampled once."""
+    sets = []
     for name, src in bundle.surrogates():
         prof = sample_profile(src, grid)
-        out.append((name, list(zip(prof.sigmas, prof.values))))
-    return out
+        sets.append((name, tuple(zip(prof.sigmas, prof.values))))
+    return Samples(tuple(sets))
 
 
-def _estimate_from_samples(sample_sets, kind, p, q, mode, label, config,
-                           aux_exponent=None, value_depth=1, window_fraction=None) -> IndicatorEstimate:
-    ests = []
-    for _name, samples in sample_sets:
-        seq = ratio_sequence(samples, kind, p, q, aux_exponent=aux_exponent, value_depth=value_depth)
-        ests.append(tail_estimate(seq, mode, window_fraction, config, kind_label=label))
-    return _combine_surrogates(ests[0], ests[1:])
+def relative_samples(f_bundle: SourceBundle, g_bundle: SourceBundle, grid: GridSpec,
+                     form: str = "direct") -> Samples:
+    """The relative curve M_g^{-1} M_f along the grid, in either defining form.
+
+    "direct" composes.  Its center pairing composes the two upper
+    surrogates; the interval pairings cross them: (f-lower against
+    g-upper) can only undershoot and (f-upper against g-lower) can only
+    overshoot the true curve.  "dual" inverts both curves at a shared
+    value grid, f's own curve values along the sigma grid, which keeps
+    both inversions inside their achievable ranges; f is re-inverted
+    rather than assuming M^{-1}M = id.
+    """
+    sigmas = grid.sigmas()
+    if form == "direct":
+        sets = [("center", compose_samples(g_bundle.upper, f_bundle.upper, sigmas))]
+        if f_bundle.lower is not None or g_bundle.lower is not None:
+            sets.append(("low", compose_samples(g_bundle.upper, f_bundle.lower_or_upper, sigmas)))
+            sets.append(("high", compose_samples(g_bundle.lower_or_upper, f_bundle.upper, sigmas)))
+    elif form == "dual":
+        ys = [f_bundle.upper.log_m(s) for s in sigmas]
+        pairs = []
+        bracket_u = bracket_v = None
+        for y in ys:
+            u = invert_modulus(f_bundle.upper, y, bracket=bracket_u)
+            v = invert_modulus(g_bundle.upper, y, bracket=bracket_v)
+            pairs.append((u, v))
+            bracket_u = (u, u + max(0.25 * abs(u), 1.0))
+            bracket_v = (v, v + max(0.25 * abs(v), 1.0))
+        sets = [("center", pairs)]
+    else:
+        raise ValueError(f"unknown relative form '{form}'")
+    return Samples(tuple((name, tuple((s, from_real(v)) for s, v in pts)) for name, pts in sets),
+                   value_depth=0, prefix="relative_")
 
 
-def order_pair(bundle: SourceBundle, p: int, q: int, grid: GridSpec,
+def _estimate(samples: Samples, kind: str, p: int, q: int, mode: str, label: str,
+              config: EstimatorConfig, aux_exponent: Optional[float] = None) -> IndicatorEstimate:
+    """One indicator on every pairing: the first gives the value, all the interval."""
+    ests = [tail_estimate(ratio_sequence(pts, kind, p, q, aux_exponent, samples.value_depth),
+                          mode, config, samples.prefix + label)
+            for _name, pts in samples.sets]
+    values = [e.value for e in ests]
+    return replace(ests[0], lo=min(values), hi=max(values))
+
+
+def order_pair(samples: Samples, p: int, q: int,
                config: EstimatorConfig = DEFAULT_CONFIG) -> tuple[IndicatorEstimate, IndicatorEstimate]:
     """(order, lower order) at index-pair (p, q) from the sampled surrogates."""
-    sets = _profile_samples(bundle, grid)
-    rho = _estimate_from_samples(sets, "order", p, q, LIMSUP, "order", config)
-    lam = _estimate_from_samples(sets, "order", p, q, LIMINF, "lower_order", config)
-    return rho, lam
+    return (_estimate(samples, "order", p, q, LIMSUP, "order", config),
+            _estimate(samples, "order", p, q, LIMINF, "lower_order", config))
 
 
 def _require_finite_positive(value: float, what: str) -> None:
@@ -278,24 +329,20 @@ def _require_finite_positive(value: float, what: str) -> None:
         )
 
 
-def type_pair(bundle: SourceBundle, p: int, q: int, rho: float, grid: GridSpec,
+def type_pair(samples: Samples, p: int, q: int, rho: float,
               config: EstimatorConfig = DEFAULT_CONFIG) -> tuple[IndicatorEstimate, IndicatorEstimate]:
     """(type, lower type): limsup/liminf of log^[p-1]M / (log^[q-1]sigma)^rho."""
     _require_finite_positive(rho, "the type indicator")
-    sets = _profile_samples(bundle, grid)
-    delta = _estimate_from_samples(sets, "type", p, q, LIMSUP, "type", config, aux_exponent=rho)
-    delta_bar = _estimate_from_samples(sets, "type", p, q, LIMINF, "lower_type", config, aux_exponent=rho)
-    return delta, delta_bar
+    return (_estimate(samples, "type", p, q, LIMSUP, "type", config, rho),
+            _estimate(samples, "type", p, q, LIMINF, "lower_type", config, rho))
 
 
-def weak_type_pair(bundle: SourceBundle, p: int, q: int, lam: float, grid: GridSpec,
+def weak_type_pair(samples: Samples, p: int, q: int, lam: float,
                    config: EstimatorConfig = DEFAULT_CONFIG) -> tuple[IndicatorEstimate, IndicatorEstimate]:
     """(tau_bar, tau): limsup/liminf of the same ratio with the lower order as exponent."""
     _require_finite_positive(lam, "the weak-type indicator")
-    sets = _profile_samples(bundle, grid)
-    tau_bar = _estimate_from_samples(sets, "type", p, q, LIMSUP, "weak_type_tau_bar", config, aux_exponent=lam)
-    tau = _estimate_from_samples(sets, "type", p, q, LIMINF, "weak_type_tau", config, aux_exponent=lam)
-    return tau_bar, tau
+    return (_estimate(samples, "type", p, q, LIMSUP, "weak_type_tau_bar", config, lam),
+            _estimate(samples, "type", p, q, LIMINF, "weak_type_tau", config, lam))
 
 
 # ---------------------------------------------------------------------------
@@ -326,80 +373,27 @@ class RelativeIndicators:
         return out
 
 
-def _relative_sample_sets(f_bundle: SourceBundle, g_bundle: SourceBundle,
-                          grid: GridSpec) -> list[tuple[str, list[tuple[float, float]]]]:
-    """Composition samples for the value estimate and its certified sandwich.
-
-    The center pairing composes the two upper surrogates; the interval
-    pairings cross them: (f-lower against g-upper) can only undershoot
-    and (f-upper against g-lower) can only overshoot the true curve.
-    """
-    sigmas = grid.sigmas()
-    sets = [("center", compose_samples(g_bundle.upper, f_bundle.upper, sigmas))]
-    if f_bundle.lower is not None or g_bundle.lower is not None:
-        sets.append(("low", compose_samples(g_bundle.upper, f_bundle.lower_or_upper, sigmas)))
-        sets.append(("high", compose_samples(g_bundle.lower_or_upper, f_bundle.upper, sigmas)))
-    return sets
-
-
-def _dual_sample_sets(f_bundle: SourceBundle, g_bundle: SourceBundle,
-                      grid: GridSpec) -> list[tuple[str, list[tuple[float, float]]]]:
-    """Second defining form: both curves inverted at a shared value grid.
-
-    The value grid is f's own curve values along the sigma grid, which
-    keeps both inversions inside their achievable ranges; f is then
-    re-inverted independently rather than assuming M^{-1}M = id.
-    """
-    sigmas = grid.sigmas()
-    ys = [f_bundle.upper.log_m(s) for s in sigmas]
-    samples = []
-    bracket_u = bracket_v = None
-    for s, y in zip(sigmas, ys):
-        u = invert_modulus(f_bundle.upper, y, bracket=bracket_u)
-        v = invert_modulus(g_bundle.upper, y, bracket=bracket_v)
-        samples.append((u, v))
-        bracket_u = (u, u + max(0.25 * abs(u), 1.0))
-        bracket_v = (v, v + max(0.25 * abs(v), 1.0))
-    return [("center", samples)]
-
-
 def relative_indicators(f_bundle: SourceBundle, g_bundle: SourceBundle, p: int, q: int,
                         grid: GridSpec, config: EstimatorConfig = DEFAULT_CONFIG,
-                        form: str = "direct", include_types: bool = True) -> RelativeIndicators:
+                        form: str = "direct") -> RelativeIndicators:
     """The full relative indicator set of f measured through g's growth scale.
 
     Types and weak types are only computed when the corresponding order or
     lower order is finite nonzero (their defining hypothesis); a skipped
     block is reported as None with a note.
     """
-    if form == "direct":
-        raw_sets = _relative_sample_sets(f_bundle, g_bundle, grid)
-    elif form == "dual":
-        raw_sets = _dual_sample_sets(f_bundle, g_bundle, grid)
-    else:
-        raise ValueError(f"unknown relative form '{form}'")
-    sets = [(name, [(s, from_real(v)) for s, v in samples]) for name, samples in raw_sets]
-
-    rho = _estimate_from_samples(sets, "order", p, q, LIMSUP, "relative_order", config, value_depth=0)
-    lam = _estimate_from_samples(sets, "order", p, q, LIMINF, "relative_lower_order", config, value_depth=0)
-
+    samples = relative_samples(f_bundle, g_bundle, grid, form)
+    rho, lam = order_pair(samples, p, q, config)
     notes: list[str] = []
     delta = delta_bar = tau = tau_bar = None
-    if include_types:
-        if config.finite_nonzero(rho.value):
-            delta = _estimate_from_samples(sets, "type", p, q, LIMSUP, "relative_type", config,
-                                           aux_exponent=rho.value, value_depth=0)
-            delta_bar = _estimate_from_samples(sets, "type", p, q, LIMINF, "relative_lower_type", config,
-                                               aux_exponent=rho.value, value_depth=0)
-        else:
-            notes.append(f"type skipped: relative order {rho.value} not finite nonzero")
-        if config.finite_nonzero(lam.value):
-            tau_bar = _estimate_from_samples(sets, "type", p, q, LIMSUP, "relative_weak_type_tau_bar",
-                                             config, aux_exponent=lam.value, value_depth=0)
-            tau = _estimate_from_samples(sets, "type", p, q, LIMINF, "relative_weak_type_tau",
-                                         config, aux_exponent=lam.value, value_depth=0)
-        else:
-            notes.append(f"weak type skipped: relative lower order {lam.value} not finite nonzero")
+    if config.finite_nonzero(rho.value):
+        delta, delta_bar = type_pair(samples, p, q, rho.value, config)
+    else:
+        notes.append(f"type skipped: relative order {rho.value} not finite nonzero")
+    if config.finite_nonzero(lam.value):
+        tau_bar, tau = weak_type_pair(samples, p, q, lam.value, config)
+    else:
+        notes.append(f"weak type skipped: relative lower order {lam.value} not finite nonzero")
     return RelativeIndicators(rho, lam, delta, delta_bar, tau, tau_bar, form, tuple(notes))
 
 
@@ -414,20 +408,28 @@ class DetectionResult:
     evidence: tuple[tuple[int, int, float], ...]
 
 
-def _scan_candidates(p_max: int, q_max: int, relative: bool) -> list[tuple[int, int]]:
-    """Scan order mirrors the defining exclusion: a pair is only reachable
-    after every (p-1, q-1) predecessor was already seen inadmissible."""
-    cands: list[tuple[int, int]] = []
-    if relative:
-        for p in range(0, p_max + 1):
-            for q in range(min(p, q_max), -1, -1):
-                cands.append((p, q))
-    else:
-        cands.append((1, 1))
-        for p in range(1, p_max + 1):
-            for q in range(min(p - 1, q_max), -1, -1):
-                cands.append((p, q))
-    return cands
+def _detect(sample, p_max: int, q_max: int, grid: Optional[GridSpec], candidates,
+            threshold, what: str, config: EstimatorConfig) -> DetectionResult:
+    """First candidate (p, q) whose order is admissible above threshold(p, q).
+
+    Candidates scan p up and q down, which mirrors the defining exclusion:
+    a pair is only reachable after every (p-1, q-1) predecessor was already
+    seen inadmissible.  All scanned estimates are returned as evidence.
+    """
+    if p_max > 6 or q_max > 6:
+        raise ValueError("index-pair scans are limited to p_max, q_max <= 6")
+    samples = sample(grid or GridSpec(5.0, 30.0, 64))
+    evidence: list[tuple[int, int, float]] = []
+    for p, q in candidates:
+        try:
+            est = _estimate(samples, "order", p, q, LIMSUP, "order", config)
+        except DomainError:
+            evidence.append((p, q, math.nan))
+            continue
+        evidence.append((p, q, est.value))
+        if _admissible(est, threshold(p, q), config):
+            return DetectionResult(IndexPair(p, q), est, tuple(evidence))
+    raise DetectionFailedError(f"no admissible {what} up to ({p_max}, {q_max})", evidence)
 
 
 def detect_index_pair(bundle: SourceBundle, p_max: int = 4, q_max: int = 4,
@@ -435,27 +437,13 @@ def detect_index_pair(bundle: SourceBundle, p_max: int = 4, q_max: int = 4,
                       config: EstimatorConfig = DEFAULT_CONFIG) -> DetectionResult:
     """First (p, q), scanning p up and q down, whose order is finite nonzero.
 
-    The diagonal (1,1) candidate carries the extra threshold 1 + margin;
-    all scanned estimates are returned as evidence.
+    The diagonal (1,1) candidate carries the extra threshold 1 + margin.
     """
-    if p_max > 6 or q_max > 6:
-        raise ValueError("index-pair scans are limited to p_max, q_max <= 6")
-    grid = grid or GridSpec(5.0, 30.0, 64)
-    sets = _profile_samples(bundle, grid)
-    evidence: list[tuple[int, int, float]] = []
-    for (p, q) in _scan_candidates(p_max, q_max, relative=False):
-        try:
-            est = _estimate_from_samples(sets, "order", p, q, LIMSUP, "order", config)
-        except DomainError:
-            evidence.append((p, q, math.nan))
-            continue
-        evidence.append((p, q, est.value))
-        threshold = 1.0 + config.index_margin if p == q else config.finite_eps
-        if _admissible(est, threshold, config):
-            return DetectionResult(IndexPair(p, q), est, tuple(evidence))
-    raise DetectionFailedError(
-        f"no admissible index-pair up to ({p_max}, {q_max})", evidence
-    )
+    cands = chain([(1, 1)], ((p, q) for p in range(1, p_max + 1)
+                             for q in range(min(p - 1, q_max), -1, -1)))
+    return _detect(lambda grid: profile_samples(bundle, grid), p_max, q_max, grid, cands,
+                   lambda p, q: 1.0 + config.index_margin if p == q else config.finite_eps,
+                   "index-pair", config)
 
 
 def detect_relative_index_pair(f_bundle: SourceBundle, g_bundle: SourceBundle, m: int,
@@ -463,24 +451,8 @@ def detect_relative_index_pair(f_bundle: SourceBundle, g_bundle: SourceBundle, m
                                grid: Optional[GridSpec] = None,
                                config: EstimatorConfig = DEFAULT_CONFIG) -> DetectionResult:
     """Relative analogue; the b-threshold bites only on the (m, m) diagonal."""
-    if p_max > 6 or q_max > 6:
-        raise ValueError("index-pair scans are limited to p_max, q_max <= 6")
-    grid = grid or GridSpec(5.0, 30.0, 64)
-    raw_sets = _relative_sample_sets(f_bundle, g_bundle, grid)
-    sets = [(name, [(s, from_real(v)) for s, v in samples]) for name, samples in raw_sets]
-    evidence: list[tuple[int, int, float]] = []
-    for (p, q) in _scan_candidates(p_max, q_max, relative=True):
-        try:
-            est = _estimate_from_samples(sets, "order", p, q, LIMSUP, "relative_order", config,
-                                         value_depth=0)
-        except DomainError:
-            evidence.append((p, q, math.nan))
-            continue
-        evidence.append((p, q, est.value))
-        b = 1.0 if (p == q == m) else 0.0
-        threshold = max(b + config.index_margin, config.finite_eps)
-        if _admissible(est, threshold, config):
-            return DetectionResult(IndexPair(p, q), est, tuple(evidence))
-    raise DetectionFailedError(
-        f"no admissible relative index-pair up to ({p_max}, {q_max})", evidence
-    )
+    cands = ((p, q) for p in range(p_max + 1) for q in range(min(p, q_max), -1, -1))
+    return _detect(lambda grid: relative_samples(f_bundle, g_bundle, grid), p_max, q_max, grid,
+                   cands, lambda p, q: max((1.0 if p == q == m else 0.0) + config.index_margin,
+                                           config.finite_eps),
+                   "relative index-pair", config)

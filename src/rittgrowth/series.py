@@ -319,8 +319,7 @@ def _verified_peak(spec: SeriesSpec, t: _TermCache, sigma: float):
     return None
 
 
-def max_term_log(spec: SeriesSpec, sigma: float, n_max: int = 64,
-                 hint: Optional[int] = None) -> tuple[int, ExtReal]:
+def max_term_log(spec: SeriesSpec, sigma: float, n_max: int = 64) -> tuple[int, ExtReal]:
     """Index and log-value of the maximum term at abscissa sigma.
 
     Finite tables are enumerated.  Otherwise the spec's peak generator, if
@@ -329,8 +328,7 @@ def max_term_log(spec: SeriesSpec, sigma: float, n_max: int = 64,
     searches 1..n_max and doubles the bound while the sequence is still
     rising at the edge, then ternary-searches the (log-concave) bracket.
     Beyond 2**53 the index is tracked as a float; the flat peak makes the
-    sub-integer placement irrelevant there.  `hint` warm-starts the
-    generic bracket.
+    sub-integer placement irrelevant there.
     """
     t = _TermCache(spec, sigma)
     if spec.n_limit is not None:
@@ -341,31 +339,22 @@ def max_term_log(spec: SeriesSpec, sigma: float, n_max: int = 64,
         if best is not None:
             return best, from_real(t(best))
 
-    lo = None
-    if hint is not None and hint > 4:
-        h = int(hint)
-        edge = h if h <= _EXACT_INDEX else float(h)
-        if t(edge // 2 if isinstance(edge, int) else edge / 2) < t(edge) and t(edge * 2) < t(edge):
-            lo, hi = h // 2, h * 2  # warm bracket around the previous peak
-    if lo is None:
-        hi = max(2, int(n_max if hint is None else hint))
-        for _ in range(_MAX_DOUBLINGS):
-            # factor-2 probe: one-step differences fall below double rounding
-            # at tower-sized magnitudes, factor-2 differences never do
-            edge = hi if hi <= _EXACT_INDEX else float(hi)
-            if t(edge * 2) < t(edge):
-                hi = hi * 2  # peak lies in [1, 2*edge]
-                break
-            hi = hi * 2
-        else:
-            raise SearchLimitError(
-                f"maximum-term search for '{spec.name}' at sigma={sigma} exceeded "
-                f"{_MAX_DOUBLINGS} doublings"
-            )
-        lo = 1
+    hi = max(2, int(n_max))
+    for _ in range(_MAX_DOUBLINGS):
+        # factor-2 probe: one-step differences fall below double rounding
+        # at tower-sized magnitudes, factor-2 differences never do
+        edge = hi if hi <= _EXACT_INDEX else float(hi)
+        if t(edge * 2) < t(edge):
+            hi = hi * 2  # peak lies in [1, 2*edge]
+            break
+        hi = hi * 2
+    else:
+        raise SearchLimitError(
+            f"maximum-term search for '{spec.name}' at sigma={sigma} exceeded "
+            f"{_MAX_DOUBLINGS} doublings"
+        )
 
-    lo = max(lo, 1)
-    hi = hi if hi <= _EXACT_INDEX else float(hi)
+    lo, hi = 1, (hi if hi <= _EXACT_INDEX else float(hi))
     # Ternary search with geometric probes (uniform progress on the index's
     # order of magnitude) and a flat-top stop: once the two probes agree at
     # double resolution the peak value is already pinned.
@@ -402,8 +391,7 @@ def _term_logs_window(spec: SeriesSpec, sigma: float, n_lo, n_hi) -> np.ndarray:
 
 
 def log_sum_upper(spec: SeriesSpec, sigma: float, tail_tol: float = DEFAULT_TAIL_TOL,
-                  window_cap: int = DEFAULT_WINDOW_CAP, n_max: int = 64,
-                  hint: Optional[int] = None, n_star=None) -> ExtReal:
+                  window_cap: int = DEFAULT_WINDOW_CAP, n_max: int = 64, n_star=None) -> ExtReal:
     """Upper surrogate: log of the full sum of term norms.
 
     The significant window around the maximum term is summed exactly
@@ -422,7 +410,7 @@ def log_sum_upper(spec: SeriesSpec, sigma: float, tail_tol: float = DEFAULT_TAIL
         return from_real(lse_accumulate(ts))
 
     if n_star is None:  # caller may pass the argmax it already computed
-        n_star, _peak_ext = max_term_log(spec, sigma, n_max=n_max, hint=hint)
+        n_star, _peak_ext = max_term_log(spec, sigma, n_max=n_max)
     peak = t(n_star)
     log_half_tol = math.log(tail_tol / 2.0)
 

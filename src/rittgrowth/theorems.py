@@ -122,9 +122,8 @@ def _link(relation: str, left: Quantity, right: Quantity, base_tol: float) -> Li
     tol = base_tol + left.halfwidth + right.halfwidth
     gap = left.value - right.value
     slack = {"le": -gap, "ge": gap, "eq": -abs(gap)}[relation]
-    if math.isnan(slack):
-        return Link(relation, left, right, slack, tol, False)
-    # Degenerate agreements (inf vs inf) count as satisfied comparisons.
+    # Degenerate agreements (inf vs inf) count as satisfied comparisons;
+    # any other nan slack fails.
     if relation in ("le", "ge") and left.value == right.value:
         slack = 0.0
     return Link(relation, left, right, slack, tol, slack >= -tol)
@@ -187,7 +186,7 @@ class IndicatorWorkspace:
 
     def rel_set(self, x_ref, y_ref, i: int, j: int, grid: GridSpec) -> RelativeIndicators:
         x, y = self.entry(x_ref), self.entry(y_ref)
-        key = (x.id, y.id, i, j, tuple(sorted(grid.describe().items())))
+        key = (x.id, y.id, i, j, grid)
         if key not in self._sets:
             self._sets[key] = relative_indicators(
                 self._bundle(x), self._bundle(y), i, j, grid, self.config

@@ -15,7 +15,7 @@ import pytest
 from rittgrowth.cli import main as cli_main
 from rittgrowth.corpus import default_entries, parse_shorthand
 from rittgrowth.growth import GridSpec, invert_modulus
-from rittgrowth.indicators import order_pair, relative_indicators, type_pair
+from rittgrowth.indicators import order_pair, profile_samples, relative_indicators, type_pair
 from rittgrowth.levelindex import compare, exp_iter, from_real, log_iter, to_real
 from rittgrowth.oracle import sweep
 from rittgrowth.theorems import load_batch, run_batch
@@ -37,9 +37,10 @@ def family_runs():
     for a, c in EXPEXP_FAMILIES:
         bundle = parse_shorthand(f"expexp:a={a},c={c}").bundle()
         t0 = time.monotonic()
-        rho, lam = order_pair(bundle, 2, 0, ORDER_GRID)
+        samples = profile_samples(bundle, ORDER_GRID)
+        rho, lam = order_pair(samples, 2, 0)
         elapsed = time.monotonic() - t0
-        delta, delta_bar = type_pair(bundle, 2, 0, rho.value, ORDER_GRID)
+        delta, delta_bar = type_pair(samples, 2, 0, rho.value)
         runs[(a, c)] = {"rho": rho, "lam": lam, "delta": delta, "delta_bar": delta_bar,
                         "seconds": elapsed}
     return runs
@@ -85,7 +86,8 @@ def test_criterion_3_relative_indicators():
 
 def test_criterion_4_irregular_profile():
     grid = GridSpec(3.0, 3.0 * math.exp(3 * 2 * math.pi), 600, "log")
-    rho, lam = order_pair(parse_shorthand("osc:rho=2,lam=1,p=2,q=0").bundle(), 2, 0, grid)
+    rho, lam = order_pair(profile_samples(parse_shorthand("osc:rho=2,lam=1,p=2,q=0").bundle(), grid),
+                          2, 0)
     ok = abs(rho.value - 2.0) <= 1e-2 and abs(lam.value - 1.0) <= 1e-2
     _report("criterion 4: oscillating profile limsup/liminf within 1e-2", ok,
             f"rho {rho.value:.4f}, lambda {lam.value:.4f}")
@@ -129,7 +131,7 @@ def test_criterion_6_shift_property():
             grid = GridSpec(10.0, 1e12, 300, "log")
         else:
             grid = GridSpec(10.0, 1e12, 400, "log")
-        rho, _ = order_pair(entry.bundle(), p + 1, q + 1, grid)
+        rho, _ = order_pair(profile_samples(entry.bundle(), grid), p + 1, q + 1)
         worst = max(worst, abs(rho.value - 1.0))
     _report("criterion 6: index-shift order estimates within 5e-2 of 1",
             worst <= 5e-2, f"worst deviation {worst:.3f}")

@@ -98,6 +98,25 @@ class TestIndicator:
         assert sigma == 20.0
         assert ratio == pytest.approx(1.0, abs=1e-2)
 
+    def test_all_kinds_sample_each_surrogate_once(self, tmp_path, capsys, monkeypatch):
+        # six indicators and the plot data all read one sampled set
+        import rittgrowth.cli as cli_mod
+        import rittgrowth.indicators as indicators_mod
+        from rittgrowth.growth import sample_profile
+        calls = []
+
+        def counting(source, grid):
+            calls.append(source.describe()["surrogate"])
+            return sample_profile(source, grid)
+
+        monkeypatch.setattr(indicators_mod, "sample_profile", counting)
+        monkeypatch.setattr(cli_mod, "sample_profile", counting)
+        code, _, _ = run(["indicator", "--spec", "expexp:a=2,c=1", "--p", "2", "--q", "0",
+                          "--sigma", "5:30:64", "--kind", "all",
+                          "--plot-data", str(tmp_path / "ratios.dat")], capsys)
+        assert code == 0
+        assert calls == ["upper", "lower"]
+
     def test_bad_grid_syntax(self, capsys):
         code, _, err = run(["indicator", "--spec", "expexp:a=1,c=1", "--p", "2", "--q", "0",
                             "--sigma", "5-30"], capsys)
@@ -216,6 +235,42 @@ class TestCheck:
         code, out, _ = run(["check", "--batch", str(path), "--quiet"], capsys)
         assert code == 1
         assert json.loads(out)["summary"]["fail"] == 1
+
+
+    def test_progress_line_as_each_instance_finishes(self, tmp_path, capsys, monkeypatch):
+        import io
+        import rittgrowth.theorems as theorems_mod
+        batch = {"instances": [
+            {"theorem": "C5", "f": "tower:k=2,rho=2,q=0", "g": "tower:k=2,rho=1,q=0",
+             "h": "tower:k=2,rho=1.5,q=0"},
+            {"theorem": "C6", "f": "tower:k=2,rho=2,q=0", "g": "tower:k=2,rho=1,q=0",
+             "h": "tower:k=2,rho=1.5,q=0"},
+        ]}
+        path = tmp_path / "batch.json"
+        path.write_text(json.dumps(batch))
+        err = io.StringIO()
+        lines_at_start = []
+        check_instance = theorems_mod.check_instance
+
+        def recording(inst, ws=None):
+            lines_at_start.append(err.getvalue().count("\n"))
+            return check_instance(inst, ws)
+
+        monkeypatch.setattr(theorems_mod, "check_instance", recording)
+        monkeypatch.setattr("sys.stderr", err)
+        code = main(["check", "--batch", str(path)])
+        quiet_out = capsys.readouterr().out
+        assert code == 0
+        assert lines_at_start == [0, 1]
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 2
+        assert lines[1].startswith("C6   f=tower:k=2,rho=2,q=0 g=tower:k=2,rho=1,q=0 "
+                                   "h=tower:k=2,rho=1.5,q=0 -> pass (")
+        assert lines[1].endswith(" s)")
+        # stdout is the same report with or without progress
+        assert main(["check", "--batch", str(path), "--quiet"]) == 0
+        assert capsys.readouterr().out == quiet_out
+        assert err.getvalue().count("\n") == 2
 
 
 class TestDeterminism:

@@ -8,7 +8,7 @@ from rittgrowth.corpus import (analytic_relative, default_entries, instantiate,
                                parse_shorthand, resolve_source)
 from rittgrowth.errors import SpecFormatError
 from rittgrowth.growth import GridSpec
-from rittgrowth.indicators import order_pair, relative_indicators, type_pair
+from rittgrowth.indicators import order_pair, profile_samples, relative_indicators, type_pair
 
 
 def entry_grid(entry, shifted=False, periods=3.0):
@@ -95,7 +95,7 @@ class TestEstimatorAgreement:
         def orders(p, q):
             if (p, q) not in cache:
                 shifted = (p, q) != (base_p, base_q)
-                cache[(p, q)] = order_pair(bundle, p, q, entry_grid(entry, shifted))
+                cache[(p, q)] = order_pair(profile_samples(bundle, entry_grid(entry, shifted)), p, q)
             return cache[(p, q)]
 
         for (kind, p, q), av in sorted(entry.analytic.items()):
@@ -103,12 +103,12 @@ class TestEstimatorAgreement:
                 rho, lam = orders(p, q)
                 got = rho.value if kind == "order" else lam.value
             elif kind in ("type", "lower_type"):
-                d, db = type_pair(bundle, p, q, entry.analytic_value("order", p, q),
-                                  entry_grid(entry))
+                d, db = type_pair(profile_samples(bundle, entry_grid(entry)), p, q,
+                                  entry.analytic_value("order", p, q))
                 got = d.value if kind == "type" else db.value
             else:  # weak types
-                tb, t = weak_type_pair(bundle, p, q, entry.analytic_value("lower_order", p, q),
-                                       entry_grid(entry))
+                tb, t = weak_type_pair(profile_samples(bundle, entry_grid(entry)), p, q,
+                                       entry.analytic_value("lower_order", p, q))
                 got = tb.value if kind == "weak_type_tau_bar" else t.value
             assert got == pytest.approx(av.value, abs=av.tolerance), (kind, p, q)
 

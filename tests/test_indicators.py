@@ -10,8 +10,8 @@ from rittgrowth.errors import DetectionFailedError, DomainError, IndicatorUndefi
 from rittgrowth.growth import GridSpec, sample_profile
 from rittgrowth.indicators import (LIMINF, LIMSUP, RatioPoint, RatioSequence,
                                    detect_index_pair, detect_relative_index_pair, order_pair,
-                                   ratio_sequence, relative_indicators, tail_estimate,
-                                   type_pair, weak_type_pair)
+                                   profile_samples, ratio_sequence, relative_indicators,
+                                   tail_estimate, type_pair, weak_type_pair)
 from rittgrowth.series import expexp_spec
 
 
@@ -104,21 +104,22 @@ class TestTailEstimate:
 
 class TestOrderPair:
     def test_expexp_a2(self):
-        rho, lam = order_pair(parse_shorthand("expexp:a=2,c=1").bundle(), 2, 0,
-                              GridSpec(5.0, 30.0, 200))
+        rho, lam = order_pair(profile_samples(parse_shorthand("expexp:a=2,c=1").bundle(),
+                                              GridSpec(5.0, 30.0, 200)), 2, 0)
         assert rho.value == pytest.approx(2.0, abs=1e-3)
         assert lam.value == pytest.approx(2.0, abs=1e-3)
         assert rho.lo <= rho.value <= rho.hi
 
     def test_shift_property(self):
         # a finite nonzero order forces the (p+1, q+1) order to 1
-        rho, _ = order_pair(parse_shorthand("expexp:a=1,c=1").bundle(), 3, 1,
-                            GridSpec(10.0, 200.0, 200, "log"))
+        rho, _ = order_pair(profile_samples(parse_shorthand("expexp:a=1,c=1").bundle(),
+                                            GridSpec(10.0, 200.0, 200, "log")), 3, 1)
         assert rho.value == pytest.approx(1.0, abs=5e-2)
 
     def test_oscillating_profile(self):
         grid = GridSpec(3.0, 3.0 * math.exp(6 * math.pi), 600, "log")
-        rho, lam = order_pair(parse_shorthand("osc:rho=2,lam=1,p=2,q=0").bundle(), 2, 0, grid)
+        rho, lam = order_pair(profile_samples(parse_shorthand("osc:rho=2,lam=1,p=2,q=0").bundle(),
+                                              grid), 2, 0)
         assert rho.value == pytest.approx(2.0, abs=1e-2)
         assert lam.value == pytest.approx(1.0, abs=1e-2)
 
@@ -128,29 +129,29 @@ class TestOrderPair:
                     if sh.startswith("osc") else GridSpec(5.0, 30.0, 64))
             entry = parse_shorthand(sh)
             p, q = entry.index_pair
-            rho, lam = order_pair(entry.bundle(), p, q, grid)
+            rho, lam = order_pair(profile_samples(entry.bundle(), grid), p, q)
             assert rho.value >= lam.value - 1e-12
 
 
 class TestTypePairs:
     def test_expexp_type(self):
         bundle = parse_shorthand("expexp:a=1,c=3").bundle()
-        d, db = type_pair(bundle, 2, 0, 1.0, GridSpec(5.0, 30.0, 200))
+        d, db = type_pair(profile_samples(bundle, GridSpec(5.0, 30.0, 200)), 2, 0, 1.0)
         assert d.value == pytest.approx(3.0, abs=1e-3)
         assert db.value == pytest.approx(3.0, abs=1e-3)
 
     def test_expexp_weak_type(self):
         bundle = parse_shorthand("expexp:a=1,c=1").bundle()
-        tb, t = weak_type_pair(bundle, 2, 0, 1.0, GridSpec(5.0, 30.0, 200))
+        tb, t = weak_type_pair(profile_samples(bundle, GridSpec(5.0, 30.0, 200)), 2, 0, 1.0)
         assert t.value == pytest.approx(1.0, abs=1e-3)
         assert tb.value == pytest.approx(1.0, abs=1e-3)
 
     def test_zero_order_is_undefined(self):
         bundle = parse_shorthand("expexp:a=1,c=1").bundle()
         with pytest.raises(IndicatorUndefinedError):
-            type_pair(bundle, 2, 0, 0.0, GridSpec(5.0, 30.0, 64))
+            type_pair(profile_samples(bundle, GridSpec(5.0, 30.0, 64)), 2, 0, 0.0)
         with pytest.raises(IndicatorUndefinedError):
-            weak_type_pair(bundle, 2, 0, math.inf, GridSpec(5.0, 30.0, 64))
+            weak_type_pair(profile_samples(bundle, GridSpec(5.0, 30.0, 64)), 2, 0, math.inf)
 
 
 class TestCoefficientScaling:
@@ -163,8 +164,8 @@ class TestCoefficientScaling:
         from rittgrowth.growth import SeriesLowerSource, SeriesUpperSource, SourceBundle
         spec_scaled = expexp_spec(1, 1, log_scale=K)
         scaled = SourceBundle(SeriesUpperSource(spec_scaled), SeriesLowerSource(spec_scaled))
-        r0, _ = order_pair(base, 2, 0, grid)
-        r1, _ = order_pair(scaled, 2, 0, grid)
+        r0, _ = order_pair(profile_samples(base, grid), 2, 0)
+        r1, _ = order_pair(profile_samples(scaled, grid), 2, 0)
         window_min_sigma = 20.0
         assert abs(r1.value - r0.value) <= K / window_min_sigma
 

@@ -93,13 +93,6 @@ class TestMaxTerm:
         assert n == bn
         assert to_real(v) == pytest.approx(bt, rel=1e-12)
 
-    def test_hint_does_not_change_result(self):
-        spec = expexp_spec(1, 1)
-        ref = max_term_log(spec, 4.0)
-        for hint in (2, 50, 5000):
-            n, v = max_term_log(spec, 4.0, hint=hint)
-            assert (n, to_real(v)) == (ref[0], to_real(ref[1]))
-
 
 class TestPeakGenerator:
     """max_term_log through expexp's central index against an mpmath oracle."""

@@ -9,8 +9,8 @@ import pytest
 from rittgrowth.errors import SpecFormatError
 from rittgrowth.growth import GridSpec
 from rittgrowth.indicators import IndicatorEstimate, RelativeIndicators
-from rittgrowth.theorems import (THEOREM_IDS, IndicatorWorkspace, TheoremInstance,
-                                 check_instance, load_batch, run_batch)
+from rittgrowth.theorems import (THEOREM_IDS, IndicatorWorkspace, Quantity, TheoremInstance,
+                                 _link, check_instance, load_batch, run_batch)
 
 OSC_GRID = GridSpec(3.0, 3.0 * math.exp(6 * math.pi), 480, "log")
 GOLDEN = Path(__file__).resolve().parent / "golden" / "theorem_paths.json"
@@ -163,6 +163,19 @@ class TestRemark:
                                "tower:k=2,rho=1,q=0", grid=OSC_GRID)
         r = check_instance(inst, ws)
         assert r.verdict == "vacuous"
+
+
+class TestLink:
+    @pytest.mark.parametrize("relation", ["le", "ge"])
+    def test_infinite_agreement_is_satisfied(self, relation):
+        inf = Quantity("x", math.inf, math.inf, math.inf)
+        link = _link(relation, inf, inf, 2e-2)
+        assert link.ok and link.slack == 0.0
+
+    def test_undefined_slack_fails(self):
+        inf = Quantity("x", math.inf, math.inf, math.inf)
+        link = _link("eq", inf, inf, 2e-2)
+        assert not link.ok and math.isnan(link.slack)
 
 
 class TestBatch:
