@@ -6,7 +6,9 @@ oracle, corpus.  Sources are given either as shorthand
 default (sorted keys, no timestamps) so identical runs are byte-identical.
 
 Exit codes: 0 success, 1 a non-vacuous theorem check failed, 2 usage
-error, 3 numeric/domain error.
+error, 3 numeric/domain error.  ``check`` gives an instance that raises a
+numeric error the verdict "error" with its cause, keeps checking the rest,
+and exits 3 if any instance errored.
 """
 
 from __future__ import annotations
@@ -189,19 +191,26 @@ def cmd_check(args) -> int:
     reports = []
     for inst in instances:
         t0 = time.perf_counter()
-        r = theorems_mod.check_instance(inst, ws)
+        try:
+            r = theorems_mod.check_instance(inst, ws)
+        except SpecFormatError:
+            raise
+        except RittGrowthError as exc:  # one failing instance must not sink the batch
+            r = theorems_mod.CheckReport(inst.theorem_id, inst.describe(), {}, [], [], [],
+                                         [f"{type(exc).__name__}: {exc}"], "error")
         reports.append(r)
         if not args.quiet:  # progress: one line per instance as it finishes
             print(f"{r.theorem_id:4s} f={r.subject['f']} g={r.subject['g']} h={r.subject['h']} "
                   f"-> {r.verdict} ({time.perf_counter() - t0:.2f} s)", file=sys.stderr)
-    failed = sum(1 for r in reports if r.verdict == "fail")
-    vacuous = sum(1 for r in reports if r.verdict == "vacuous")
+    counts = {v: sum(1 for r in reports if r.verdict == v) for v in ("vacuous", "fail", "error")}
     _emit({
-        "summary": {"instances": len(reports), "pass": len(reports) - failed - vacuous,
-                    "vacuous": vacuous, "fail": failed},
+        "summary": {"instances": len(reports), "pass": len(reports) - sum(counts.values()),
+                    **counts},
         "reports": [r.to_json() for r in reports],
     }, args)
-    return EXIT_CHECK_FAILED if failed else EXIT_OK
+    if counts["error"]:
+        return EXIT_NUMERIC
+    return EXIT_CHECK_FAILED if counts["fail"] else EXIT_OK
 
 
 def cmd_oracle(args) -> int:

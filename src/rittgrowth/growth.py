@@ -12,13 +12,18 @@ stopping rule are those of bisection, in at most one step more.
 The composition M_g^{-1}(M_f(sigma)) at the heart of every relative
 indicator is one inversion per point, carried out entirely on (level,
 mantissa) pairs; the curve value M_f(sigma) is never materialized.
+Along a grid (``invert_along``) each inversion starts from a tight
+bracket around the polynomial extrapolation of the points already
+solved, and ITP's truncation scales with the root's magnitude rather than
+the initial width, so a well-predicted point costs about four curve
+evaluations instead of ten.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -31,10 +36,15 @@ from .series import SeriesSpec
 # the expansion budget.
 INVERT_REL_TOL = 1e-12
 BRACKET_DOUBLINGS = 120
-# ITP constants: truncation delta = _ITP_K1 * width**2 / initial width
+# ITP constants: truncation delta = _ITP_K1 * width**2 / max(1, |hi|)
 # (kappa2 = 2) and n0 = 1 step of slack over bisection.
 _ITP_K1 = 0.2
 _ITP_N0 = 1
+# Warm starts: bracket half-width as a multiple of the last prediction's
+# error, and its floor in units of INVERT_REL_TOL * max(1, |prediction|).
+_WARM_ERR_FACTOR = 2.0
+_WARM_MIN_HALF = 4.0
+_WARM_POINTS = 5
 
 
 @dataclass(frozen=True)
@@ -193,9 +203,12 @@ def _itp_probe(lo: float, hi: float, f_lo: float, f_hi: float,
                width0: float, step: int, tol: float) -> float:
     """Next ITP abscissa inside (lo, hi) for reduced residuals f_lo <= 0 <= f_hi.
 
-    Interpolate (regula falsi), truncate towards the midpoint, then
-    project into the ball that keeps the bracket after step+1 steps no
-    wider than bisection's after step+1-_ITP_N0.  The truncation is at
+    Interpolate (regula falsi), truncate towards the midpoint by
+    _ITP_K1 * width**2 / max(1, |hi|), then project into the ball that
+    keeps the bracket after step+1 steps no wider than bisection's
+    (from the initial width width0) after step+1-_ITP_N0.  Scaling the
+    truncation by the root's magnitude rather than by width0 lets a tight
+    warm bracket close in two or three probes.  The truncation is at
     least a quarter of the stopping width, so a converged interpolant
     closes the bracket from both sides.  Non-finite residuals or a
     degenerate secant give the midpoint.
@@ -206,7 +219,7 @@ def _itp_probe(lo: float, hi: float, f_lo: float, f_hi: float,
     width = hi - lo
     x_f = lo - f_lo * (width / (f_hi - f_lo))
     side = math.copysign(1.0, mid - x_f)
-    delta = max(_ITP_K1 * width * width / width0, 0.25 * tol)
+    delta = max(_ITP_K1 * width * width / max(1.0, abs(hi)), 0.25 * tol)
     x_t = x_f + side * delta if delta <= abs(mid - x_f) else mid
     radius = max(width0 * 2.0 ** (_ITP_N0 - 1 - step) - 0.5 * width, 0.0)
     x = x_t if abs(x_t - mid) <= radius else mid - side * radius
@@ -217,8 +230,11 @@ def invert_modulus(source: GrowthSource, y: ExtReal,
                    bracket: Optional[tuple[float, float]] = None) -> float:
     """sigma with log M(sigma) = y, resolved to 1e-12 relative in sigma.
 
-    The bracket hint is expanded by doubling until it straddles y; the
-    lower end floors at max(source floor, 0).  The bracket then shrinks by
+    Without a bracket the search starts from (floor, floor + 1), floor
+    being max(source floor, 0).  A bracket that misses y grows by
+    doubling its width away from where it started: upward from its lower
+    end until log M(hi) >= y, or downward from its upper end until
+    log M(lo) <= y, never below the floor.  The bracket then shrinks by
     ITP steps, whose probes interpolate the curve reduced into machine
     range, log^[k] M with k = max(y.level - 1, 0).  Each update is decided
     by the exact compare() against y, so the invariant
@@ -232,36 +248,30 @@ def invert_modulus(source: GrowthSource, y: ExtReal,
     else:
         lo, hi = bracket
         lo = max(lo, floor)
-        hi = max(hi, lo)
+        hi = max(hi, lo + INVERT_REL_TOL * max(1.0, abs(lo)))
 
-    # Expand upward until log M(hi) >= y.
-    v_lo = None
-    span = max(hi - floor, 1.0)
+    # Grow upward until log M(hi) >= y.
+    anchor, v_lo = lo, None
     for _ in range(BRACKET_DOUBLINGS):
         v_hi = source.log_m(hi)
         if compare(v_hi, y) >= 0:
             break
         lo, v_lo = hi, v_hi
-        span *= 2.0
-        hi = floor + span
+        hi = anchor + 2.0 * (hi - anchor)
     else:
         raise BracketError("inversion target above the achievable range after expansion")
 
-    # Contract downward until log M(lo) <= y, flooring at the source floor.
+    # Grow downward until log M(lo) <= y, flooring at the source floor.
+    anchor = hi
     for _ in range(BRACKET_DOUBLINGS):
         if v_lo is None:
             v_lo = source.log_m(lo)
         if compare(v_lo, y) <= 0:
             break
+        if lo <= floor:
+            raise BracketError("inversion target below the achievable range at the floor")
         hi, v_hi = lo, v_lo
-        lo = floor + (lo - floor) / 2.0
-        v_lo = None
-        if lo - floor < 1e-12 * max(1.0, floor):
-            lo = floor
-            v_lo = source.log_m(lo)
-            if compare(v_lo, y) > 0:
-                raise BracketError("inversion target below the achievable range at the floor")
-            break
+        lo, v_lo = max(anchor - 2.0 * (anchor - lo), floor), None
     else:
         raise BracketError("bracket contraction exhausted its budget")
 
@@ -284,21 +294,58 @@ def invert_modulus(source: GrowthSource, y: ExtReal,
     return 0.5 * (lo + hi)
 
 
-def compose_relative(g_source: GrowthSource, f_source: GrowthSource, sigma: float,
-                     bracket: Optional[tuple[float, float]] = None) -> float:
+def _extrapolate(ts: Sequence[float], xs: Sequence[float], t: float) -> float:
+    """Value at t of the polynomial through the points (ts[j], xs[j])."""
+    total = 0.0
+    for j, (t_j, x_j) in enumerate(zip(ts, xs)):
+        weight = 1.0
+        for m, t_m in enumerate(ts):
+            if m != j:
+                weight *= (t - t_m) / (t_j - t_m)
+        total += weight * x_j
+    return total
+
+
+def invert_along(source: GrowthSource, ts: Sequence[float], ys: Iterable[ExtReal]) -> list[float]:
+    """invert_modulus(source, y) for each target y, warm-started along the abscissae ts.
+
+    The targets come from a curve sampled at the strictly increasing
+    abscissae ts.  The first point is solved from a cold bracket.  Every
+    later bracket is centred on the polynomial through the last (up to
+    _WARM_POINTS) solutions, extrapolated to the new abscissa.  Its
+    half-width is twice the error of the previous prediction, floored at
+    a few INVERT_REL_TOL; the second point, with no error known yet,
+    takes max(|x|/4, 1).  A bracket that misses grows as invert_modulus
+    describes, so a wrong prediction costs calls, never accuracy: each
+    result meets the same bracket invariant and stopping rule as a cold
+    call.
+    """
+    xs: list[float] = []
+    pred = err = None
+    for i, (t, y) in enumerate(zip(ts, ys)):
+        bracket = None
+        if xs:
+            pred = _extrapolate(ts[max(i - _WARM_POINTS, 0):i], xs[-_WARM_POINTS:], t)
+            if err is None:
+                half = max(0.25 * abs(pred), 1.0)
+            else:
+                half = max(_WARM_ERR_FACTOR * err,
+                           _WARM_MIN_HALF * INVERT_REL_TOL * max(1.0, abs(pred)))
+            bracket = (pred - half, pred + half)
+        x = invert_modulus(source, y, bracket)
+        if pred is not None:
+            err = abs(x - pred)
+        xs.append(x)
+    return xs
+
+
+def compose_relative(g_source: GrowthSource, f_source: GrowthSource, sigma: float) -> float:
     """M_g^{-1}(M_f(sigma)), evaluated in the log/extended domain throughout."""
-    return invert_modulus(g_source, f_source.log_m(sigma), bracket=bracket)
+    return invert_modulus(g_source, f_source.log_m(sigma))
 
 
 def compose_samples(g_source: GrowthSource, f_source: GrowthSource,
                     sigmas: list[float]) -> list[tuple[float, float]]:
-    """Composition along a grid, warm-starting each bracket from the last point."""
-    out: list[tuple[float, float]] = []
-    bracket = None
-    for s in sigmas:
-        psi = compose_relative(g_source, f_source, s, bracket=bracket)
-        out.append((s, psi))
-        # next value exceeds this one; seed a short bracket just above it
-        step = max(abs(psi) * 0.25, 1.0)
-        bracket = (psi, psi + step)
-    return out
+    """M_g^{-1}(M_f(sigma)) at each grid point, inverted along the grid by invert_along."""
+    psis = invert_along(g_source, sigmas, (f_source.log_m(s) for s in sigmas))
+    return list(zip(sigmas, psis))

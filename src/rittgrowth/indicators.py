@@ -29,7 +29,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DetectionFailedError, DomainError, IndicatorUndefinedError
-from .growth import GridSpec, SourceBundle, compose_samples, invert_modulus, sample_profile
+from .growth import GridSpec, SourceBundle, compose_samples, invert_along, sample_profile
 from .levelindex import ExtReal, exp_iter, from_real, log_iter, pow_scale, ratio_to_float, to_real_or_none
 
 LIMSUP = "limsup"
@@ -290,15 +290,8 @@ def relative_samples(f_bundle: SourceBundle, g_bundle: SourceBundle, grid: GridS
             sets.append(("high", compose_samples(g_bundle.lower_or_upper, f_bundle.upper, sigmas)))
     elif form == "dual":
         ys = [f_bundle.upper.log_m(s) for s in sigmas]
-        pairs = []
-        bracket_u = bracket_v = None
-        for y in ys:
-            u = invert_modulus(f_bundle.upper, y, bracket=bracket_u)
-            v = invert_modulus(g_bundle.upper, y, bracket=bracket_v)
-            pairs.append((u, v))
-            bracket_u = (u, u + max(0.25 * abs(u), 1.0))
-            bracket_v = (v, v + max(0.25 * abs(v), 1.0))
-        sets = [("center", pairs)]
+        sets = [("center", list(zip(invert_along(f_bundle.upper, sigmas, ys),
+                                    invert_along(g_bundle.upper, sigmas, ys))))]
     else:
         raise ValueError(f"unknown relative form '{form}'")
     return Samples(tuple((name, tuple((s, from_real(v)) for s, v in pts)) for name, pts in sets),

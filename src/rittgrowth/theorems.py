@@ -138,7 +138,7 @@ class CheckReport:
     slacks: list
     links: list
     notes: list
-    verdict: str  # "pass" | "vacuous" | "fail"
+    verdict: str  # "pass" | "vacuous" | "fail" | "error" (cause in notes)
 
     def to_json(self) -> dict:
         num = json_number

@@ -237,6 +237,30 @@ class TestCheck:
         assert json.loads(out)["summary"]["fail"] == 1
 
 
+    def test_numeric_error_is_one_instance_verdict(self, tmp_path, capsys):
+        # expexp:a=30 leaves the machine range near sigma = 700/30 on this
+        # grid; the towers before and after it are still checked
+        tower = {"theorem": "Tt2", "f": "tower:k=2,rho=2,q=0", "g": "tower:k=2,rho=1.5,q=0",
+                 "h": "tower:k=2,rho=1,q=0"}
+        batch = {"instances": [
+            tower,
+            {"theorem": "T1", "f": "expexp:a=30,c=1", "g": "expexp:a=1,c=1",
+             "h": "expexp:a=3,c=1", "grid": {"sigma_min": 5, "sigma_max": 30, "count": 64}},
+            tower,
+        ]}
+        path = tmp_path / "batch.json"
+        path.write_text(json.dumps(batch))
+        code, out, err = run(["check", "--batch", str(path)], capsys)
+        assert code == 3
+        doc = json.loads(out)
+        assert doc["summary"] == {"instances": 3, "pass": 2, "vacuous": 0, "fail": 0, "error": 1}
+        assert [r["verdict"] for r in doc["reports"]] == ["pass", "error", "pass"]
+        bad = doc["reports"][1]
+        assert bad["subject"]["f"] == "expexp:a=30,c=1"
+        assert bad["notes"][0].startswith("NumericError: ") and "a*sigma < 700" in bad["notes"][0]
+        assert [line.split(" -> ")[1].split(" (")[0] for line in err.splitlines()] == \
+            ["pass", "error", "pass"]
+
     def test_progress_line_as_each_instance_finishes(self, tmp_path, capsys, monkeypatch):
         import io
         import rittgrowth.theorems as theorems_mod

@@ -8,9 +8,11 @@ import pytest
 
 from rittgrowth.corpus import osc_rule_source, parse_shorthand, tower_rule_source
 from rittgrowth.errors import BracketError, NumericError
+from rittgrowth import growth as growth_mod
 from rittgrowth.growth import (INVERT_REL_TOL, GridSpec, SeriesUpperSource, SyntheticSource,
-                               compose_relative, compose_samples, invert_modulus,
+                               compose_relative, compose_samples, invert_along, invert_modulus,
                                sample_profile)
+from rittgrowth.indicators import relative_samples
 from rittgrowth.levelindex import ExtReal, compare, from_real, to_real
 from rittgrowth.series import expexp_spec
 
@@ -196,6 +198,83 @@ class TestCompose:
         samples = compose_samples(g, f, GridSpec(5.0, 20.0, 24).sigmas())
         psis = [p for _, p in samples]
         assert all(b > a for a, b in zip(psis, psis[1:]))
+
+
+# (f, g, grid) on the acceptance batch's grids: expexp on a linear grid,
+# towers on a log grid, osc against a tower
+WARM_PAIRS = [("expexp:a=2,c=1", "expexp:a=1,c=3", GridSpec(5.0, 30.0, 64)),
+              ("tower:k=2,rho=2,q=1", "tower:k=2,rho=1,q=0", GridSpec(5.0, 3e4, 200, "log")),
+              ("osc:rho=2,lam=1,p=2,q=0", "tower:k=2,rho=2,q=0",
+               GridSpec(3.0, 460658806.18633974, 480, "log"))]
+
+
+def warm_bundles(f_id, g_id):
+    return (parse_shorthand(f_id).bundle(fast=True).upper,
+            parse_shorthand(g_id).bundle(fast=True).upper)
+
+
+class TestWarmStart:
+    """Inversion along a grid: cold results in fewer curve evaluations."""
+
+    @pytest.mark.parametrize("f_id,g_id,grid", WARM_PAIRS)
+    def test_compose_matches_cold(self, f_id, g_id, grid):
+        f, g = warm_bundles(f_id, g_id)
+        for s, psi in compose_samples(g, f, grid.sigmas()):
+            cold = invert_modulus(g, f.log_m(s))
+            assert abs(psi - cold) <= INVERT_REL_TOL * max(1.0, abs(psi))
+
+    @pytest.mark.parametrize("f_id,g_id,grid", WARM_PAIRS)
+    def test_dual_matches_cold(self, f_id, g_id, grid):
+        f_bundle = parse_shorthand(f_id).bundle(fast=True)
+        g_bundle = parse_shorthand(g_id).bundle(fast=True)
+        (_name, pts), = relative_samples(f_bundle, g_bundle, grid, form="dual").sets
+        for s, (u, v) in zip(grid.sigmas(), pts):
+            y = f_bundle.upper.log_m(s)
+            cold_u = invert_modulus(f_bundle.upper, y)
+            cold_v = invert_modulus(g_bundle.upper, y)
+            assert abs(u - cold_u) <= INVERT_REL_TOL * max(1.0, abs(u))
+            assert abs(to_real(v) - cold_v) <= INVERT_REL_TOL * max(1.0, abs(cold_v))
+
+    @pytest.mark.parametrize("f_id,g_id,grid", WARM_PAIRS)
+    def test_few_curve_evaluations_per_inversion(self, f_id, g_id, grid):
+        f, g = warm_bundles(f_id, g_id)
+        sigmas = grid.sigmas()
+        counted_g = CountingSource(g)
+        compose_samples(counted_g, f, sigmas)
+        assert counted_g.calls / len(sigmas) <= 6
+        # the dual form inverts both curves at f's values
+        counted_f, counted_g = CountingSource(f), CountingSource(g)
+        ys = [f.log_m(s) for s in sigmas]
+        invert_along(counted_f, sigmas, ys)
+        invert_along(counted_g, sigmas, ys)
+        assert (counted_f.calls + counted_g.calls) / (2 * len(sigmas)) <= 6
+
+    @pytest.mark.parametrize("slope_after", [50.0, 0.02])
+    def test_missed_prediction_still_lands_on_the_root(self, slope_after, monkeypatch):
+        # log M has a slope kink at sigma = 10, so the curve inverted at
+        # y = t has one too, and the polynomial prediction misses after it
+        def rule(sigma):
+            return from_real(sigma if sigma < 10.0 else 10.0 + slope_after * (sigma - 10.0))
+
+        def exact(t):
+            return t if t < 10.0 else 10.0 + (t - 10.0) / slope_after
+
+        source = SyntheticSource("kink", {}, rule)
+        ts = [float(t) for t in np.linspace(2.0, 30.0, 57)]
+        brackets = []
+        invert = growth_mod.invert_modulus
+
+        def recording(src, y, bracket=None):
+            x = invert(src, y, bracket)
+            brackets.append((bracket, x))
+            return x
+
+        monkeypatch.setattr(growth_mod, "invert_modulus", recording)
+        xs = invert_along(source, ts, [from_real(t) for t in ts])
+        assert any(b is not None and not b[0] <= x <= b[1] for b, x in brackets)
+        for t, x in zip(ts, xs):
+            assert abs(x - exact(t)) <= INVERT_REL_TOL * max(1.0, abs(x))
+            assert abs(x - invert(source, from_real(t))) <= INVERT_REL_TOL * max(1.0, abs(x))
 
 
 from hypothesis import given, settings, strategies as st
