@@ -146,7 +146,7 @@ def cmd_relative(args) -> int:
     g_entry = _load_source_arg(args.g_spec)
     grid = _parse_grid(args.sigma)
     cfg = _config_from_args(args)
-    rel = relative_indicators(f_entry.bundle(fast=True), g_entry.bundle(fast=True),
+    rel = relative_indicators(f_entry.bundle(), g_entry.bundle(),
                               args.p, args.q, grid, cfg, form=args.form)
     _emit({
         "f": f_entry.id, "g": g_entry.id, "form": rel.form, "grid": grid.describe(),
@@ -162,7 +162,7 @@ def cmd_detect(args) -> int:
     cfg = _config_from_args(args)
     if args.g_spec:
         g_entry = _load_source_arg(args.g_spec)
-        result = detect_relative_index_pair(entry.bundle(fast=True), g_entry.bundle(fast=True),
+        result = detect_relative_index_pair(entry.bundle(), g_entry.bundle(),
                                             args.m, args.p_max, args.q_max, grid, cfg)
     else:
         result = detect_index_pair(entry.bundle(), args.p_max, args.q_max, grid, cfg)

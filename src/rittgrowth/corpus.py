@@ -23,17 +23,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 from .errors import SpecFormatError
 from .growth import SeriesLowerSource, SeriesUpperSource, SourceBundle, SyntheticSource
 from .levelindex import exp_iter, from_real, log_iter, to_real
 from .series import expexp_spec, table_spec
-
-# Reduced-precision caps used inside compositions/inversions, where the
-# certified-window slack is divided by an exponentially large slope.
-FAST_TAIL_TOL = 1e-10
-FAST_WINDOW_CAP = 1 << 10
 
 
 @dataclass(frozen=True)
@@ -52,10 +47,10 @@ class CorpusEntry:
     index_pair: Optional[tuple[int, int]]
     analytic: dict  # (kind, p, q) -> AnalyticValue
     tolerance: float  # default agreement tolerance for this entry
-    _builder: Callable[[bool], SourceBundle]
+    _bundle: SourceBundle
 
-    def bundle(self, fast: bool = False) -> SourceBundle:
-        return self._builder(fast)
+    def bundle(self) -> SourceBundle:
+        return self._bundle
 
     def analytic_value(self, kind: str, p: int, q: int) -> Optional[float]:
         hit = self.analytic.get((kind, p, q))
@@ -77,12 +72,6 @@ class CorpusEntry:
 def _expexp_entry(a: float, c: float) -> CorpusEntry:
     spec = expexp_spec(a, c)
 
-    def build(fast: bool) -> SourceBundle:
-        upper = SeriesUpperSource(spec)
-        if fast:
-            upper = upper.with_caps(FAST_TAIL_TOL, FAST_WINDOW_CAP)
-        return SourceBundle(upper, SeriesLowerSource(spec))
-
     note_order = f"log M = {c}*exp({a}*sigma) + o(1), so log^[2]M / sigma -> {a}"
     note_type = f"log M / exp({a}*sigma) -> {c} with order exponent {a}"
     note_shift = "index shift (p+1, q+1) of a finite nonzero order"
@@ -97,7 +86,8 @@ def _expexp_entry(a: float, c: float) -> CorpusEntry:
         ("lower_order", 3, 1): AnalyticValue(1.0, note_shift, 5e-2),
     }
     return CorpusEntry(f"expexp:a={_fmt(a)},c={_fmt(c)}", "expexp", {"a": a, "c": c},
-                       True, (2, 0), analytic, 1e-3, build)
+                       True, (2, 0), analytic, 1e-3,
+                       SourceBundle(SeriesUpperSource(spec), SeriesLowerSource(spec)))
 
 
 def tower_rule_source(k: int, rho: float, q: int) -> SyntheticSource:
@@ -116,9 +106,6 @@ def tower_rule_source(k: int, rho: float, q: int) -> SyntheticSource:
 def _tower_entry(k: int, rho: float, q: int) -> CorpusEntry:
     src = tower_rule_source(k, rho, q)
 
-    def build(fast: bool) -> SourceBundle:
-        return SourceBundle(src)
-
     note = f"rule log^[{k}]M = {rho} * log^[{q}]sigma is its own derivation"
     note_type = "exp(rho*log^[q]sigma) equals (log^[q-1]sigma)^rho exactly"
     note_weak = "regular: weak type coincides with type"
@@ -134,7 +121,7 @@ def _tower_entry(k: int, rho: float, q: int) -> CorpusEntry:
         ("lower_order", k + 1, q + 1): AnalyticValue(1.0, note_shift, 5e-2),
     }
     return CorpusEntry(f"tower:k={k},rho={_fmt(rho)},q={q}", "tower",
-                       {"k": k, "rho": rho, "q": q}, True, (k, q), analytic, 1e-3, build)
+                       {"k": k, "rho": rho, "q": q}, True, (k, q), analytic, 1e-3, SourceBundle(src))
 
 
 def osc_rule_source(rho: float, lam: float, p: int, q: int) -> SyntheticSource:
@@ -163,9 +150,6 @@ def osc_rule_source(rho: float, lam: float, p: int, q: int) -> SyntheticSource:
 def _osc_entry(rho: float, lam: float, p: int, q: int) -> CorpusEntry:
     src = osc_rule_source(rho, lam, p, q)
 
-    def build(fast: bool) -> SourceBundle:
-        return SourceBundle(src)
-
     note = "sup/inf of m0 + m1 sin(log sigma) on a log-uniform grid over whole periods"
     analytic = {
         ("order", p, q): AnalyticValue(rho, note, 1e-2),
@@ -173,7 +157,7 @@ def _osc_entry(rho: float, lam: float, p: int, q: int) -> CorpusEntry:
     }
     return CorpusEntry(f"osc:rho={_fmt(rho)},lam={_fmt(lam)},p={p},q={q}", "osc_profile",
                        {"rho": rho, "lam": lam, "p": p, "q": q}, False, (p, q),
-                       analytic, 1e-2, build)
+                       analytic, 1e-2, SourceBundle(src))
 
 
 def _table_entry(params: dict) -> CorpusEntry:
@@ -185,11 +169,9 @@ def _table_entry(params: dict) -> CorpusEntry:
     if report.verdict == "fail":
         raise SpecFormatError(f"table series fails validation: {report.cause}")
 
-    def build(fast: bool) -> SourceBundle:
-        return SourceBundle(SeriesUpperSource(spec), SeriesLowerSource(spec))
-
     return CorpusEntry(f"table:{spec.name}", "table", dict(spec.params),
-                       False, None, {}, math.inf, build)
+                       False, None, {}, math.inf,
+                       SourceBundle(SeriesUpperSource(spec), SeriesLowerSource(spec)))
 
 
 def _fmt(v: float) -> str:

@@ -91,12 +91,11 @@ class GrowthSource:
 class SeriesLowerSource(GrowthSource):
     """Maximum-term surrogate: a certified lower bound for log M."""
 
-    def __init__(self, spec: SeriesSpec, n_max: int = 64):
+    def __init__(self, spec: SeriesSpec):
         self.spec = spec
-        self.n_max = n_max
 
     def log_m(self, sigma: float) -> ExtReal:
-        return series_mod.max_term_log(self.spec, sigma, n_max=self.n_max)[1]
+        return series_mod.max_term_log(self.spec, sigma)[1]
 
     def describe(self) -> dict:
         return {"kind": "series", "surrogate": "lower", "spec": self.spec.describe()}
@@ -105,25 +104,15 @@ class SeriesLowerSource(GrowthSource):
 class SeriesUpperSource(GrowthSource):
     """Coefficient-norm sum surrogate: a certified upper bound for log M."""
 
-    def __init__(self, spec: SeriesSpec, tail_tol: float = series_mod.DEFAULT_TAIL_TOL,
-                 window_cap: int = series_mod.DEFAULT_WINDOW_CAP, n_max: int = 64):
+    def __init__(self, spec: SeriesSpec):
         self.spec = spec
-        self.tail_tol = tail_tol
-        self.window_cap = window_cap
-        self.n_max = n_max
 
     def log_m(self, sigma: float) -> ExtReal:
-        n_star, _ = series_mod.max_term_log(self.spec, sigma, n_max=self.n_max)
-        return series_mod.log_sum_upper(self.spec, sigma, tail_tol=self.tail_tol,
-                                        window_cap=self.window_cap, n_max=self.n_max,
-                                        n_star=n_star)
-
-    def with_caps(self, tail_tol: float, window_cap: int) -> "SeriesUpperSource":
-        return SeriesUpperSource(self.spec, tail_tol, window_cap, self.n_max)
+        return series_mod.log_sum_upper(self.spec, sigma)
 
     def describe(self) -> dict:
         return {"kind": "series", "surrogate": "upper", "spec": self.spec.describe(),
-                "tail_tol": self.tail_tol, "window_cap": self.window_cap}
+                "tail_tol": series_mod.DEFAULT_TAIL_TOL}
 
 
 class SyntheticSource(GrowthSource):

@@ -20,21 +20,21 @@ neighbours confirm the maximum, which log-concavity makes sufficient.
 Specs without a peak generator, or a candidate that fails the check,
 fall back to a doubling bracket plus integer ternary search (the
 maximizing index grows like exp(sigma) and cannot be enumerated).  The
-sum keeps an explicit window of significant terms; when the window would
-be enormous, a certified upper bound peak + log(window width) replaces
-the explicit log-sum-exp.  That slack is O(log n*) on a value of size
-exp(a*sigma) and is invisible at the iterated-log level where every
-indicator lives.
+sum is one outward walk from the central index in blocks laid out by the
+Wiman-Valiron local model (a discretised Gaussian in n), each bounded by
+tangents from log-concavity; see log_sum_upper.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.special import digamma, gammaln, zeta
+from scipy.special import digamma, erfinv, gammaln, zeta
 
 from .errors import DomainError, NumericError, SearchLimitError, SpecFormatError, TailBoundError
 from .levelindex import ExtReal, from_real, lse_accumulate
@@ -42,8 +42,14 @@ from .levelindex import ExtReal, from_real, lse_accumulate
 # Hard cap for the expanding searches; doubling 2000 times from 64 covers
 # every index reachable before term magnitudes overflow the double range.
 _MAX_DOUBLINGS = 2000
-DEFAULT_WINDOW_CAP = 1 << 20
 DEFAULT_TAIL_TOL = 1e-12
+_EPS = sys.float_info.epsilon
+# Rounding margin of a term log, in ulps of |log||a_n||| + |sigma*lambda_n|
+# (generators are taken to be accurate to a few ulps of their values).
+_ROUND_ULPS = 8.0
+_EXACT_TERMS = 4096  # windows summed term by term; wider ones go in blocks
+_BLOCK_SLACK = 1e-4  # relative gap between a blocked walk's bounds
+_TAIL_PAD = 8.0
 # Largest index that doubles still carry exactly; past it indices are floats.
 _EXACT_INDEX = 2 ** 53
 _RANGE_HINT = "series evaluation needs roughly a*sigma < 700 for the expexp family"
@@ -56,11 +62,14 @@ class SeriesSpec:
     """A vector-valued Dirichlet series reduced to its coefficient norms.
 
     lam / log_norm are scalar generators (1-based n).  The optional
-    *_array variants accept a float ndarray of indices and are used to
-    vectorize window sums; they must agree with the scalar generators.
-    The optional peak generator maps sigma to the continuous maximizer of
-    n -> log||a_n|| + sigma*lambda_n; max_term_log verifies the integer
-    it rounds to and falls back to its generic search without one.
+    *_array variants accept a float ndarray of indices and evaluate the
+    walk's block edges in one call; they must agree with the scalar
+    generators.  The optional peak generator maps sigma to the continuous
+    maximizer of n -> log||a_n|| + sigma*lambda_n; max_term_log verifies
+    the integer it rounds to and falls back to its generic search without
+    one.  The optional step generator maps an ndarray of n to
+    log(||a_(n+1)|| / ||a_n||) without differencing large values (expexp:
+    log c - log(n+1)); log_sum_upper takes tangent slopes from it.
     """
 
     name: str
@@ -71,6 +80,7 @@ class SeriesSpec:
     log_norm_array: Optional[Callable[[np.ndarray], np.ndarray]] = None
     n_limit: Optional[int] = None  # finite tables only
     peak: Optional[Callable[[float], float]] = None
+    step: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def describe(self) -> dict:
         return {"name": self.name, "params": dict(self.params)}
@@ -108,6 +118,9 @@ def expexp_spec(a: float, c: float, log_scale: float = 0.0) -> SeriesSpec:
     def log_norm_arr(ns: np.ndarray) -> np.ndarray:
         return ns * log_c - gammaln(ns + 1.0) + log_scale
 
+    def step(ns: np.ndarray) -> np.ndarray:
+        return log_c - np.log1p(ns)  # log(||a_(n+1)|| / ||a_n||) = log c - log(n+1)
+
     def peak(sigma: float) -> float:
         # Central index: d/dn [n log c - log n! + a*sigma*n] = 0 reads
         # digamma(n+1) = log c + a*sigma.
@@ -131,7 +144,7 @@ def expexp_spec(a: float, c: float, log_scale: float = 0.0) -> SeriesSpec:
     params = {"a": a, "c": c}
     if log_scale:
         params["log_scale"] = log_scale
-    return SeriesSpec("expexp", lam, log_norm, params, lam_arr, log_norm_arr, peak=peak)
+    return SeriesSpec("expexp", lam, log_norm, params, lam_arr, log_norm_arr, peak=peak, step=step)
 
 
 def table_spec(name: str, lam_values: Sequence[float], log_norm_values: Sequence[float]) -> SeriesSpec:
@@ -270,13 +283,6 @@ class _TermCache:
         return t
 
 
-def _next_index(n):
-    """Successor that stays exact for ints and monotone for large floats."""
-    if isinstance(n, int):
-        return n + 1
-    return math.nextafter(n, math.inf) if n + 1.0 == n else n + 1.0
-
-
 def _mid(lo, hi):
     m = lo + (hi - lo) / 2
     if isinstance(lo, int) and isinstance(hi, int):
@@ -381,124 +387,196 @@ def max_term_log(spec: SeriesSpec, sigma: float, n_max: int = 64) -> tuple[int, 
     return best, from_real(t(best))
 
 
-def _term_logs_window(spec: SeriesSpec, sigma: float, n_lo, n_hi) -> np.ndarray:
-    ns = np.arange(float(n_lo), float(n_hi) + 0.5)
-    if spec.lam_array is not None and spec.log_norm_array is not None:
-        ts = spec.log_norm_array(ns) + sigma * spec.lam_array(ns)
-    else:
-        ts = np.array([term_log(spec, int(n), sigma) for n in ns])
-    return ts
+def _edge_data(spec: SeriesSpec, sigma: float, ns: np.ndarray, slopes: bool):
+    """Term logs t(n) at the indices ns, their rounding margins, and slope bounds.
+
+    A margin is _ROUND_ULPS ulps of |log||a_n||| + |sigma*lambda_n|, the
+    two parts that nearly cancel near the central index.  With slopes and
+    a step generator, gp >= t(n+1) - t(n) >= gm, the difference being
+    step(n) + sigma*(lambda_(n+1) - lambda_n) with a margin of the same
+    kind; otherwise gp = +inf and gm = -inf.
+    """
+    with_step = slopes and spec.step is not None
+    lam_ns = np.concatenate((ns, ns + 1.0)) if with_step else ns
+    try:
+        ln = (spec.log_norm_array or np.vectorize(spec.log_norm, otypes=[float]))(ns)
+        s_lam = sigma * (spec.lam_array or np.vectorize(spec.lam, otypes=[float]))(lam_ns)
+    except OverflowError as exc:  # e.g. lgamma of an index past ~1e305
+        raise _term_range_error(spec, ns[-1], sigma) from exc
+    s_lam, s_next = s_lam[:ns.size], s_lam[ns.size:]
+    t = ln + s_lam
+    if not np.isfinite(t.sum()):
+        bad = int((~np.isfinite(t)).argmax())
+        if t[bad] == -math.inf:
+            raise DomainError(f"term n={ns[bad]} of series '{spec.name}' vanishes; only tables may end")
+        raise _term_range_error(spec, ns[bad], sigma)
+    err = _ROUND_ULPS * _EPS * (np.abs(ln) + np.abs(s_lam))
+    if not with_step:  # bounds() needs one per edge, tails() only the ends
+        no_slope = np.full(ns.size if slopes else 1, math.inf)
+        return t, err, no_slope, -no_slope
+    step = spec.step(ns)
+    d = step + (s_next - s_lam)
+    mu = _ROUND_ULPS * _EPS * (np.abs(step) + np.abs(s_next)) + err
+    return t, err, d + mu, d - mu
 
 
-def log_sum_upper(spec: SeriesSpec, sigma: float, tail_tol: float = DEFAULT_TAIL_TOL,
-                  window_cap: int = DEFAULT_WINDOW_CAP, n_max: int = 64, n_star=None) -> ExtReal:
-    """Upper surrogate: log of the full sum of term norms.
+def _log_geom(c, s, m):
+    """log sum_{j=0}^{m-1} exp(c + j*s) elementwise, for finite s; -inf where m = 0."""
+    r = -np.maximum(np.abs(s), 1e-300)
+    return c + np.fmax((m - 1.0) * s, 0.0) + np.log(np.expm1(m * r) / np.expm1(r))
 
-    The significant window around the maximum term is summed exactly
-    (log-sum-exp); both excluded tails are certified below tail_tol
-    relative mass - the right one through the decreasing term ratio,
-    which is checked and reported if it fails.  Windows wider than
-    window_cap switch to the certified bound peak + log(width), still an
-    upper bound for the sum and above the maximum term.
+
+class _Edges:
+    """Ascending block edges around the central index n* and the bounds they give.
+
+    Log-concavity bounds the terms strictly between consecutive edges
+    e < e' from above by the tangent lines at both ends.  A tangent's
+    slope is the tighter of the step generator's difference and the
+    neighbouring block's chord; values and slopes carry their rounding
+    margins, so the bounds hold for the true terms.  Geometric series with
+    the end slopes bound the terms outside the first and last edge.  Logs
+    are relative to t(n*).
+    """
+
+    def __init__(self, spec: SeriesSpec, sigma: float, ns: np.ndarray, n_star: float,
+                 slopes: bool):
+        t, self.err, self.gp, self.gm = _edge_data(spec, sigma, ns, slopes)
+        self.t_star = float(t[np.searchsorted(ns, n_star)])
+        self.ns, self.f = ns, t - self.t_star
+        self.hi = self.f + self.err
+
+    @np.errstate(divide="ignore", invalid="ignore", over="ignore")
+    def bounds(self):
+        """log upper bounds of the terms in each block (e, e']: the left tangent parts, then the right ones."""
+        f, err, w = self.f, self.err, self.ns[1:] - self.ns[:-1]
+        chord, rho = (f[1:] - f[:-1]) / w, (err[:-1] + err[1:]) / w
+        # s1 >= every difference t(n+1) - t(n) from a block's left edge on,
+        # s2 <= every one up to its right edge
+        s1 = np.minimum(np.concatenate(((math.inf,), chord[:-1] + rho[:-1])), self.gp[:-1])
+        s2 = np.maximum(np.concatenate((chord[1:] - rho[1:], (-math.inf,))), self.gm[1:])
+        # the left tangent takes the terms up to where the tangents cross,
+        # the right one the rest
+        drop, slant = self.hi[1:] - self.hi[:-1], s1 - s2
+        m1 = np.floor(np.fmin(np.fmax((drop - w * s2) / slant, 0.0), w - 1.0))
+        m2 = w - m1
+        if w.max() > _EXACT_INDEX:
+            # past the float's integer resolution count the crossing from the
+            # nearer edge and round the far count up, so no term is lost
+            right = np.fmin(np.fmax(np.ceil((w * s1 - drop) / slant), 1.0), w)
+            near_right = right < 0.5 * w
+            m1 = np.where(near_right, np.nextafter(w - right, math.inf), m1)
+            m2 = np.where(near_right, right, np.nextafter(m2, math.inf))
+        if s1[0] == math.inf:  # no step generator: the end blocks have one tangent
+            s1[0], m1[0], m2[0] = 0.0, 0.0, w[0]
+            s2[-1], m1[-1], m2[-1] = 0.0, w[-1] - 1.0, 1.0
+        return _log_geom(np.concatenate((self.hi[:-1] + s1, self.hi[1:])),
+                         np.concatenate((s1, -s2)), np.concatenate((m1, m2)))
+
+    def tails(self):
+        """log bounds of the terms before the first edge and past the last one."""
+        (n0, n1), (f0, f1), (e0, e1) = (v[:2].tolist() for v in (self.ns, self.f, self.err))
+        s = max((f1 - f0 - e0 - e1) / (n1 - n0), float(self.gm[0]))
+        left = -math.inf if n0 <= 1.0 else f0 + e0 - s - math.log(-math.expm1(-s)) if s > 0 else math.inf
+        (n0, n1), (f0, f1), (e0, e1) = (v[-2:].tolist() for v in (self.ns, self.f, self.err))
+        s = min((f1 - f0 + e0 + e1) / (n1 - n0), float(self.gp[-1]))
+        return left, f1 + e1 + s - math.log(-math.expm1(s)) if s < 0 else math.inf
+
+
+@functools.lru_cache(maxsize=64)
+def _offsets(per_side: int, reach_left: float, reach_right: float) -> np.ndarray:
+    """Edge offsets from the central index, in units of the local standard deviation.
+
+    For Gaussian terms of variance v a block of width w that carries a
+    share m of the sum has a bound gap of about m*w**2/(8v).  The fewest
+    edges for a total gap g have widths growing as exp(k**2/(6v)) with
+    the offset k: sqrt(6)*erfinv(i/N) with N = 1.2/sqrt(g) per side.  Past
+    the last of those the widths double up to the reach, so no block is
+    more than twice as wide as its neighbour (a chord's rounding margin
+    grows with that ratio).
+    """
+    k = math.sqrt(6.0) * erfinv(np.arange(per_side) / per_side)
+    sides = []
+    for k_max in (reach_left, reach_right):
+        core = k[:max(int(k.searchsorted(k_max)), 2)]
+        step = core[-1] - core[-2]
+        grow = math.ceil(math.log2((k_max - core[-1]) / (2.0 * step) + 1.0))
+        widths = 2.0 * (2.0 ** np.arange(1.0, grow + 1.0) - 1.0)  # 2, 4, 8, ... steps
+        sides.append(np.concatenate((core, core[-1] + step * widths)))
+    offsets = np.concatenate((-sides[0][:0:-1], sides[1]))
+    offsets.setflags(write=False)  # shared by every caller of the cache
+    return offsets
+
+
+def log_sum_upper(spec: SeriesSpec, sigma: float, tail_tol: float = DEFAULT_TAIL_TOL) -> ExtReal:
+    """Upper surrogate: log of the full sum of term norms, certified from above.
+
+    Finite tables are enumerated.  Otherwise one outward walk from the
+    central index n* bounds the sum (see _Edges).  The local Gaussian
+    model sets its reach, where each geometric tail falls below tail_tol/2
+    of the sum, and its edges: a window of at most _EXACT_TERMS terms is
+    walked term by term, so the value is tail_tol-tight there; a wider one
+    is cut into blocks laid out for a gap of max(tail_tol, _BLOCK_SLACK)
+    between the bounds (_offsets), or of the terms' rounding noise if that
+    is larger.  The walk reaches further until both tails are small
+    enough.  The value never falls below the true sum: term values, slopes
+    and the final sum all carry their rounding margins.
     """
     if tail_tol <= 0:
         raise ValueError("tail_tol must be positive")
-    t = _TermCache(spec, sigma)
-
     if spec.n_limit is not None:
-        ts = [t(n) for n in range(1, spec.n_limit + 1)]
+        ts = [term_log(spec, n, sigma) for n in range(1, spec.n_limit + 1)]
         return from_real(lse_accumulate(ts))
+    n_star = float(max_term_log(spec, sigma)[0])
 
-    if n_star is None:  # caller may pass the argmax it already computed
-        n_star, _peak_ext = max_term_log(spec, sigma, n_max=n_max)
-    peak = t(n_star)
-    log_half_tol = math.log(tail_tol / 2.0)
+    # The model's deviation on each side comes from the drop t(n*) - t(n* -+ h)
+    # at h ~ sqrt(n*) (the expexp variance is n*), moved out where the
+    # rounding noise of t would hide the drop.
+    ln, s_lam = spec.log_norm(n_star), sigma * spec.lam(n_star)
+    noise = _ROUND_ULPS * _EPS * (abs(ln) + abs(s_lam) + 1.0)
+    h = max(4.0, float(math.floor(math.sqrt(n_star) * math.sqrt(1.0 + 64.0 * noise))))
+    dev = [h / math.sqrt(2.0 * max(ln + s_lam - term_log(spec, n, sigma), 4.0 * noise))
+           for n in (max(n_star - h, 1.0), n_star + h)]
+    scale = min(dev)
 
-    # Left edge: t is increasing on [1, n_star]; excluded terms each sit
-    # below the threshold and there are at most n_star of them.
-    thr_left = peak + log_half_tol - math.log(max(float(n_star), 2.0))
-    if n_star == 1 or t(1) > thr_left:
-        n_left = 1
-    else:
-        lo, hi = 1, n_star  # t(lo) <= thr < t(hi)
-        while (hi - lo) > 1:
-            m = _mid(lo, hi)
-            if m == lo or m == hi:
-                break
-            if t(m) > thr_left:
-                hi = m
-            else:
-                lo = m
-        n_left = hi
+    def reach(depth):  # where the model's terms are depth below the peak, plus _TAIL_PAD terms
+        left, right = (math.ceil(d * math.sqrt(2.0 * depth)) + _TAIL_PAD for d in dev)
+        return [min(left, n_star - 1.0), right]
 
-    # Right edge: t is decreasing on [n_star, inf); the depth term
-    # 0.5*log(n_star) pre-pays the flatness of the ratio near the peak so
-    # the geometric certificate below succeeds without re-expansion.
-    thr_right = peak + log_half_tol - 0.5 * math.log(max(float(n_star), 16.0)) - 2.0
-    inside, step = n_star, 1
+    # A window summed term by term has all of its mass to weigh its tails
+    # against; blocks have only their edge terms, so they reach further.
+    depth = math.log(2.0 / tail_tol) + 16.0 * noise
+    span = reach(depth + 2.0)
+    if span[0] + span[1] > _EXACT_TERMS:
+        span = reach(depth + 4.0 + math.log(scale))
+    per_side = math.ceil(1.2 / math.sqrt(min(max(tail_tol, _BLOCK_SLACK, noise), 0.1)))
     for _ in range(_MAX_DOUBLINGS):
-        cand = n_star + step if n_star + step > n_star else _next_index(float(n_star))
-        if t(cand) <= thr_right:
+        exact = span[0] + span[1] <= _EXACT_TERMS
+        if exact:
+            ns = np.arange(n_star - span[0], n_star + span[1] + 1.0)
+        else:  # reaches rounded up to quarters of the deviation keep the offsets cached
+            quarters = (math.ceil(4.0 * r / scale) / 4.0 for r in span)
+            ns = np.maximum(n_star + np.floor(scale * _offsets(per_side, *quarters)),
+                            n_star - span[0])
+            ns = ns[np.concatenate(((True,), ns[1:] > ns[:-1]))]  # some offsets coincide
+        edges = _Edges(spec, sigma, ns, n_star, not exact)
+        tails = edges.tails()
+        # the edge terms, each at least exp(hi - 2*err), bound the sum from below
+        top = float(edges.hi.max())
+        edge_sum = float(np.exp(edges.hi - top).sum())
+        cut = top + math.log(0.5 * tail_tol * edge_sum) - 2.0 * float(edges.err.max())
+        if tails[0] <= cut and tails[1] <= cut:
             break
-        inside, step = cand, step * 2
+        span = [min(2.0 * span[0], n_star - 1.0) if tails[0] > cut else span[0],
+                2.0 * span[1] if tails[1] > cut else span[1]]
     else:
-        raise SearchLimitError(
-            f"right tail of '{spec.name}' at sigma={sigma} never fell below its threshold"
-        )
-    outside = cand
-    while (outside - inside) > 1:
-        m = _mid(inside, outside)
-        if m == inside or m == outside:
-            break
-        if t(m) > thr_right:
-            inside = m
-        else:
-            outside = m
-    n_right = outside
-
-    # Geometric certificate in blocks: with Delta = t(n_right + s) - t(n_right)
-    # and decreasing chord slopes (log-concavity), every block of s terms
-    # past n_right is bounded by s * exp(t(n_right) + j*Delta), so
-    # tail <= s * exp(t(n_right)) / (1 - exp(Delta)).  The stride s grows
-    # until Delta is resolvably negative: at huge magnitudes the one-step
-    # difference is below double rounding.
-    for _ in range(_MAX_DOUBLINGS):
-        base = t(n_right)
-        resolve = 2.0 + abs(base) * 1e-13
-        stride = 1
-        span = delta = 0.0
-        for _ in range(_MAX_DOUBLINGS):
-            probe = n_right + stride
-            if not probe > n_right:  # stride below float resolution
-                probe = _next_index(float(n_right))
-            span = float(probe) - float(n_right)
-            delta = t(probe) - base
-            if delta < -resolve:
-                break
-            stride *= 2
-        if delta >= 0.0:
-            raise TailBoundError(
-                f"term ratio not eventually below 1 for '{spec.name}' at sigma={sigma}, n={n_right}",
-                int(n_right),
-            )
-        tail_log = math.log(max(span, 1.0)) + base - (math.log1p(-math.exp(delta)) if delta > -700 else 0.0)
-        if tail_log <= peak + log_half_tol:
-            break
-        n_right = n_right * 2  # widen geometrically; extra width only loosens log(width)
+        raise TailBoundError(f"term ratio not eventually below 1 for '{spec.name}' at "
+                             f"sigma={sigma}, n={ns[-1]}", int(min(ns[-1], 2.0 ** 62)))
+    if exact:  # every block is one term, and the sum is the edge sum
+        total = edge_sum + sum(math.exp(x - top) for x in tails)
     else:
-        raise TailBoundError(
-            f"right-tail certificate failed for '{spec.name}' at sigma={sigma}, n={n_right}",
-            int(n_right),
-        )
-
-    width = float(n_right) - float(n_left) + 1.0
-    if width <= window_cap:
-        ts = _term_logs_window(spec, sigma, n_left, n_right)
-        finite = ts[np.isfinite(ts)]
-        if finite.size == 0:
-            return from_real(peak)
-        m = float(finite.max())
-        val = m + math.log(float(np.exp(finite - m).sum()))
-        return from_real(max(val, peak))
-    # Certified coarse bound: window terms each <= peak, tails < tail_tol mass.
-    return from_real(peak + math.log(width + 1.0))
+        parts = edges.bounds()
+        top = float(parts.max())
+        total = float(np.exp(parts - top).sum()) + sum(math.exp(x - top) for x in (edges.hi[0],) + tails)
+    log_u = top + math.log(total)
+    value = edges.t_star + log_u
+    return from_real(value + 4.0 * _EPS * (abs(edges.t_star) + abs(log_u) + 1.0))

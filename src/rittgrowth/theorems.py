@@ -166,11 +166,9 @@ class IndicatorWorkspace:
     estimates are deterministic, so caching cannot change any result.
     """
 
-    def __init__(self, config: EstimatorConfig = DEFAULT_CONFIG, fast: bool = True):
+    def __init__(self, config: EstimatorConfig = DEFAULT_CONFIG):
         self.config = config
-        self.fast = fast
         self._entries: dict = {}
-        self._bundles: dict = {}
         self._sets: dict = {}
 
     def entry(self, ref) -> CorpusEntry:
@@ -179,17 +177,12 @@ class IndicatorWorkspace:
             self._entries[key] = resolve_source(ref)
         return self._entries[key]
 
-    def _bundle(self, entry: CorpusEntry):
-        if entry.id not in self._bundles:
-            self._bundles[entry.id] = entry.bundle(fast=self.fast)
-        return self._bundles[entry.id]
-
     def rel_set(self, x_ref, y_ref, i: int, j: int, grid: GridSpec) -> RelativeIndicators:
         x, y = self.entry(x_ref), self.entry(y_ref)
         key = (x.id, y.id, i, j, grid)
         if key not in self._sets:
             self._sets[key] = relative_indicators(
-                self._bundle(x), self._bundle(y), i, j, grid, self.config
+                x.bundle(), y.bundle(), i, j, grid, self.config
             )
         return self._sets[key]
 

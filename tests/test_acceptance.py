@@ -67,7 +67,7 @@ def test_criterion_2_type_recovery(family_runs):
 
 def test_criterion_3_relative_indicators():
     grid = GridSpec(5.0, 30.0, 48)
-    bundles = {fc: parse_shorthand(f"expexp:a={fc[0]},c={fc[1]}").bundle(fast=True)
+    bundles = {fc: parse_shorthand(f"expexp:a={fc[0]},c={fc[1]}").bundle()
                for fc in EXPEXP_FAMILIES}
     worst_order = 0.0
     worst_type = 0.0
@@ -174,7 +174,7 @@ def test_criterion_8_levelindex_randomized():
 def test_criterion_9_inversion_identity():
     worst = 0.0
     for entry in default_entries():
-        bundle = entry.bundle(fast=True)
+        bundle = entry.bundle()
         sources = [bundle.upper] + ([bundle.lower] if bundle.lower is not None else [])
         for src in sources:
             lo = max(1.0, math.ceil(src.sigma_floor))

@@ -115,7 +115,7 @@ class TestEstimatorAgreement:
     def test_relative_pair_against_closed_form(self):
         f = parse_shorthand("expexp:a=3,c=2")
         g = parse_shorthand("expexp:a=2,c=1")
-        rel = relative_indicators(f.bundle(fast=True), g.bundle(fast=True), 0, 0,
+        rel = relative_indicators(f.bundle(), g.bundle(), 0, 0,
                                   GridSpec(5.0, 30.0, 48))
         assert rel.rho.value == pytest.approx(analytic_relative(f, g, "relative_order", 0, 0),
                                               abs=1e-2)

@@ -83,7 +83,7 @@ class TestInvert:
                                            "tower:k=2,rho=1,q=0", "tower:k=3,rho=2,q=0",
                                            "osc:rho=2,lam=1,p=2,q=0"])
     def test_inversion_identity(self, shorthand):
-        bundle = parse_shorthand(shorthand).bundle(fast=True)
+        bundle = parse_shorthand(shorthand).bundle()
         for sigma in (1.0, 3.0, 11.0, 30.0):
             got = invert_modulus(bundle.upper, bundle.upper.log_m(sigma))
             assert abs(got - sigma) <= 1e-9
@@ -129,7 +129,7 @@ class TestSolver:
 
     @pytest.mark.parametrize("shorthand,surrogate", SOLVER_SOURCES)
     def test_never_beyond_bisection_plus_one(self, shorthand, surrogate):
-        source = dict(parse_shorthand(shorthand).bundle(fast=True).surrogates())[surrogate]
+        source = dict(parse_shorthand(shorthand).bundle().surrogates())[surrogate]
         for sigma in SOLVER_SIGMAS:
             y = source.log_m(sigma)
             counted = CountingSource(source)
@@ -138,7 +138,7 @@ class TestSolver:
 
     @pytest.mark.parametrize("surrogate", ["upper", "lower"])
     def test_smooth_expexp_is_cheap(self, surrogate):
-        source = dict(parse_shorthand("expexp:a=2,c=3").bundle(fast=True).surrogates())[surrogate]
+        source = dict(parse_shorthand("expexp:a=2,c=3").bundle().surrogates())[surrogate]
         for sigma in SOLVER_SIGMAS:
             counted = CountingSource(source)
             invert_modulus(counted, source.log_m(sigma))
@@ -146,8 +146,8 @@ class TestSolver:
 
     @pytest.mark.parametrize("shorthand,surrogate", SOLVER_SOURCES)
     def test_result_straddles_the_target(self, shorthand, surrogate):
-        source = dict(parse_shorthand(shorthand).bundle(fast=True).surrogates())[surrogate]
-        target = parse_shorthand("expexp:a=1,c=5").bundle(fast=True).upper
+        source = dict(parse_shorthand(shorthand).bundle().surrogates())[surrogate]
+        target = parse_shorthand("expexp:a=1,c=5").bundle().upper
         for sigma in SOLVER_SIGMAS:
             y = target.log_m(sigma)
             s = invert_modulus(source, y)
@@ -162,11 +162,10 @@ class TestHistoryIndependence:
         random.Random(0).shuffle(shuffled)
         for shorthand in ("expexp:a=1,c=1", "expexp:a=2,c=1", "expexp:a=1,c=3"):
             entry = parse_shorthand(shorthand)
-            for fast in (False, True):
-                for _, source in entry.bundle(fast=fast).surrogates():
-                    in_order = {s: source.log_m(s) for s in sigmas}
-                    for s in shuffled:
-                        assert source.log_m(s) == in_order[s]
+            for _, source in entry.bundle().surrogates():
+                in_order = {s: source.log_m(s) for s in sigmas}
+                for s in shuffled:
+                    assert source.log_m(s) == in_order[s]
 
 
 class TestCompose:
@@ -193,8 +192,8 @@ class TestCompose:
             assert compose_relative(g, f, sigma) == invert_modulus(g, f.log_m(sigma))
 
     def test_monotone_in_sigma(self):
-        f = parse_shorthand("expexp:a=2,c=1").bundle(fast=True).upper
-        g = parse_shorthand("expexp:a=1,c=3").bundle(fast=True).upper
+        f = parse_shorthand("expexp:a=2,c=1").bundle().upper
+        g = parse_shorthand("expexp:a=1,c=3").bundle().upper
         samples = compose_samples(g, f, GridSpec(5.0, 20.0, 24).sigmas())
         psis = [p for _, p in samples]
         assert all(b > a for a, b in zip(psis, psis[1:]))
@@ -209,8 +208,8 @@ WARM_PAIRS = [("expexp:a=2,c=1", "expexp:a=1,c=3", GridSpec(5.0, 30.0, 64)),
 
 
 def warm_bundles(f_id, g_id):
-    return (parse_shorthand(f_id).bundle(fast=True).upper,
-            parse_shorthand(g_id).bundle(fast=True).upper)
+    return (parse_shorthand(f_id).bundle().upper,
+            parse_shorthand(g_id).bundle().upper)
 
 
 class TestWarmStart:
@@ -225,8 +224,8 @@ class TestWarmStart:
 
     @pytest.mark.parametrize("f_id,g_id,grid", WARM_PAIRS)
     def test_dual_matches_cold(self, f_id, g_id, grid):
-        f_bundle = parse_shorthand(f_id).bundle(fast=True)
-        g_bundle = parse_shorthand(g_id).bundle(fast=True)
+        f_bundle = parse_shorthand(f_id).bundle()
+        g_bundle = parse_shorthand(g_id).bundle()
         (_name, pts), = relative_samples(f_bundle, g_bundle, grid, form="dual").sets
         for s, (u, v) in zip(grid.sigmas(), pts):
             y = f_bundle.upper.log_m(s)
@@ -284,7 +283,7 @@ from hypothesis import given, settings, strategies as st
        st.floats(min_value=0.5, max_value=25.0))
 @settings(max_examples=40, deadline=None)
 def test_inversion_identity_property(a, c, sigma):
-    src = SeriesUpperSource(expexp_spec(a, c), tail_tol=1e-10, window_cap=1 << 10)
+    src = SeriesUpperSource(expexp_spec(a, c))
     got = invert_modulus(src, src.log_m(sigma))
     assert abs(got - sigma) <= 1e-9 * max(1.0, sigma)
 

@@ -172,15 +172,15 @@ class TestCoefficientScaling:
 
 class TestRelative:
     def test_order_ratio_of_rates(self):
-        rel = relative_indicators(parse_shorthand("expexp:a=2,c=1").bundle(fast=True),
-                                  parse_shorthand("expexp:a=1,c=1").bundle(fast=True),
+        rel = relative_indicators(parse_shorthand("expexp:a=2,c=1").bundle(),
+                                  parse_shorthand("expexp:a=1,c=1").bundle(),
                                   0, 0, GridSpec(5.0, 30.0, 48))
         assert rel.rho.value == pytest.approx(2.0, abs=1e-2)
         assert rel.lam.value == pytest.approx(2.0, abs=1e-2)
 
     def test_relative_type(self):
-        rel = relative_indicators(parse_shorthand("expexp:a=1,c=5").bundle(fast=True),
-                                  parse_shorthand("expexp:a=1,c=2").bundle(fast=True),
+        rel = relative_indicators(parse_shorthand("expexp:a=1,c=5").bundle(),
+                                  parse_shorthand("expexp:a=1,c=2").bundle(),
                                   0, 0, GridSpec(5.0, 30.0, 48))
         assert rel.rho.value == pytest.approx(1.0, abs=1e-2)
         assert rel.delta.value == pytest.approx(2.5, abs=1e-2)
@@ -188,7 +188,7 @@ class TestRelative:
         assert rel.tau.value == pytest.approx(2.5, abs=1e-2)
 
     def test_self_relative_is_one(self):
-        b = parse_shorthand("expexp:a=1,c=3").bundle(fast=True)
+        b = parse_shorthand("expexp:a=1,c=3").bundle()
         rel = relative_indicators(b, b, 0, 0, GridSpec(5.0, 30.0, 48))
         assert rel.rho.value == pytest.approx(1.0, abs=1e-3)
         assert rel.lam.value == pytest.approx(1.0, abs=1e-3)
@@ -208,8 +208,8 @@ class TestRelative:
         ("tower:k=2,rho=2,q=0", "tower:k=2,rho=1,q=0"),
     ])
     def test_dual_form_agreement(self, f_sh, g_sh):
-        f = parse_shorthand(f_sh).bundle(fast=True)
-        g = parse_shorthand(g_sh).bundle(fast=True)
+        f = parse_shorthand(f_sh).bundle()
+        g = parse_shorthand(g_sh).bundle()
         grid = GridSpec(5.0, 30.0, 48)
         direct = relative_indicators(f, g, 0, 0, grid, form="direct")
         dual = relative_indicators(f, g, 0, 0, grid, form="dual")
@@ -248,8 +248,8 @@ class TestDetection:
         assert scanned == [(1, 1), (1, 0), (2, 1), (2, 0)]
 
     def test_relative_pair(self):
-        det = detect_relative_index_pair(parse_shorthand("expexp:a=2,c=1").bundle(fast=True),
-                                         parse_shorthand("expexp:a=1,c=1").bundle(fast=True),
+        det = detect_relative_index_pair(parse_shorthand("expexp:a=2,c=1").bundle(),
+                                         parse_shorthand("expexp:a=1,c=1").bundle(),
                                          2, 3, 3)
         assert (det.pair.p, det.pair.q) == (0, 0)
         assert det.order.value == pytest.approx(2.0, abs=1e-2)

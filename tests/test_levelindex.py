@@ -177,6 +177,73 @@ class TestRatio:
         assert ratio_to_float(num, den) == pytest.approx(2.5, rel=1e-9)
 
 
+def banded(w, k):
+    """The (level, mantissa) of exp^k(w) for an mpmath number w, at the working precision."""
+    level = k
+    while w >= mpmath.e:
+        w, level = mpmath.log(w), level + 1
+    while level > 0 and w < 1:
+        w, level = mpmath.exp(w), level - 1
+    return level, w
+
+
+def exp_mp(w, k):
+    for _ in range(k):
+        w = mpmath.exp(w)
+    return w
+
+
+class TestTowerOracle:
+    """Levels 3-5 against 50-digit mpmath, allowing 1e-14 of mantissa error per level."""
+
+    MANTISSAS = (1.01, 1.3, 2.0, 2.7)  # off the band edge 1, where rounding picks the level
+
+    @staticmethod
+    def assert_banded(x, expected):
+        level, mantissa = expected
+        assert x.level == level
+        assert abs(x.mantissa - float(mantissa)) <= 1e-14 * max(level, 1)
+
+    @pytest.mark.parametrize("k", [3, 4, 5])
+    @pytest.mark.parametrize("v", [0.3, 0.9, 1.5, 2.6, 10.0, 700.0])
+    def test_exp_iter(self, v, k):
+        with mpmath.workdps(50):
+            self.assert_banded(exp_iter(from_real(v), k), banded(mpmath.mpf(v), k))
+
+    @pytest.mark.parametrize("level", [3, 4, 5])
+    def test_log_iter_down_to_machine_range(self, level):
+        with mpmath.workdps(50):
+            for m in self.MANTISSAS:
+                for k in (level - 2, level - 1, level, level + 1):
+                    want = mpmath.log(m) if k == level + 1 else exp_mp(mpmath.mpf(m), level - k)
+                    self.assert_banded(log_iter(ExtReal(level, m), k), banded(want, 0))
+
+    @pytest.mark.parametrize("level", [3, 4, 5])
+    @pytest.mark.parametrize("alpha", [1e-3, 0.5, 2.0, 1e3])
+    def test_pow_scale(self, level, alpha):
+        # log log (x**alpha) = log alpha + log log x
+        with mpmath.workdps(50):
+            for m in self.MANTISSAS:
+                log_log = mpmath.log(alpha) + exp_mp(mpmath.mpf(m), level - 2)
+                self.assert_banded(pow_scale(ExtReal(level, m), alpha), banded(log_log, 2))
+
+    def test_ratio_of_level_3_towers(self):
+        # the quotient is exp(log num - log den), a difference of two
+        # numbers near 1e6: the result carries their ~1e-10 absolute rounding
+        with mpmath.workdps(50):
+            for m in (1.05, 1.5, 2.5):
+                num, den = ExtReal(3, m + 1e-12), ExtReal(3, m)
+                want = mpmath.exp(exp_mp(mpmath.mpf(m + 1e-12), 2) - exp_mp(mpmath.mpf(m), 2))
+                assert ratio_to_float(num, den) == pytest.approx(float(want), rel=1e-8)
+
+    @pytest.mark.parametrize("level", [4, 5])
+    def test_ratio_past_the_logs_range_saturates(self, level):
+        low, high = ExtReal(level, 1.5), ExtReal(level, 1.5 + 1e-9)
+        assert ratio_to_float(high, low) == math.inf
+        assert ratio_to_float(low, high) == 0.0
+        assert ratio_to_float(low, low) == 1.0
+
+
 @given(st.floats(min_value=-1e6, max_value=1e6, allow_nan=False))
 @settings(max_examples=300)
 def test_round_trip(v):

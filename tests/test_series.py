@@ -2,12 +2,14 @@
 
 import dataclasses
 import math
+import sys
 
 import mpmath
 import numpy as np
 import pytest
 
 from rittgrowth.errors import DomainError, NumericError, SpecFormatError
+from rittgrowth.growth import GridSpec
 from rittgrowth.levelindex import compare, to_real
 from rittgrowth.series import (SeriesSpec, expexp_spec, log_sum_upper, max_term_log,
                                spec_from_json, table_spec, term_log, validate)
@@ -100,11 +102,11 @@ class TestPeakGenerator:
     @staticmethod
     def oracle(a, c, sigma):
         # the term ratio is c e^(a sigma) / n, so the argmax is its floor (at least 1)
-        mpmath.mp.dps = 50
-        x = mpmath.mpf(c) * mpmath.exp(mpmath.mpf(a) * mpmath.mpf(sigma))
-        n = max(1, int(mpmath.floor(x)))
-        value = n * mpmath.log(c) - mpmath.loggamma(n + 1) + mpmath.mpf(sigma) * a * n
-        return n, float(value)
+        with mpmath.workdps(50):
+            x = mpmath.mpf(c) * mpmath.exp(mpmath.mpf(a) * mpmath.mpf(sigma))
+            n = max(1, int(mpmath.floor(x)))
+            value = n * mpmath.log(c) - mpmath.loggamma(n + 1) + mpmath.mpf(sigma) * a * n
+            return n, float(value)
 
     @pytest.mark.parametrize("a,c", [(0.5, 0.5), (0.5, 2.9), (1.3, 1.1), (1.3, 0.7),
                                      (3.0, 2.3), (3.0, 0.5)])
@@ -218,6 +220,79 @@ class TestLogSum:
                 cur = to_real(log_sum_upper(spec, sigma, tail_tol=tol))
                 assert cur >= prev - 2 * tol
                 prev = cur
+
+
+class TestSumOracle:
+    """log_sum_upper and max_term_log against log(exp(c e^(a sigma)) - 1) in 50-digit mpmath."""
+
+    GRID = [(a, c, a_sigma / a) for a in (0.5, 1.0, 1.7, 3.0) for c in (0.5, 1.0, 2.3, 5.0)
+            for a_sigma in (0, 1, 3, 6, 9, 12, 15, 18, 20, 23, 26, 30, 40, 60, 100, 300, 690)]
+    GRID += [(1.0, 1.0, 12.0), (1.0, 1.0, 20.0)]
+
+    @staticmethod
+    def closed(a, c, sigma):
+        with mpmath.workdps(50):
+            return mpmath.log(mpmath.expm1(mpmath.mpf(c) * mpmath.exp(mpmath.mpf(a) * mpmath.mpf(sigma))))
+
+    @staticmethod
+    def level_gap(value, closed):
+        """closed minus value, both taken down to value's level (as perfbench/checks.py does)."""
+        with mpmath.workdps(50):
+            x = closed
+            for _ in range(value.level):
+                x = mpmath.log(x)
+            return x - mpmath.mpf(value.mantissa)
+
+    @pytest.mark.parametrize("with_step", [True, False])
+    @pytest.mark.parametrize("a,c,sigma", GRID)
+    def test_sandwich_and_slack(self, a, c, sigma, with_step):
+        # without the step generator the tangents take chord slopes only
+        spec = expexp_spec(a, c) if with_step else dataclasses.replace(expexp_spec(a, c), step=None)
+        lower, upper = max_term_log(spec, sigma)[1], log_sum_upper(spec, sigma)
+        closed = self.closed(a, c, sigma)
+        assert self.level_gap(lower, closed) >= -1e-14 * max(lower.level, 1)
+        assert self.level_gap(upper, closed) <= 1e-14 * max(upper.level, 1)
+        # Slack: 1e-4 from the blocks where the window is wide, plus rounding.
+        # Each term log is log||a_n|| + sigma*lambda_n, two parts of about
+        # a*sigma*log M each, and carries a margin of 8 ulps of their size;
+        # a block's bound may sit a few such margins above its terms (its
+        # own edge plus a tangent slope taken from a neighbouring chord), so
+        # 64 ulps of (a*sigma + 1)*log M cover the rounding.
+        with mpmath.workdps(50):
+            slack = mpmath.mpf(to_real(upper)) - closed
+            margin = 64 * sys.float_info.epsilon * (a * sigma + 1) * (abs(closed) + 1)
+            assert slack <= 1e-4 + margin
+
+    def test_walk_is_tail_tol_tight_on_narrow_windows(self):
+        for sigma in (0.0, 2.0, 5.0, 8.0):
+            got = to_real(log_sum_upper(expexp_spec(1, 1), sigma))
+            assert float(mpmath.mpf(got) - self.closed(1, 1, sigma)) <= 1e-12 * max(1.0, got)
+
+
+def counted_spec(spec):
+    """spec with every generator wrapped to count scalar calls plus array elements."""
+    box = [0]
+
+    def wrap(fn):
+        def counted(x):
+            box[0] += np.size(x)
+            return fn(x)
+        return counted if fn is not None else None
+
+    generators = {f.name: wrap(getattr(spec, f.name)) for f in dataclasses.fields(spec)
+                  if callable(getattr(spec, f.name))}
+    return dataclasses.replace(spec, **generators), box
+
+
+@pytest.mark.parametrize("a", [1.0, 2.0, 3.0])
+def test_generator_evaluations_per_sum(a):
+    # a few hundred evaluations per call where the window is wide; the
+    # widest windows summed term by term stay below 4096 terms
+    spec, box = counted_spec(expexp_spec(a, 1.0))
+    sigmas = GridSpec(5.0, 30.0, 200).sigmas()
+    for sigma in sigmas:
+        log_sum_upper(spec, sigma)
+    assert box[0] / len(sigmas) <= 3000
 
 
 from hypothesis import given, settings, strategies as st
