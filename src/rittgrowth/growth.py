@@ -111,8 +111,7 @@ class SeriesUpperSource(GrowthSource):
         return series_mod.log_sum_upper(self.spec, sigma)
 
     def describe(self) -> dict:
-        return {"kind": "series", "surrogate": "upper", "spec": self.spec.describe(),
-                "tail_tol": series_mod.DEFAULT_TAIL_TOL}
+        return {"kind": "series", "surrogate": "upper", "spec": self.spec.describe()}
 
 
 class SyntheticSource(GrowthSource):

@@ -48,7 +48,7 @@ _EPS = sys.float_info.epsilon
 # (generators are taken to be accurate to a few ulps of their values).
 _ROUND_ULPS = 8.0
 _EXACT_TERMS = 4096  # windows summed term by term; wider ones go in blocks
-_BLOCK_SLACK = 1e-4  # relative gap between a blocked walk's bounds
+_BLOCK_SLACK = 5e-5  # blocked walks' gap: 1e-9 of log M where they start (expexp, x ~ 7e4)
 _TAIL_PAD = 8.0
 # Largest index that doubles still carry exactly; past it indices are floats.
 _EXACT_INDEX = 2 ** 53
@@ -67,9 +67,7 @@ class SeriesSpec:
     generators.  The optional peak generator maps sigma to the continuous
     maximizer of n -> log||a_n|| + sigma*lambda_n; max_term_log verifies
     the integer it rounds to and falls back to its generic search without
-    one.  The optional step generator maps an ndarray of n to
-    log(||a_(n+1)|| / ||a_n||) without differencing large values (expexp:
-    log c - log(n+1)); log_sum_upper takes tangent slopes from it.
+    one.
     """
 
     name: str
@@ -80,7 +78,6 @@ class SeriesSpec:
     log_norm_array: Optional[Callable[[np.ndarray], np.ndarray]] = None
     n_limit: Optional[int] = None  # finite tables only
     peak: Optional[Callable[[float], float]] = None
-    step: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def describe(self) -> dict:
         return {"name": self.name, "params": dict(self.params)}
@@ -118,9 +115,6 @@ def expexp_spec(a: float, c: float, log_scale: float = 0.0) -> SeriesSpec:
     def log_norm_arr(ns: np.ndarray) -> np.ndarray:
         return ns * log_c - gammaln(ns + 1.0) + log_scale
 
-    def step(ns: np.ndarray) -> np.ndarray:
-        return log_c - np.log1p(ns)  # log(||a_(n+1)|| / ||a_n||) = log c - log(n+1)
-
     def peak(sigma: float) -> float:
         # Central index: d/dn [n log c - log n! + a*sigma*n] = 0 reads
         # digamma(n+1) = log c + a*sigma.
@@ -144,7 +138,7 @@ def expexp_spec(a: float, c: float, log_scale: float = 0.0) -> SeriesSpec:
     params = {"a": a, "c": c}
     if log_scale:
         params["log_scale"] = log_scale
-    return SeriesSpec("expexp", lam, log_norm, params, lam_arr, log_norm_arr, peak=peak, step=step)
+    return SeriesSpec("expexp", lam, log_norm, params, lam_arr, log_norm_arr, peak=peak)
 
 
 def table_spec(name: str, lam_values: Sequence[float], log_norm_values: Sequence[float]) -> SeriesSpec:
@@ -265,24 +259,6 @@ def _term_range_error(spec: SeriesSpec, n, sigma: float) -> NumericError:
     )
 
 
-class _TermCache:
-    """Per-evaluation memo so the bracket and ternary phases share evaluations."""
-
-    __slots__ = ("spec", "sigma", "memo")
-
-    def __init__(self, spec: SeriesSpec, sigma: float):
-        self.spec = spec
-        self.sigma = sigma
-        self.memo: dict = {}
-
-    def __call__(self, n) -> float:
-        t = self.memo.get(n)
-        if t is None:
-            t = term_log(self.spec, n, self.sigma)
-            self.memo[n] = t
-        return t
-
-
 def _mid(lo, hi):
     m = lo + (hi - lo) / 2
     if isinstance(lo, int) and isinstance(hi, int):
@@ -298,7 +274,7 @@ def _geom_probe(lo, hi, frac: float):
     return m
 
 
-def _verified_peak(spec: SeriesSpec, t: _TermCache, sigma: float):
+def _verified_peak(spec: SeriesSpec, t: Callable[[float], float], sigma: float):
     """The spec's central index rounded to an index, if it is the maximum.
 
     Log-concavity makes a local maximum global, so the candidate is
@@ -325,18 +301,18 @@ def _verified_peak(spec: SeriesSpec, t: _TermCache, sigma: float):
     return None
 
 
-def max_term_log(spec: SeriesSpec, sigma: float, n_max: int = 64) -> tuple[int, ExtReal]:
+def max_term_log(spec: SeriesSpec, sigma: float) -> tuple[int, ExtReal]:
     """Index and log-value of the maximum term at abscissa sigma.
 
     Finite tables are enumerated.  Otherwise the spec's peak generator, if
     any, proposes the index and its neighbours confirm it.  The generic
     search, used without a peak generator or when the check fails,
-    searches 1..n_max and doubles the bound while the sequence is still
+    searches 1..64 and doubles the bound while the sequence is still
     rising at the edge, then ternary-searches the (log-concave) bracket.
     Beyond 2**53 the index is tracked as a float; the flat peak makes the
     sub-integer placement irrelevant there.
     """
-    t = _TermCache(spec, sigma)
+    t = functools.lru_cache(maxsize=None)(lambda n: term_log(spec, n, sigma))  # phases share terms
     if spec.n_limit is not None:
         best = max(range(1, spec.n_limit + 1), key=t)
         return best, from_real(t(best))
@@ -345,7 +321,7 @@ def max_term_log(spec: SeriesSpec, sigma: float, n_max: int = 64) -> tuple[int, 
         if best is not None:
             return best, from_real(t(best))
 
-    hi = max(2, int(n_max))
+    hi = 64
     for _ in range(_MAX_DOUBLINGS):
         # factor-2 probe: one-step differences fall below double rounding
         # at tower-sized magnitudes, factor-2 differences never do
@@ -387,39 +363,6 @@ def max_term_log(spec: SeriesSpec, sigma: float, n_max: int = 64) -> tuple[int, 
     return best, from_real(t(best))
 
 
-def _edge_data(spec: SeriesSpec, sigma: float, ns: np.ndarray, slopes: bool):
-    """Term logs t(n) at the indices ns, their rounding margins, and slope bounds.
-
-    A margin is _ROUND_ULPS ulps of |log||a_n||| + |sigma*lambda_n|, the
-    two parts that nearly cancel near the central index.  With slopes and
-    a step generator, gp >= t(n+1) - t(n) >= gm, the difference being
-    step(n) + sigma*(lambda_(n+1) - lambda_n) with a margin of the same
-    kind; otherwise gp = +inf and gm = -inf.
-    """
-    with_step = slopes and spec.step is not None
-    lam_ns = np.concatenate((ns, ns + 1.0)) if with_step else ns
-    try:
-        ln = (spec.log_norm_array or np.vectorize(spec.log_norm, otypes=[float]))(ns)
-        s_lam = sigma * (spec.lam_array or np.vectorize(spec.lam, otypes=[float]))(lam_ns)
-    except OverflowError as exc:  # e.g. lgamma of an index past ~1e305
-        raise _term_range_error(spec, ns[-1], sigma) from exc
-    s_lam, s_next = s_lam[:ns.size], s_lam[ns.size:]
-    t = ln + s_lam
-    if not np.isfinite(t.sum()):
-        bad = int((~np.isfinite(t)).argmax())
-        if t[bad] == -math.inf:
-            raise DomainError(f"term n={ns[bad]} of series '{spec.name}' vanishes; only tables may end")
-        raise _term_range_error(spec, ns[bad], sigma)
-    err = _ROUND_ULPS * _EPS * (np.abs(ln) + np.abs(s_lam))
-    if not with_step:  # bounds() needs one per edge, tails() only the ends
-        no_slope = np.full(ns.size if slopes else 1, math.inf)
-        return t, err, no_slope, -no_slope
-    step = spec.step(ns)
-    d = step + (s_next - s_lam)
-    mu = _ROUND_ULPS * _EPS * (np.abs(step) + np.abs(s_next)) + err
-    return t, err, d + mu, d - mu
-
-
 def _log_geom(c, s, m):
     """log sum_{j=0}^{m-1} exp(c + j*s) elementwise, for finite s; -inf where m = 0."""
     r = -np.maximum(np.abs(s), 1e-300)
@@ -429,56 +372,66 @@ def _log_geom(c, s, m):
 class _Edges:
     """Ascending block edges around the central index n* and the bounds they give.
 
-    Log-concavity bounds the terms strictly between consecutive edges
-    e < e' from above by the tangent lines at both ends.  A tangent's
-    slope is the tighter of the step generator's difference and the
-    neighbouring block's chord; values and slopes carry their rounding
-    margins, so the bounds hold for the true terms.  Geometric series with
-    the end slopes bound the terms outside the first and last edge.  Logs
-    are relative to t(n*).
+    Each edge's term log t(n) carries a margin of _ROUND_ULPS ulps of
+    |log||a_n||| + |sigma*lambda_n|, the parts that nearly cancel near n*.
+    Log-concavity bounds the terms between edges e < e' from above by the
+    tangents at both ends, with slopes from the neighbouring chords widened
+    by their margins; geometric series with the end chords bound the terms
+    outside the edges.  So the bounds hold for the true terms.  Logs are
+    relative to t(n*).
     """
 
-    def __init__(self, spec: SeriesSpec, sigma: float, ns: np.ndarray, n_star: float,
-                 slopes: bool):
-        t, self.err, self.gp, self.gm = _edge_data(spec, sigma, ns, slopes)
-        self.t_star = float(t[np.searchsorted(ns, n_star)])
-        self.ns, self.f = ns, t - self.t_star
+    def __init__(self, spec: SeriesSpec, sigma: float, ns: np.ndarray, t_star: float):
+        try:
+            ln = (spec.log_norm_array or np.vectorize(spec.log_norm, otypes=[float]))(ns)
+            s_lam = sigma * (spec.lam_array or np.vectorize(spec.lam, otypes=[float]))(ns)
+        except OverflowError as exc:  # e.g. lgamma of an index past ~1e305
+            raise _term_range_error(spec, ns[-1], sigma) from exc
+        t = ln + s_lam
+        if not math.isfinite(t.sum()):
+            bad = int((~np.isfinite(t)).argmax())
+            if t[bad] == -math.inf:
+                raise DomainError(f"term n={ns[bad]} of series '{spec.name}' vanishes; only tables may end")
+            raise _term_range_error(spec, ns[bad], sigma)
+        self.err = _ROUND_ULPS * _EPS * (np.abs(ln) + np.abs(s_lam))
+        self.ns, self.f = ns, t - t_star
         self.hi = self.f + self.err
 
     @np.errstate(divide="ignore", invalid="ignore", over="ignore")
     def bounds(self):
         """log upper bounds of the terms in each block (e, e']: the left tangent parts, then the right ones."""
-        f, err, w = self.f, self.err, self.ns[1:] - self.ns[:-1]
+        ns, f, err, hi = self.ns, self.f, self.err, self.hi
+        w = ns[1:] - ns[:-1]
         chord, rho = (f[1:] - f[:-1]) / w, (err[:-1] + err[1:]) / w
-        # s1 >= every difference t(n+1) - t(n) from a block's left edge on,
-        # s2 <= every one up to its right edge
-        s1 = np.minimum(np.concatenate(((math.inf,), chord[:-1] + rho[:-1])), self.gp[:-1])
-        s2 = np.maximum(np.concatenate((chord[1:] - rho[1:], (-math.inf,))), self.gm[1:])
+        # s1 >= every difference t(n+1) - t(n) from a block's left edge on
+        # (the chord before it), s2 <= every one up to its right edge
+        s1 = np.concatenate(((0.0,), chord[:-1] + rho[:-1]))
+        s2 = np.concatenate((chord[1:] - rho[1:], (0.0,)))
         # the left tangent takes the terms up to where the tangents cross,
         # the right one the rest
-        drop, slant = self.hi[1:] - self.hi[:-1], s1 - s2
+        drop, slant = hi[1:] - hi[:-1], s1 - s2
         m1 = np.floor(np.fmin(np.fmax((drop - w * s2) / slant, 0.0), w - 1.0))
         m2 = w - m1
-        if w.max() > _EXACT_INDEX:
+        if ns[-1] - ns[0] > _EXACT_INDEX:
             # past the float's integer resolution count the crossing from the
             # nearer edge and round the far count up, so no term is lost
             right = np.fmin(np.fmax(np.ceil((w * s1 - drop) / slant), 1.0), w)
             near_right = right < 0.5 * w
             m1 = np.where(near_right, np.nextafter(w - right, math.inf), m1)
             m2 = np.where(near_right, right, np.nextafter(m2, math.inf))
-        if s1[0] == math.inf:  # no step generator: the end blocks have one tangent
-            s1[0], m1[0], m2[0] = 0.0, 0.0, w[0]
-            s2[-1], m1[-1], m2[-1] = 0.0, w[-1] - 1.0, 1.0
-        return _log_geom(np.concatenate((self.hi[:-1] + s1, self.hi[1:])),
+        # the end blocks have one neighbour: the first takes only its right
+        # tangent, the last only its left one
+        m1[0], m2[0], m1[-1], m2[-1] = 0.0, w[0], w[-1], 0.0
+        return _log_geom(np.concatenate((hi[:-1] + s1, hi[1:])),
                          np.concatenate((s1, -s2)), np.concatenate((m1, m2)))
 
     def tails(self):
         """log bounds of the terms before the first edge and past the last one."""
         (n0, n1), (f0, f1), (e0, e1) = (v[:2].tolist() for v in (self.ns, self.f, self.err))
-        s = max((f1 - f0 - e0 - e1) / (n1 - n0), float(self.gm[0]))
+        s = (f1 - f0 - e0 - e1) / (n1 - n0)
         left = -math.inf if n0 <= 1.0 else f0 + e0 - s - math.log(-math.expm1(-s)) if s > 0 else math.inf
         (n0, n1), (f0, f1), (e0, e1) = (v[-2:].tolist() for v in (self.ns, self.f, self.err))
-        s = min((f1 - f0 + e0 + e1) / (n1 - n0), float(self.gp[-1]))
+        s = (f1 - f0 + e0 + e1) / (n1 - n0)
         return left, f1 + e1 + s - math.log(-math.expm1(s)) if s < 0 else math.inf
 
 
@@ -487,9 +440,10 @@ def _offsets(per_side: int, reach_left: float, reach_right: float) -> np.ndarray
     """Edge offsets from the central index, in units of the local standard deviation.
 
     For Gaussian terms of variance v a block of width w that carries a
-    share m of the sum has a bound gap of about m*w**2/(8v).  The fewest
-    edges for a total gap g have widths growing as exp(k**2/(6v)) with
-    the offset k: sqrt(6)*erfinv(i/N) with N = 1.2/sqrt(g) per side.  Past
+    share m of the sum has a bound gap proportional to m*w**2/v.  The
+    fewest edges for a total gap g have widths growing as exp(k**2/(6v))
+    with the offset k: sqrt(6)*erfinv(i/N) per side, N = 1.2/sqrt(g)
+    (calibrated on expexp: the measured gap is 0.94g at g = 5e-5).  Past
     the last of those the widths double up to the reach, so no block is
     more than twice as wide as its neighbour (a chord's rounding margin
     grows with that ratio).
@@ -511,30 +465,33 @@ def log_sum_upper(spec: SeriesSpec, sigma: float, tail_tol: float = DEFAULT_TAIL
     """Upper surrogate: log of the full sum of term norms, certified from above.
 
     Finite tables are enumerated.  Otherwise one outward walk from the
-    central index n* bounds the sum (see _Edges).  The local Gaussian
-    model sets its reach, where each geometric tail falls below tail_tol/2
-    of the sum, and its edges: a window of at most _EXACT_TERMS terms is
-    walked term by term, so the value is tail_tol-tight there; a wider one
-    is cut into blocks laid out for a gap of max(tail_tol, _BLOCK_SLACK)
-    between the bounds (_offsets), or of the terms' rounding noise if that
-    is larger.  The walk reaches further until both tails are small
-    enough.  The value never falls below the true sum: term values, slopes
-    and the final sum all carry their rounding margins.
+    central index n* (the peak generator rounded, else the maximum term's
+    index) bounds the sum (see _Edges).  The local Gaussian model sets the
+    reach, where each geometric tail falls below tail_tol/2 of the sum, and
+    the edges: a window of at most _EXACT_TERMS terms takes every term, so
+    the value is tail_tol-tight there; a wider one is cut into blocks for a
+    gap of max(tail_tol, _BLOCK_SLACK, rounding noise) between the bounds
+    (_offsets).  The reach grows until both tails are small enough.  Term
+    values, slopes and the sum carry rounding margins, so the value never
+    falls below the true sum.
     """
     if tail_tol <= 0:
         raise ValueError("tail_tol must be positive")
     if spec.n_limit is not None:
         ts = [term_log(spec, n, sigma) for n in range(1, spec.n_limit + 1)]
         return from_real(lse_accumulate(ts))
-    n_star = float(max_term_log(spec, sigma)[0])
+    # the walk needs a start near the peak, not the exact maximum term
+    n_star = float(max(1, math.floor(spec.peak(sigma) + 0.5)) if spec.peak
+                   else max_term_log(spec, sigma)[0])
 
+    t_star = term_log(spec, n_star, sigma)
     # The model's deviation on each side comes from the drop t(n*) - t(n* -+ h)
     # at h ~ sqrt(n*) (the expexp variance is n*), moved out where the
     # rounding noise of t would hide the drop.
     ln, s_lam = spec.log_norm(n_star), sigma * spec.lam(n_star)
     noise = _ROUND_ULPS * _EPS * (abs(ln) + abs(s_lam) + 1.0)
     h = max(4.0, float(math.floor(math.sqrt(n_star) * math.sqrt(1.0 + 64.0 * noise))))
-    dev = [h / math.sqrt(2.0 * max(ln + s_lam - term_log(spec, n, sigma), 4.0 * noise))
+    dev = [h / math.sqrt(2.0 * max(t_star - term_log(spec, n, sigma), 4.0 * noise))
            for n in (max(n_star - h, 1.0), n_star + h)]
     scale = min(dev)
 
@@ -558,7 +515,7 @@ def log_sum_upper(spec: SeriesSpec, sigma: float, tail_tol: float = DEFAULT_TAIL
             ns = np.maximum(n_star + np.floor(scale * _offsets(per_side, *quarters)),
                             n_star - span[0])
             ns = ns[np.concatenate(((True,), ns[1:] > ns[:-1]))]  # some offsets coincide
-        edges = _Edges(spec, sigma, ns, n_star, not exact)
+        edges = _Edges(spec, sigma, ns, t_star)
         tails = edges.tails()
         # the edge terms, each at least exp(hi - 2*err), bound the sum from below
         top = float(edges.hi.max())
@@ -571,12 +528,9 @@ def log_sum_upper(spec: SeriesSpec, sigma: float, tail_tol: float = DEFAULT_TAIL
     else:
         raise TailBoundError(f"term ratio not eventually below 1 for '{spec.name}' at "
                              f"sigma={sigma}, n={ns[-1]}", int(min(ns[-1], 2.0 ** 62)))
-    if exact:  # every block is one term, and the sum is the edge sum
-        total = edge_sum + sum(math.exp(x - top) for x in tails)
-    else:
+    if not exact:  # blocks bound the terms between their edges
         parts = edges.bounds()
         top = float(parts.max())
-        total = float(np.exp(parts - top).sum()) + sum(math.exp(x - top) for x in (edges.hi[0],) + tails)
-    log_u = top + math.log(total)
-    value = edges.t_star + log_u
-    return from_real(value + 4.0 * _EPS * (abs(edges.t_star) + abs(log_u) + 1.0))
+        edge_sum = float(np.exp(parts - top).sum()) + math.exp(edges.hi[0] - top)
+    log_u = top + math.log(edge_sum + sum(math.exp(x - top) for x in tails))
+    return from_real(t_star + log_u + 4.0 * _EPS * (abs(t_star) + abs(log_u) + 1.0))

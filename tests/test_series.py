@@ -243,16 +243,15 @@ class TestSumOracle:
                 x = mpmath.log(x)
             return x - mpmath.mpf(value.mantissa)
 
-    @pytest.mark.parametrize("with_step", [True, False])
     @pytest.mark.parametrize("a,c,sigma", GRID)
-    def test_sandwich_and_slack(self, a, c, sigma, with_step):
-        # without the step generator the tangents take chord slopes only
-        spec = expexp_spec(a, c) if with_step else dataclasses.replace(expexp_spec(a, c), step=None)
+    def test_sandwich_and_slack(self, a, c, sigma):
+        spec = expexp_spec(a, c)
         lower, upper = max_term_log(spec, sigma)[1], log_sum_upper(spec, sigma)
         closed = self.closed(a, c, sigma)
         assert self.level_gap(lower, closed) >= -1e-14 * max(lower.level, 1)
         assert self.level_gap(upper, closed) <= 1e-14 * max(upper.level, 1)
-        # Slack: 1e-4 from the blocks where the window is wide, plus rounding.
+        # Slack: at most 1e-4 from the blocks (laid out for 5e-5) where the
+        # window is wide, plus rounding.
         # Each term log is log||a_n|| + sigma*lambda_n, two parts of about
         # a*sigma*log M each, and carries a margin of 8 ulps of their size;
         # a block's bound may sit a few such margins above its terms (its
