@@ -10,10 +10,9 @@ from .errors import (BracketError, DetectionFailedError, DomainError, ExtRangeEr
                      SearchLimitError, SpecFormatError, TailBoundError)
 from .levelindex import (ExtReal, compare, exp_iter, from_real, log_iter,
                          lse_accumulate, pow_scale, to_real)
-from .series import SeriesSpec, ValidationReport, expexp_spec, log_sum_upper, max_term_log, \
-    spec_from_json, table_spec, term_log, validate
-from .growth import (GridSpec, GrowthProfile, SourceBundle, compose_relative,
-                     invert_modulus, sample_profile)
+from .series import (SeriesSpec, ValidationReport, expexp_spec, log_sum_upper, max_term_log,
+                     table_spec, term_log, validate)
+from .growth import GridSpec, GrowthProfile, SourceBundle, invert_modulus, sample_profile
 from .indicators import (EstimatorConfig, IndexPair, IndicatorEstimate, RelativeIndicators,
                          Samples, detect_index_pair, detect_relative_index_pair, order_pair,
                          profile_samples, ratio_sequence, relative_indicators, tail_estimate,

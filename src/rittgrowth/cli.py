@@ -2,13 +2,14 @@
 
 Subcommands: validate, profile, indicator, relative, detect, check,
 oracle, corpus.  Sources are given either as shorthand
-(``expexp:a=2,c=1``) or as a path to a JSON document.  Output is JSON by
-default (sorted keys, no timestamps) so identical runs are byte-identical.
+(``expexp:a=2,c=1``) or as a path to a JSON document, and the corpus
+schema resolves both.  Output is JSON by default (sorted keys, no
+timestamps) so identical runs are byte-identical.
 
-Exit codes: 0 success, 1 a non-vacuous theorem check failed, 2 usage
-error, 3 numeric/domain error.  ``check`` gives an instance that raises a
-numeric error the verdict "error" with its cause, keeps checking the rest,
-and exits 3 if any instance errored.
+Exit codes: 0 success, 1 a non-vacuous theorem check failed, 2 usage or
+schema error, 3 numeric/domain error.  A table failing validation gets
+its report and exit 3 from ``validate``, exit 2 elsewhere.  ``check``
+exits 3 if any instance got the verdict "error" (a numeric error).
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from . import corpus as corpus_mod
 from . import oracle as oracle_mod
 from . import series as series_mod
 from . import theorems as theorems_mod
-from .errors import NumericError, RittGrowthError, SpecFormatError
+from .errors import RittGrowthError, SpecFormatError
 from .growth import GridSpec, sample_profile
 from .indicators import (DEFAULT_CONFIG, EstimatorConfig, detect_index_pair,
                          detect_relative_index_pair, json_number, order_pair, profile_samples,
@@ -36,13 +37,17 @@ EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 
 
-def _load_source_arg(text: str) -> corpus_mod.CorpusEntry:
-    """Shorthand like 'expexp:a=1,c=3', or a path to a JSON source document."""
+def _source_ref(text: str):
+    """Shorthand like 'expexp:a=1,c=3' as given, or the JSON source document at that path."""
     path = Path(text)
     if path.suffix == ".json" or path.exists():
         with open(path) as fh:
-            return corpus_mod.source_from_doc(json.load(fh))
-    return corpus_mod.parse_shorthand(text)
+            return json.load(fh)
+    return text
+
+
+def _load_source_arg(text: str) -> corpus_mod.CorpusEntry:
+    return corpus_mod.resolve_source(_source_ref(text))
 
 
 def _parse_grid(text: str) -> GridSpec:
@@ -58,11 +63,12 @@ def _parse_grid(text: str) -> GridSpec:
 
 
 def _emit(doc, args) -> None:
-    text = json.dumps(doc, indent=2, sort_keys=True)
+    """Write a report, JSON unless it is already text, to --output or stdout."""
+    text = doc if isinstance(doc, str) else json.dumps(doc, indent=2, sort_keys=True) + "\n"
     if getattr(args, "output", None):
-        Path(args.output).write_text(text + "\n")
+        Path(args.output).write_text(text)
     else:
-        print(text)
+        sys.stdout.write(text)
 
 
 def _config_from_args(args) -> EstimatorConfig:
@@ -72,15 +78,8 @@ def _config_from_args(args) -> EstimatorConfig:
 
 
 def cmd_validate(args) -> int:
-    path = Path(args.spec)
-    if path.suffix == ".json" or path.exists():
-        with open(path) as fh:
-            spec = series_mod.spec_from_json(json.load(fh))
-    else:
-        entry = _load_source_arg(args.spec)
-        if entry.family != "expexp":
-            raise SpecFormatError("validate applies to series sources; profiles have no coefficients")
-        spec = series_mod.expexp_spec(entry.params["a"], entry.params["c"])
+    # the spec without its entry's table check, whose report is the output
+    spec = corpus_mod.series_spec(_source_ref(args.spec))
     report = series_mod.validate(spec, args.nmax)
     _emit({
         "spec": spec.describe(), "n_checked": report.n_checked,
@@ -98,13 +97,8 @@ def cmd_profile(args) -> int:
     grid = _parse_grid(args.sigma)
     profile = sample_profile(source, grid)
     if args.format == "csv":
-        lines = ["sigma,level,mantissa"]
-        lines += [f"{s!r},{v.level},{v.mantissa!r}" for s, v in zip(profile.sigmas, profile.values)]
-        text = "\n".join(lines) + "\n"
-        if args.output:
-            Path(args.output).write_text(text)
-        else:
-            sys.stdout.write(text)
+        rows = [f"{s!r},{v.level},{v.mantissa!r}\n" for s, v in zip(profile.sigmas, profile.values)]
+        _emit("".join(["sigma,level,mantissa\n"] + rows), args)
     else:
         _emit({
             "source": profile.source, "grid": grid.describe(),
@@ -185,19 +179,12 @@ def cmd_check(args) -> int:
     if args.tol is not None:
         if not args.tol > 0:
             raise SpecFormatError("--tol must be positive")
-        instances = [theorems_mod.TheoremInstance(
-            i.theorem_id, i.f, i.g, i.h, i.m, i.p, i.q, args.tol, i.grid) for i in instances]
+        instances = [replace(i, tolerance=args.tol) for i in instances]
     ws = theorems_mod.IndicatorWorkspace()
     reports = []
     for inst in instances:
         t0 = time.perf_counter()
-        try:
-            r = theorems_mod.check_instance(inst, ws)
-        except SpecFormatError:
-            raise
-        except RittGrowthError as exc:  # one failing instance must not sink the batch
-            r = theorems_mod.CheckReport(inst.theorem_id, inst.describe(), {}, [], [], [],
-                                         [f"{type(exc).__name__}: {exc}"], "error")
+        r = theorems_mod.check_instance(inst, ws)
         reports.append(r)
         if not args.quiet:  # progress: one line per instance as it finishes
             print(f"{r.theorem_id:4s} f={r.subject['f']} g={r.subject['g']} h={r.subject['h']} "
@@ -315,18 +302,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SpecFormatError as exc:
+    except (SpecFormatError, ValueError, OSError) as exc:  # a JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except NumericError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
     except RittGrowthError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
 
 
 if __name__ == "__main__":

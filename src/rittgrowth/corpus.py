@@ -13,6 +13,12 @@ Three families cover the estimator test surface:
   irregular with order rho and lower order lam when sampled on a
   log-uniform grid covering whole periods.
 
+A fourth, table(name, lam, log_norm), is a user's finite prefix (JSON only).
+
+Only this module reads source documents: shorthand (``expexp:a=2,c=1``)
+and JSON (``{"family": "expexp", "a": 2, "c": 1}``) go through one schema,
+_FAMILIES; a missing, unknown or unconvertible field is a SpecFormatError.
+
 Irregular growth is deliberately synthetic: prescribing an oscillating
 order through explicit coefficients is delicate and unnecessary for
 testing the estimators.  Relative ground truth is only claimed for pairs
@@ -28,7 +34,7 @@ from typing import Optional
 from .errors import SpecFormatError
 from .growth import SeriesLowerSource, SeriesUpperSource, SourceBundle, SyntheticSource
 from .levelindex import exp_iter, from_real, log_iter, to_real
-from .series import expexp_spec, table_spec
+from .series import SeriesSpec, expexp_spec, table_spec, validate
 
 
 @dataclass(frozen=True)
@@ -160,11 +166,9 @@ def _osc_entry(rho: float, lam: float, p: int, q: int) -> CorpusEntry:
                        analytic, 1e-2, SourceBundle(src))
 
 
-def _table_entry(params: dict) -> CorpusEntry:
+def _table_entry(name: str, lam: list, log_norm: list) -> CorpusEntry:
     """User-supplied finite prefix (JSON only); no analytic claims attached."""
-    from .series import validate
-
-    spec = table_spec(str(params.get("name", "table")), params["lam"], params["log_norm"])
+    spec = table_spec(name, lam, log_norm)
     report = validate(spec, 64)
     if report.verdict == "fail":
         raise SpecFormatError(f"table series fails validation: {report.cause}")
@@ -178,14 +182,23 @@ def _fmt(v: float) -> str:
     return str(int(v)) if float(v).is_integer() else repr(float(v))
 
 
+def _column(values) -> list:
+    if not isinstance(values, list):  # shorthand cannot carry a table
+        raise TypeError(f"expected an array of numbers, got {values!r}")
+    return [float(v) for v in values]
+
+
+# The source schema: each family's entry builder and its fields in argument
+# order, as (name, converter) or (name, converter, default).  Shorthand and
+# JSON documents share it; 'lambda' is an alias of the field 'lam'.
 _FAMILIES = {
-    "expexp": lambda params: _expexp_entry(float(params["a"]), float(params["c"])),
-    "tower": lambda params: _tower_entry(int(params["k"]), float(params["rho"]), int(params["q"])),
-    "osc": lambda params: _osc_entry(float(params["rho"]), float(params["lam"]),
-                                     int(params["p"]), int(params["q"])),
-    "table": _table_entry,
+    "expexp": (_expexp_entry, (("a", float), ("c", float))),
+    "tower": (_tower_entry, (("k", int), ("rho", float), ("q", int))),
+    "osc": (_osc_entry, (("rho", float), ("lam", float), ("p", int), ("q", int))),
+    "table": (_table_entry, (("name", str, "table"), ("lam", _column), ("log_norm", _column))),
 }
 _FAMILY_ALIASES = {"osc_profile": "osc"}
+_FIELD_ALIASES = {"lambda": "lam"}
 
 # Canonical instances: the estimator-recovery families plus the synthetic
 # rules the theorem batches lean on.
@@ -197,50 +210,87 @@ DEFAULT_ENTRY_SPECS = [
 ]
 
 
-def instantiate(family: str, params: dict) -> CorpusEntry:
+def _arguments(family: str, params: dict) -> tuple[str, list]:
+    """Check raw fields against the family's schema: its canonical name and converted arguments."""
     family = _FAMILY_ALIASES.get(family, family)
-    builder = _FAMILIES.get(family)
-    if builder is None:
+    if family not in _FAMILIES:
         raise SpecFormatError(f"unknown corpus family '{family}'")
-    try:
-        return builder(params)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SpecFormatError(f"bad parameters for family '{family}': {exc}") from exc
+    fields = _FAMILIES[family][1]
+    given = {}
+    for key, value in params.items():
+        name = _FIELD_ALIASES.get(key, key)
+        if name in given:
+            raise SpecFormatError(f"field '{name}' given twice for family '{family}'")
+        given[name] = value
+    unknown = sorted(set(given) - {f[0] for f in fields})
+    if unknown:
+        raise SpecFormatError(f"unknown fields for family '{family}': {unknown}")
+    args = []
+    for name, convert, *default in fields:
+        if name not in given:
+            if not default:
+                raise SpecFormatError(f"family '{family}' is missing field '{name}'")
+            args.append(default[0])
+            continue
+        try:
+            args.append(convert(given[name]))
+        except (TypeError, ValueError) as exc:
+            raise SpecFormatError(f"bad field '{name}' for family '{family}': {exc}") from exc
+    return family, args
 
 
+def _split(ref) -> tuple[str, dict]:
+    """A source reference's family and raw fields: shorthand 'family:key=value,...'
+    (values stay strings until converted) or a JSON document {"family": ..., <fields>}."""
+    if isinstance(ref, dict):
+        if "family" not in ref:
+            raise SpecFormatError("source document must be an object with a 'family' field")
+        params = dict(ref)
+        return str(params.pop("family")), params
+    if not isinstance(ref, str):
+        raise SpecFormatError(f"cannot resolve source reference of type {type(ref).__name__}")
+    if ":" not in ref:
+        raise SpecFormatError(f"source shorthand '{ref}' must look like family:key=value,...")
+    family, _, rest = ref.partition(":")
+    items = [item.partition("=") for item in rest.split(",") if item]
+    for key, eq, value in items:
+        if not eq:
+            raise SpecFormatError(f"bad parameter '{key}' in shorthand '{ref}'")
+    return family.strip(), {key.strip(): value.strip() for key, _, value in items}
+
+
+def instantiate(family: str, params: dict) -> CorpusEntry:
+    """The entry a family name and its raw fields describe."""
+    family, args = _arguments(family, params)
+    return _FAMILIES[family][0](*args)
+
+
+# parse_shorthand and source_from_doc are named for the two forms, and
+# callers (perfbench/tracer.py among them) use those names; like
+# resolve_source, each accepts either form.
 def parse_shorthand(text: str) -> CorpusEntry:
     """'expexp:a=2,c=1' -> entry; the same shorthand the CLI accepts."""
-    if ":" not in text:
-        raise SpecFormatError(f"source shorthand '{text}' must look like family:key=value,...")
-    family, _, rest = text.partition(":")
-    params = {}
-    for item in rest.split(","):
-        if not item:
-            continue
-        if "=" not in item:
-            raise SpecFormatError(f"bad parameter '{item}' in shorthand '{text}'")
-        key, _, value = item.partition("=")
-        params[key.strip()] = value.strip()
-    return instantiate(family.strip(), params)
+    return instantiate(*_split(text))
 
 
 def source_from_doc(doc: dict) -> CorpusEntry:
-    """JSON form: {"family": ..., <params>}; 'lambda' aliases the lam parameter."""
-    if not isinstance(doc, dict) or "family" not in doc:
-        raise SpecFormatError("source document must be an object with a 'family' field")
-    params = {k: v for k, v in doc.items() if k != "family"}
-    if "lambda" in params:
-        params["lam"] = params.pop("lambda")
-    return instantiate(str(doc["family"]), params)
+    """JSON form: {"family": ..., <fields>}."""
+    return instantiate(*_split(doc))
 
 
 def resolve_source(ref) -> CorpusEntry:
     """Accept shorthand strings or JSON documents."""
-    if isinstance(ref, str):
-        return parse_shorthand(ref)
-    if isinstance(ref, dict):
-        return source_from_doc(ref)
-    raise SpecFormatError(f"cannot resolve source reference of type {type(ref).__name__}")
+    return instantiate(*_split(ref))
+
+
+def series_spec(ref) -> SeriesSpec:
+    """The series a source reference names, without the table check that its
+    entry applies: validate reports that check instead of refusing the table."""
+    family, args = _arguments(*_split(ref))
+    make = {"expexp": expexp_spec, "table": table_spec}.get(family)
+    if make is None:
+        raise SpecFormatError("validate applies to series sources; profiles have no coefficients")
+    return make(*args)
 
 
 def default_entries() -> list[CorpusEntry]:

@@ -327,11 +327,6 @@ def invert_along(source: GrowthSource, ts: Sequence[float], ys: Iterable[ExtReal
     return xs
 
 
-def compose_relative(g_source: GrowthSource, f_source: GrowthSource, sigma: float) -> float:
-    """M_g^{-1}(M_f(sigma)), evaluated in the log/extended domain throughout."""
-    return invert_modulus(g_source, f_source.log_m(sigma))
-
-
 def compose_samples(g_source: GrowthSource, f_source: GrowthSource,
                     sigmas: list[float]) -> list[tuple[float, float]]:
     """M_g^{-1}(M_f(sigma)) at each grid point, inverted along the grid by invert_along."""

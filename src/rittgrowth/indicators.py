@@ -103,12 +103,6 @@ class IndicatorEstimate:
     # bounded oscillation mixes directions, divergence does not
     direction_balance: float = 0.0
 
-    @property
-    def halfwidth(self) -> float:
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
-            return math.inf
-        return 0.5 * (self.hi - self.lo)
-
     def to_json(self, grid: Optional[GridSpec] = None) -> dict:
         num = json_number
         doc = {

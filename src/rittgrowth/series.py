@@ -165,37 +165,6 @@ def table_spec(name: str, lam_values: Sequence[float], log_norm_values: Sequence
                       {"lambda": lam_t, "log_norm": ln_t}, n_limit=limit)
 
 
-def spec_from_json(doc: dict) -> SeriesSpec:
-    """Build a SeriesSpec from its documented JSON form.
-
-    {"family": "expexp", "a": ..., "c": ...}  or
-    {"family": "table", "name": ..., "lambda": [...], "log_norm": [...]}
-    Unknown fields are rejected.
-    """
-    if not isinstance(doc, dict) or "family" not in doc:
-        raise SpecFormatError("series document must be an object with a 'family' field")
-    family = doc["family"]
-    if family == "expexp":
-        allowed = {"family", "a", "c", "log_scale"}
-        unknown = set(doc) - allowed
-        if unknown:
-            raise SpecFormatError(f"unknown fields for expexp spec: {sorted(unknown)}")
-        try:
-            return expexp_spec(float(doc["a"]), float(doc["c"]), float(doc.get("log_scale", 0.0)))
-        except KeyError as exc:
-            raise SpecFormatError(f"expexp spec missing field {exc}") from exc
-    if family == "table":
-        allowed = {"family", "name", "lambda", "log_norm"}
-        unknown = set(doc) - allowed
-        if unknown:
-            raise SpecFormatError(f"unknown fields for table spec: {sorted(unknown)}")
-        try:
-            return table_spec(str(doc.get("name", "table")), doc["lambda"], doc["log_norm"])
-        except KeyError as exc:
-            raise SpecFormatError(f"table spec missing field {exc}") from exc
-    raise SpecFormatError(f"unknown series family '{family}'")
-
-
 def validate(spec: SeriesSpec, n_max: int = 128) -> ValidationReport:
     """Check the convergence conditions at a truncation.
 
@@ -308,7 +277,8 @@ def max_term_log(spec: SeriesSpec, sigma: float) -> tuple[int, ExtReal]:
     any, proposes the index and its neighbours confirm it.  The generic
     search, used without a peak generator or when the check fails,
     searches 1..64 and doubles the bound while the sequence is still
-    rising at the edge, then ternary-searches the (log-concave) bracket.
+    rising at the edge, then ternary-searches the (log-concave) bracket; a
+    term that vanishes at an edge is a DomainError, as only tables may end.
     Beyond 2**53 the index is tracked as a float; the flat peak makes the
     sub-integer placement irrelevant there.
     """
@@ -326,6 +296,8 @@ def max_term_log(spec: SeriesSpec, sigma: float) -> tuple[int, ExtReal]:
         # factor-2 probe: one-step differences fall below double rounding
         # at tower-sized magnitudes, factor-2 differences never do
         edge = hi if hi <= _EXACT_INDEX else float(hi)
+        if t(edge) == -math.inf:
+            raise DomainError(f"term n={edge} of series '{spec.name}' vanishes; only tables may end")
         if t(edge * 2) < t(edge):
             hi = hi * 2  # peak lies in [1, 2*edge]
             break

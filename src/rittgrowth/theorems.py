@@ -7,7 +7,9 @@ Hypotheses are reported under their own text; once a group is not met by
 the estimates the verdict is "vacuous", never "fail" - a conditional
 claim cannot be falsified by a failed premise.  Operands are evaluated
 left to right; the first ill-posed one (an interval touching zero) makes
-the instance vacuous, with its message as a note.
+the instance vacuous, with its message as a note.  A numeric or domain
+error gives the verdict "error" with its cause as the note, so one bad
+instance cannot sink a batch; a schema error (SpecFormatError) propagates.
 
 Per-link tolerance is the instance tolerance plus the interval
 half-widths of the two linked quantities, so certified estimation slack
@@ -28,7 +30,7 @@ from functools import cached_property, partial
 from typing import Optional
 
 from .corpus import CorpusEntry, resolve_source
-from .errors import IncompleteInstanceError, SpecFormatError
+from .errors import IncompleteInstanceError, RittGrowthError, SpecFormatError
 from .growth import GridSpec
 from .indicators import (DEFAULT_CONFIG, EstimatorConfig, IndicatorEstimate,
                          RelativeIndicators, json_number, relative_indicators)
@@ -454,14 +456,19 @@ def check_instance(instance: TheoremInstance, ws: Optional[IndicatorWorkspace] =
         raise SpecFormatError("theorem indices m, p, q must be non-negative")
     if not instance.tolerance > 0:
         raise SpecFormatError("instance tolerance must be positive")
-    run = _Run(instance, ws or IndicatorWorkspace())
     try:
+        run = _Run(instance, ws or IndicatorWorkspace())
         return run.report(*(STATEMENTS[instance.theorem_id](run) or ([], [])))
     except IncompleteInstanceError as exc:
         # a bound touched zero or infinity: the claim is untested
         run.hyp["chain quantities well-posed"] = False
         run.notes.append(str(exc))
         return run.report([], [])
+    except SpecFormatError:
+        raise
+    except RittGrowthError as exc:  # one failing instance must not sink a batch
+        return CheckReport(instance.theorem_id, instance.describe(), {}, [], [], [],
+                           [f"{type(exc).__name__}: {exc}"], "error")
 
 
 def load_batch(doc: dict) -> list[TheoremInstance]:

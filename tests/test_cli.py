@@ -27,7 +27,9 @@ class TestValidate:
         path.write_text(json.dumps({"family": "expexp", "a": 1, "c": 3}))
         code, out, _ = run(["validate", "--spec", str(path)], capsys)
         assert code == 0
-        assert json.loads(out)["verdict"] == "pass"
+        doc = json.loads(out)
+        assert doc["verdict"] == "pass"
+        assert doc["spec"]["params"] == {"a": 1.0, "c": 3.0}
 
     def test_profile_family_rejected(self, capsys):
         code, _, err = run(["validate", "--spec", "tower:k=2,rho=1,q=0"], capsys)
@@ -36,10 +38,13 @@ class TestValidate:
 
     def test_schema_error_exit(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"family": "nope"}))
-        code, _, err = run(["validate", "--spec", str(path)], capsys)
-        assert code == 2
-        assert "unknown series family" in err
+        for doc, message in (({"family": "nope"}, "unknown corpus family 'nope'"),
+                             ({"family": "expexp", "a": 1, "c": 1, "bogus": 2}, "['bogus']"),
+                             ({"family": "expexp", "a": 1}, "missing field 'c'")):
+            path.write_text(json.dumps(doc))
+            code, _, err = run(["validate", "--spec", str(path)], capsys)
+            assert code == 2
+            assert message in err
 
     def test_bad_nmax_is_usage_error(self, capsys):
         code, _, err = run(["validate", "--spec", "expexp:a=1,c=1", "--nmax", "4"], capsys)
@@ -75,6 +80,73 @@ class TestProfile:
         # finite sum at sigma = 0: log(1 + e^-1 + e^-2.5 + e^-4.5)
         expected = math.log(1 + math.exp(-1) + math.exp(-2.5) + math.exp(-4.5))
         assert samples[0]["mantissa"] == pytest.approx(expected, rel=1e-12)
+
+
+class TestSourceContract:
+    """Every command reads a source document through the one corpus schema."""
+
+    FAILING_TABLE = {"family": "table", "name": "bad", "lambda": [2, 1, 3, 4],
+                     "log_norm": [0, -1, -2.5, -4.5]}
+
+    @staticmethod
+    def _batch(path, f):
+        path.write_text(json.dumps({"instances": [
+            {"theorem": "C5", "f": f, "g": "tower:k=2,rho=1,q=0", "h": "tower:k=2,rho=1.5,q=0"},
+        ]}))
+        return str(path)
+
+    def test_failing_table_is_reported_by_validate_and_refused_elsewhere(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(self.FAILING_TABLE))
+        code, out, _ = run(["validate", "--spec", str(path)], capsys)
+        assert code == 3
+        doc = json.loads(out)
+        assert doc["verdict"] == "fail"
+        assert doc["cause"] == "exponents not strictly increasing from a positive start"
+        code, out, err = run(["profile", "--spec", str(path), "--sigma", "0:3:4"], capsys)
+        assert (code, out) == (2, "")
+        assert "table series fails validation" in err
+        batch = self._batch(tmp_path / "batch.json", self.FAILING_TABLE)
+        assert run(["check", "--batch", batch, "--quiet"], capsys)[0] == 2
+
+    def test_unknown_field_is_a_usage_error_everywhere(self, tmp_path, capsys):
+        doc = {"family": "expexp", "a": 1, "c": 1, "bogus": 2}
+        path = tmp_path / "bogus.json"
+        path.write_text(json.dumps(doc))
+        batch = self._batch(tmp_path / "batch.json", doc)
+        for args in (["profile", "--spec", str(path), "--sigma", "1:2:2"],
+                     ["profile", "--spec", "expexp:a=1,c=1,bogus=2", "--sigma", "1:2:2"],
+                     ["indicator", "--spec", str(path), "--p", "2", "--q", "0", "--sigma", "5:30:16"],
+                     ["check", "--batch", batch, "--quiet"]):
+            code, out, err = run(args, capsys)
+            assert (code, out) == (2, ""), args
+            assert "unknown fields for family 'expexp': ['bogus']" in err
+
+    def test_log_scale_is_not_a_source_field(self, tmp_path, capsys):
+        path = tmp_path / "scaled.json"
+        path.write_text(json.dumps({"family": "expexp", "a": 1, "c": 1, "log_scale": 50}))
+        for command in (["validate"], ["profile", "--sigma", "1:2:2"]):
+            code, _, err = run(command + ["--spec", str(path)], capsys)
+            assert code == 2
+            assert "['log_scale']" in err
+
+    def test_missing_field_and_unknown_family_are_usage_errors(self, tmp_path, capsys):
+        for doc, message in (({"family": "expexp", "a": 1}, "missing field 'c'"),
+                             ({"family": "tower", "k": 2, "rho": 1}, "missing field 'q'"),
+                             ({"family": "nope", "a": 1}, "unknown corpus family 'nope'")):
+            path = tmp_path / "doc.json"
+            path.write_text(json.dumps(doc))
+            batch = self._batch(tmp_path / "batch.json", doc)
+            for args in (["validate", "--spec", str(path)],
+                         ["profile", "--spec", str(path), "--sigma", "1:2:2"],
+                         ["detect", "--spec", str(path)],
+                         ["check", "--batch", batch, "--quiet"]):
+                code, out, err = run(args, capsys)
+                assert (code, out) == (2, ""), args
+                assert message in err, args
+        assert run(["profile", "--spec", "expexp:a=1", "--sigma", "1:2:2"], capsys)[0] == 2
+        assert run(["relative", "--f-spec", "nope:a=1", "--g-spec", "expexp:a=1,c=1",
+                    "--p", "0", "--q", "0", "--sigma", "5:10:8"], capsys)[0] == 2
 
 
 class TestIndicator:

@@ -5,7 +5,7 @@ import math
 import pytest
 
 from rittgrowth.corpus import (analytic_relative, default_entries, instantiate,
-                               parse_shorthand, resolve_source)
+                               parse_shorthand, resolve_source, series_spec)
 from rittgrowth.errors import SpecFormatError
 from rittgrowth.growth import GridSpec
 from rittgrowth.indicators import order_pair, profile_samples, relative_indicators, type_pair
@@ -39,23 +39,44 @@ class TestRegistry:
                 assert av.tolerance > 0
 
     def test_unknown_family(self):
-        with pytest.raises(SpecFormatError):
+        with pytest.raises(SpecFormatError, match="unknown corpus family 'nope'"):
             instantiate("nope", {})
+        with pytest.raises(SpecFormatError, match="unknown corpus family 'nope'"):
+            resolve_source({"family": "nope"})
 
     def test_shorthand_roundtrip(self):
         entry = parse_shorthand("tower:k=2,rho=1,q=0")
         assert entry.params == {"k": 2, "rho": 1.0, "q": 0}
+        # the 'lambda' alias is one rule for shorthand and JSON alike
+        assert parse_shorthand("osc:rho=2,lambda=1,p=2,q=0").id == "osc:rho=2,lam=1,p=2,q=0"
 
     def test_json_doc(self):
         entry = resolve_source({"family": "osc_profile", "rho": 2, "lambda": 1, "p": 2, "q": 0})
         assert entry.family == "osc_profile"
         assert not entry.regular
+        assert resolve_source({"family": "expexp", "a": 1, "c": 3}).params == {"a": 1.0, "c": 3.0}
+        table = {"family": "table", "lambda": [1, 2], "log_norm": [0, -1]}
+        assert resolve_source(table).bundle().upper.spec.n_limit == 2
+        assert series_spec(table).n_limit == 2
 
     def test_bad_shorthand(self):
         with pytest.raises(SpecFormatError):
             parse_shorthand("expexp a=1")
         with pytest.raises(SpecFormatError):
             parse_shorthand("expexp:a")
+        # JSON and shorthand share the schema: unknown, missing and
+        # unconvertible fields are rejected in both
+        for bad, message in (("expexp:a=1,c=1,bogus=2", r"unknown fields .*\['bogus'\]"),
+                             ({"family": "expexp", "a": 1, "c": 1, "bogus": 2},
+                              r"unknown fields .*\['bogus'\]"),
+                             ("expexp:a=1", "missing field 'c'"),
+                             ({"family": "expexp", "a": 1}, "missing field 'c'"),
+                             ("tower:k=two,rho=1,q=0", "bad field 'k'"),
+                             ("table:lam=1,log_norm=0", "bad field 'lam'"),
+                             ({"family": "osc", "rho": 2, "lam": 1, "lambda": 1, "p": 2, "q": 0},
+                              "'lam' given twice")):
+            with pytest.raises(SpecFormatError, match=message):
+                resolve_source(bad)
 
 
 class TestAnalyticRelative:

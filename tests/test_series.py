@@ -8,11 +8,11 @@ import mpmath
 import numpy as np
 import pytest
 
-from rittgrowth.errors import DomainError, NumericError, SpecFormatError
+from rittgrowth.errors import DomainError, NumericError
 from rittgrowth.growth import GridSpec
 from rittgrowth.levelindex import compare, to_real
 from rittgrowth.series import (SeriesSpec, expexp_spec, log_sum_upper, max_term_log,
-                               spec_from_json, table_spec, term_log, validate)
+                               table_spec, term_log, validate)
 
 
 def brute_max_term(a, c, sigma, n_hi=5000):
@@ -167,6 +167,17 @@ class TestMachineRange:
     def test_term_overflow(self):
         with pytest.raises(NumericError, match=r"a\*sigma < 700"):
             term_log(expexp_spec(1, 1), 1e306, 0.0)
+
+
+class TestVanishingTerms:
+    def test_generic_search_stops_at_a_vanishing_edge(self):
+        # terms past n = 5 vanish, and no peak generator shortcuts the
+        # doubling search: only tables may end
+        spec = SeriesSpec("fin", lambda n: float(n),
+                          lambda n: -math.lgamma(n + 1) if n <= 5 else -math.inf)
+        for fn in (max_term_log, log_sum_upper):
+            with pytest.raises(DomainError, match="term n=64 of series 'fin' vanishes; only tables may end"):
+                fn(spec, 1.0)
 
 
 class TestLogSum:
@@ -329,25 +340,3 @@ class TestTableSpec:
         lam = [float(n) for n in range(1, 33)]
         ln = [-0.5 * n * math.log(n + 1) for n in range(1, 33)]
         assert validate(table_spec("t", lam, ln), 32).verdict in ("pass", "warn")
-
-
-class TestSpecFromJson:
-    def test_expexp(self):
-        spec = spec_from_json({"family": "expexp", "a": 1, "c": 3})
-        assert spec.params == {"a": 1.0, "c": 3.0}
-
-    def test_table(self):
-        spec = spec_from_json({"family": "table", "lambda": [1, 2], "log_norm": [0, -1]})
-        assert spec.n_limit == 2
-
-    def test_unknown_family(self):
-        with pytest.raises(SpecFormatError):
-            spec_from_json({"family": "nope"})
-
-    def test_unknown_field_rejected(self):
-        with pytest.raises(SpecFormatError):
-            spec_from_json({"family": "expexp", "a": 1, "c": 1, "bogus": 2})
-
-    def test_missing_field(self):
-        with pytest.raises(SpecFormatError):
-            spec_from_json({"family": "expexp", "a": 1})

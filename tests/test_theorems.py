@@ -204,6 +204,23 @@ class TestBatch:
         assert payload["theorem"] == "C5"
         assert payload["verdict"] == "pass"
 
+    def test_numeric_error_is_an_instance_verdict(self):
+        # expexp:a=30 leaves the machine range near sigma = 700/30; the batch
+        # reports it and goes on, while a schema error still propagates
+        grid = GridSpec(5.0, 30.0, 16)
+        bad = TheoremInstance("T1", "expexp:a=30,c=1", "expexp:a=1,c=1", "expexp:a=1,c=1",
+                              grid=grid)
+        tower = TheoremInstance("C5", "tower:k=2,rho=2,q=0", "tower:k=2,rho=1,q=0",
+                                "tower:k=2,rho=1.5,q=0")
+        reports = run_batch([bad, tower])
+        assert [r.verdict for r in reports] == ["error", "pass"]
+        assert reports[0].subject == bad.describe()
+        assert reports[0].notes[0].startswith("NumericError: ") and "a*sigma < 700" in reports[0].notes[0]
+        unknown_field = TheoremInstance("C5", {"family": "expexp", "a": 1, "c": 1, "bogus": 2},
+                                        "tower:k=2,rho=1,q=0", "tower:k=2,rho=1.5,q=0")
+        with pytest.raises(SpecFormatError, match="bogus"):
+            run_batch([tower, unknown_field])
+
     def test_permuted_batch_gives_identical_reports(self):
         # the workspace shares bundles across instances, so a history-dependent
         # surrogate would make a report depend on its place in the batch
