@@ -8,7 +8,8 @@ import mpmath
 import numpy as np
 import pytest
 
-from rittgrowth.errors import DomainError, NumericError
+from rittgrowth.corpus import series_spec
+from rittgrowth.errors import DomainError, NumericError, SpecFormatError
 from rittgrowth.growth import GridSpec
 from rittgrowth.levelindex import compare, to_real
 from rittgrowth.series import (SeriesSpec, expexp_spec, log_sum_upper, max_term_log,
@@ -340,3 +341,26 @@ class TestTableSpec:
         lam = [float(n) for n in range(1, 33)]
         ln = [-0.5 * n * math.log(n + 1) for n in range(1, 33)]
         assert validate(table_spec("t", lam, ln), 32).verdict in ("pass", "warn")
+
+
+class TestSpecFromJson:
+    # a JSON source document read as a series goes through corpus.series_spec
+    def test_expexp(self):
+        spec = series_spec({"family": "expexp", "a": 1, "c": 3})
+        assert spec.params == {"a": 1.0, "c": 3.0}
+
+    def test_table(self):
+        spec = series_spec({"family": "table", "lambda": [1, 2], "log_norm": [0, -1]})
+        assert spec.n_limit == 2
+
+    def test_unknown_family(self):
+        with pytest.raises(SpecFormatError):
+            series_spec({"family": "nope"})
+
+    def test_unknown_field_rejected(self):
+        with pytest.raises(SpecFormatError):
+            series_spec({"family": "expexp", "a": 1, "c": 1, "bogus": 2})
+
+    def test_missing_field(self):
+        with pytest.raises(SpecFormatError):
+            series_spec({"family": "expexp", "a": 1})
