@@ -1,10 +1,10 @@
 """Command line front end.
 
 Subcommands: validate, profile, indicator, relative, detect, check,
-oracle, corpus.  Sources are given either as shorthand
-(``expexp:a=2,c=1``) or as a path to a JSON document, and the corpus
-schema resolves both.  Output is JSON by default (sorted keys, no
-timestamps) so identical runs are byte-identical.
+oracle, corpus.  Sources are given either as shorthand (``expexp:a=2,c=1``)
+or as a path to a JSON document; corpus's schema rule reads them, grids and
+batch instances.  Output is JSON by default (sorted keys, no timestamps)
+so identical runs are byte-identical.
 
 Exit codes: 0 success, 1 a non-vacuous theorem check failed, 2 usage or
 schema error, 3 numeric/domain error.  A table failing validation gets
@@ -41,8 +41,7 @@ def _source_ref(text: str):
     """Shorthand like 'expexp:a=1,c=3' as given, or the JSON source document at that path."""
     path = Path(text)
     if path.suffix == ".json" or path.exists():
-        with open(path) as fh:
-            return json.load(fh)
+        return json.loads(path.read_text())
     return text
 
 
@@ -51,15 +50,10 @@ def _load_source_arg(text: str) -> corpus_mod.CorpusEntry:
 
 
 def _parse_grid(text: str) -> GridSpec:
-    """sigma grid syntax: 'min:max:count' with optional ':log'."""
-    parts = text.split(":")
-    if len(parts) not in (3, 4):
-        raise SpecFormatError(f"grid '{text}' must be min:max:count[:log|:linear]")
-    spacing = parts[3] if len(parts) == 4 else "linear"
-    try:
-        return GridSpec(float(parts[0]), float(parts[1]), int(parts[2]), spacing)
-    except ValueError as exc:
-        raise SpecFormatError(f"bad grid '{text}': {exc}") from exc
+    """sigma grid syntax 'min:max:count[:log|:linear]': the grid schema's fields in order."""
+    names = (name for name, *_ in corpus_mod.GRID_FIELDS)
+    return corpus_mod.grid_spec(tuple(zip(names, text.split(":", 3))),
+                                f"grid '{text}' (min:max:count[:log|:linear])")
 
 
 def _emit(doc, args) -> None:
@@ -91,8 +85,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_profile(args) -> int:
-    entry = _load_source_arg(args.spec)
-    bundle = entry.bundle()
+    bundle = _load_source_arg(args.spec).bundle()
     source = bundle.upper if args.surrogate == "upper" else bundle.lower_or_upper
     grid = _parse_grid(args.sigma)
     profile = sample_profile(source, grid)
@@ -112,10 +105,9 @@ def cmd_profile(args) -> int:
 
 def cmd_indicator(args) -> int:
     entry = _load_source_arg(args.spec)
-    bundle = entry.bundle()
     grid = _parse_grid(args.sigma)
     cfg = _config_from_args(args)
-    samples = profile_samples(bundle, grid)
+    samples = profile_samples(entry.bundle(), grid)
     rho, lam = order_pair(samples, args.p, args.q, cfg)
     estimates = [rho, lam]
     if args.kind in ("type", "all"):
@@ -173,12 +165,8 @@ def cmd_detect(args) -> int:
 
 
 def cmd_check(args) -> int:
-    with open(args.batch) as fh:
-        doc = json.load(fh)
-    instances = theorems_mod.load_batch(doc)
-    if args.tol is not None:
-        if not args.tol > 0:
-            raise SpecFormatError("--tol must be positive")
+    instances = theorems_mod.load_batch(json.loads(Path(args.batch).read_text()))
+    if args.tol is not None:  # replace checks the tolerance as the constructor does
         instances = [replace(i, tolerance=args.tol) for i in instances]
     ws = theorems_mod.IndicatorWorkspace()
     reports = []

@@ -15,9 +15,9 @@ Three families cover the estimator test surface:
 
 A fourth, table(name, lam, log_norm), is a user's finite prefix (JSON only).
 
-Only this module reads source documents: shorthand (``expexp:a=2,c=1``)
-and JSON (``{"family": "expexp", "a": 2, "c": 1}``) go through one schema,
-_FAMILIES; a missing, unknown or unconvertible field is a SpecFormatError.
+One rule, read_fields, reads every outside document against a schema given
+as data: sources (``expexp:a=2,c=1`` or ``{"family": "expexp", "a": 2, ...}``)
+with _FAMILIES, grids with GRID_FIELDS, and batch instances with theorems'.
 
 Irregular growth is deliberately synthetic: prescribing an oscillating
 order through explicit coefficients is delicate and unnecessary for
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import SpecFormatError
-from .growth import SeriesLowerSource, SeriesUpperSource, SourceBundle, SyntheticSource
+from .growth import GridSpec, SeriesLowerSource, SeriesUpperSource, SourceBundle, SyntheticSource
 from .levelindex import exp_iter, from_real, log_iter, to_real
 from .series import SeriesSpec, expexp_spec, table_spec, validate
 
@@ -188,17 +188,60 @@ def _column(values) -> list:
     return [float(v) for v in values]
 
 
-# The source schema: each family's entry builder and its fields in argument
-# order, as (name, converter) or (name, converter, default).  Shorthand and
-# JSON documents share it; 'lambda' is an alias of the field 'lam'.
+def integer(value) -> int:
+    """An integer field: JSON 2 or 2.0, or shorthand "2"; a boolean or 2.7 is refused."""
+    if isinstance(value, bool) or not isinstance(value, str) and value != int(value):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
+def read_fields(schema, doc, what: str, aliases=None) -> list:
+    """The schema rule: ``doc``, a JSON object or a tuple of (name, value) pairs, read
+    with ``schema``'s (name, converter[, default]) fields into arguments in their
+    order.  ``aliases`` maps names to fields.  Any other doc, or a field given twice,
+    unknown, missing or unconvertible, is a SpecFormatError naming ``what``."""
+    if not isinstance(doc, (dict, tuple)):
+        raise SpecFormatError(f"{what} must be an object, got {doc!r}")
+    given = {}
+    for key, value in (doc.items() if isinstance(doc, dict) else doc):
+        name = (aliases or {}).get(key, key)
+        if name in given:
+            raise SpecFormatError(f"field '{name}' given twice for {what}")
+        given[name] = value
+    unknown = sorted(set(given) - {f[0] for f in schema})
+    if unknown:
+        raise SpecFormatError(f"unknown fields for {what}: {unknown}")
+    args = []
+    for name, convert, *default in schema:
+        if name not in given and not default:
+            raise SpecFormatError(f"{what} is missing field '{name}'")
+        try:
+            args.append(convert(given[name]) if name in given else default[0])
+        except (SpecFormatError, TypeError, ValueError, OverflowError) as exc:
+            raise SpecFormatError(f"bad field '{name}' for {what}: {exc}") from exc
+    return args
+
+
+# The source schema: each family's entry builder and its fields.  Shorthand
+# and JSON documents share it; 'lambda' is an alias of the field 'lam'.
 _FAMILIES = {
     "expexp": (_expexp_entry, (("a", float), ("c", float))),
-    "tower": (_tower_entry, (("k", int), ("rho", float), ("q", int))),
-    "osc": (_osc_entry, (("rho", float), ("lam", float), ("p", int), ("q", int))),
+    "tower": (_tower_entry, (("k", integer), ("rho", float), ("q", integer))),
+    "osc": (_osc_entry, (("rho", float), ("lam", float), ("p", integer), ("q", integer))),
     "table": (_table_entry, (("name", str, "table"), ("lam", _column), ("log_norm", _column))),
 }
 _FAMILY_ALIASES = {"osc_profile": "osc"}
 _FIELD_ALIASES = {"lambda": "lam"}
+
+# The grid schema, in GridSpec's argument order.
+GRID_FIELDS = (("sigma_min", float), ("sigma_max", float), ("count", integer),
+               ("spacing", str, GridSpec.spacing))
+
+
+def grid_spec(doc, what: str = "grid") -> GridSpec:
+    """The grid ``doc`` describes; GridSpec's own range checks raise ValueError."""
+    return GridSpec(*read_fields(GRID_FIELDS, doc, what))
+
 
 # Canonical instances: the estimator-recovery families plus the synthetic
 # rules the theorem batches lean on.
@@ -210,43 +253,22 @@ DEFAULT_ENTRY_SPECS = [
 ]
 
 
-def _arguments(family: str, params: dict) -> tuple[str, list]:
-    """Check raw fields against the family's schema: its canonical name and converted arguments."""
+def _arguments(family: str, params) -> tuple[str, list]:
+    """Raw fields read with the family's schema: its canonical name and converted arguments."""
     family = _FAMILY_ALIASES.get(family, family)
     if family not in _FAMILIES:
         raise SpecFormatError(f"unknown corpus family '{family}'")
-    fields = _FAMILIES[family][1]
-    given = {}
-    for key, value in params.items():
-        name = _FIELD_ALIASES.get(key, key)
-        if name in given:
-            raise SpecFormatError(f"field '{name}' given twice for family '{family}'")
-        given[name] = value
-    unknown = sorted(set(given) - {f[0] for f in fields})
-    if unknown:
-        raise SpecFormatError(f"unknown fields for family '{family}': {unknown}")
-    args = []
-    for name, convert, *default in fields:
-        if name not in given:
-            if not default:
-                raise SpecFormatError(f"family '{family}' is missing field '{name}'")
-            args.append(default[0])
-            continue
-        try:
-            args.append(convert(given[name]))
-        except (TypeError, ValueError) as exc:
-            raise SpecFormatError(f"bad field '{name}' for family '{family}': {exc}") from exc
-    return family, args
+    return family, read_fields(_FAMILIES[family][1], params, f"family '{family}'", _FIELD_ALIASES)
 
 
-def _split(ref) -> tuple[str, dict]:
-    """A source reference's family and raw fields: shorthand 'family:key=value,...'
-    (values stay strings until converted) or a JSON document {"family": ..., <fields>}."""
+def _split(ref) -> tuple[str, tuple]:
+    """A source reference's family and raw fields as (key, value) pairs in order:
+    shorthand 'family:key=value,...' (values still strings) or a JSON document
+    {"family": ..., <fields>}."""
     if isinstance(ref, dict):
         if "family" not in ref:
             raise SpecFormatError("source document must be an object with a 'family' field")
-        params = dict(ref)
-        return str(params.pop("family")), params
+        return str(ref["family"]), tuple((k, v) for k, v in ref.items() if k != "family")
     if not isinstance(ref, str):
         raise SpecFormatError(f"cannot resolve source reference of type {type(ref).__name__}")
     if ":" not in ref:
@@ -256,11 +278,11 @@ def _split(ref) -> tuple[str, dict]:
     for key, eq, value in items:
         if not eq:
             raise SpecFormatError(f"bad parameter '{key}' in shorthand '{ref}'")
-    return family.strip(), {key.strip(): value.strip() for key, _, value in items}
+    return family.strip(), tuple((key.strip(), value.strip()) for key, _, value in items)
 
 
-def instantiate(family: str, params: dict) -> CorpusEntry:
-    """The entry a family name and its raw fields describe."""
+def instantiate(family: str, params) -> CorpusEntry:
+    """The entry a family name and its raw fields (a dict or a tuple of pairs) describe."""
     family, args = _arguments(family, params)
     return _FAMILIES[family][0](*args)
 

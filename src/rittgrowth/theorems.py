@@ -9,7 +9,8 @@ claim cannot be falsified by a failed premise.  Operands are evaluated
 left to right; the first ill-posed one (an interval touching zero) makes
 the instance vacuous, with its message as a note.  A numeric or domain
 error gives the verdict "error" with its cause as the note, so one bad
-instance cannot sink a batch; a schema error (SpecFormatError) propagates.
+instance cannot sink a batch.  A schema error (SpecFormatError) propagates;
+TheoremInstance raises one for a bad theorem id, index or tolerance.
 
 Per-link tolerance is the instance tolerance plus the interval
 half-widths of the two linked quantities, so certified estimation slack
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 from functools import cached_property, partial
 from typing import Optional
 
-from .corpus import CorpusEntry, resolve_source
+from .corpus import CorpusEntry, grid_spec, integer, read_fields, resolve_source
 from .errors import IncompleteInstanceError, RittGrowthError, SpecFormatError
 from .growth import GridSpec
 from .indicators import (DEFAULT_CONFIG, EstimatorConfig, IndicatorEstimate,
@@ -48,13 +49,22 @@ class TheoremInstance:
     p: int = 0
     q: int = 0
     tolerance: float = 2e-2
-    grid: Optional[GridSpec] = None
+    grid: GridSpec = DEFAULT_GRID
+
+    def __post_init__(self):
+        if self.theorem_id not in STATEMENTS:
+            raise SpecFormatError(f"unknown theorem id '{self.theorem_id}'")
+        if min(self.m, self.p, self.q) < 0:
+            raise SpecFormatError("theorem indices m, p, q must be non-negative")
+        # an infinite tolerance would pass every link
+        if not (math.isfinite(self.tolerance) and self.tolerance > 0):
+            raise SpecFormatError(f"instance tolerance must be finite and positive, got {self.tolerance}")
 
     def describe(self) -> dict:
         return {
             "theorem": self.theorem_id, "f": self.f, "g": self.g, "h": self.h,
             "m": self.m, "p": self.p, "q": self.q, "tolerance": self.tolerance,
-            "grid": (self.grid or DEFAULT_GRID).describe(),
+            "grid": self.grid.describe(),
         }
 
 
@@ -428,10 +438,10 @@ class _Run:
     """One instance: its relative sets, hypotheses and notes."""
 
     def __init__(self, inst: TheoremInstance, ws: IndicatorWorkspace):
-        self.inst, self.ws, self.grid = inst, ws, inst.grid or DEFAULT_GRID
-        self.fh = ws.rel_set(inst.f, inst.h, inst.m, inst.q, self.grid)
-        self.gh = ws.rel_set(inst.g, inst.h, inst.m, inst.p, self.grid)
-        self.fg = ws.rel_set(inst.f, inst.g, inst.p, inst.q, self.grid)
+        self.inst, self.ws = inst, ws
+        self.fh = ws.rel_set(inst.f, inst.h, inst.m, inst.q, inst.grid)
+        self.gh = ws.rel_set(inst.g, inst.h, inst.m, inst.p, inst.grid)
+        self.fg = ws.rel_set(inst.f, inst.g, inst.p, inst.q, inst.grid)
         self.tol, self.cfg = inst.tolerance, ws.config
         self.hyp, self.notes = {}, []
 
@@ -439,7 +449,7 @@ class _Run:
     def gf(self) -> RelativeIndicators:
         """g measured through f, fetched only when a statement names it."""
         inst = self.inst
-        return self.ws.rel_set(inst.g, inst.f, inst.q, inst.p, self.grid)
+        return self.ws.rel_set(inst.g, inst.f, inst.q, inst.p, inst.grid)
 
     def report(self, chain_qs: list, links: list) -> CheckReport:
         verdict = ("vacuous" if not all(self.hyp.values())
@@ -450,12 +460,6 @@ class _Run:
 
 
 def check_instance(instance: TheoremInstance, ws: Optional[IndicatorWorkspace] = None) -> CheckReport:
-    if instance.theorem_id not in STATEMENTS:
-        raise SpecFormatError(f"unknown theorem id '{instance.theorem_id}'")
-    if min(instance.m, instance.p, instance.q) < 0:
-        raise SpecFormatError("theorem indices m, p, q must be non-negative")
-    if not instance.tolerance > 0:
-        raise SpecFormatError("instance tolerance must be positive")
     try:
         run = _Run(instance, ws or IndicatorWorkspace())
         return run.report(*(STATEMENTS[instance.theorem_id](run) or ([], [])))
@@ -471,36 +475,21 @@ def check_instance(instance: TheoremInstance, ws: Optional[IndicatorWorkspace] =
                            [f"{type(exc).__name__}: {exc}"], "error")
 
 
+# The batch-instance schema, in TheoremInstance's argument order and with its
+# defaults; sources stay as given, for the workspace to resolve.
+_INSTANCE_FIELDS = (("theorem", str), *((name, lambda ref: ref) for name in "fgh"),
+                    *((name, integer, getattr(TheoremInstance, name)) for name in "mpq"),
+                    ("tolerance", float, TheoremInstance.tolerance),
+                    ("grid", grid_spec, TheoremInstance.grid))
+
+
 def load_batch(doc: dict) -> list[TheoremInstance]:
-    """Batch document: {"instances": [{theorem, f, g, h, m, p, q, tolerance?, grid?}]}."""
-    if not isinstance(doc, dict) or "instances" not in doc:
+    """Batch document: {"instances": [{theorem, f, g, h, m?, p?, q?, tolerance?, grid?}]}."""
+    items = doc.get("instances") if isinstance(doc, dict) else None
+    if not isinstance(items, list):
         raise SpecFormatError("batch document needs an 'instances' array")
-    out = []
-    for i, item in enumerate(doc["instances"]):
-        if not isinstance(item, dict):
-            raise SpecFormatError(f"instance {i} is not an object")
-        unknown = set(item) - {"theorem", "f", "g", "h", "m", "p", "q", "tolerance", "grid"}
-        if unknown:
-            raise SpecFormatError(f"instance {i} has unknown fields {sorted(unknown)}")
-        try:
-            grid = None
-            if "grid" in item:
-                gdoc = item["grid"]
-                grid = GridSpec(float(gdoc["sigma_min"]), float(gdoc["sigma_max"]),
-                                int(gdoc["count"]), str(gdoc.get("spacing", "linear")))
-            inst = TheoremInstance(
-                theorem_id=str(item["theorem"]), f=item["f"], g=item["g"], h=item["h"],
-                m=int(item.get("m", 0)), p=int(item.get("p", 0)), q=int(item.get("q", 0)),
-                tolerance=float(item.get("tolerance", 2e-2)), grid=grid,
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SpecFormatError(f"instance {i} is malformed: {exc}") from exc
-        if min(inst.m, inst.p, inst.q) < 0:
-            raise SpecFormatError(f"instance {i}: indices must be non-negative")
-        if not inst.tolerance > 0:
-            raise SpecFormatError(f"instance {i}: tolerance must be positive")
-        out.append(inst)
-    return out
+    return [TheoremInstance(*read_fields(_INSTANCE_FIELDS, item, f"instance {i}"))
+            for i, item in enumerate(items)]
 
 
 def run_batch(instances: list[TheoremInstance],

@@ -309,6 +309,28 @@ class TestCheck:
         assert json.loads(out)["summary"]["fail"] == 1
 
 
+    def test_malformed_batch_is_refused_before_any_instance_runs(self, tmp_path, capsys):
+        tower = {"theorem": "C5", "f": "tower:k=2,rho=2,q=0", "g": "tower:k=2,rho=1,q=0",
+                 "h": "tower:k=2,rho=1.5,q=0"}
+        path = tmp_path / "batch.json"
+        for batch, message in (({"instances": 5}, "needs an 'instances' array"),
+                               ({"instances": [tower, dict(tower, theorem="T99")]},
+                                "unknown theorem id 'T99'")):
+            path.write_text(json.dumps(batch))
+            code, out, err = run(["check", "--batch", str(path)], capsys)
+            assert (code, out) == (2, "")
+            assert err.startswith("error: ") and message in err and err.count("\n") == 1
+
+    def test_tolerance_that_cannot_fail_a_check_is_refused(self, tmp_path, capsys):
+        path = tmp_path / "batch.json"
+        path.write_text(json.dumps({"instances": [
+            {"theorem": "C5", "f": "tower:k=2,rho=2,q=0", "g": "tower:k=2,rho=1,q=0",
+             "h": "tower:k=2,rho=1.5,q=0"}]}))
+        for tol in ("0", "inf"):
+            code, out, err = run(["check", "--batch", str(path), "--tol", tol, "--quiet"], capsys)
+            assert (code, out) == (2, ""), tol
+            assert "tolerance must be finite and positive" in err
+
     def test_numeric_error_is_one_instance_verdict(self, tmp_path, capsys):
         # expexp:a=30 leaves the machine range near sigma = 700/30 on this
         # grid; the towers before and after it are still checked

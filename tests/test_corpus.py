@@ -74,7 +74,10 @@ class TestRegistry:
                              ("tower:k=two,rho=1,q=0", "bad field 'k'"),
                              ("table:lam=1,log_norm=0", "bad field 'lam'"),
                              ({"family": "osc", "rho": 2, "lam": 1, "lambda": 1, "p": 2, "q": 0},
-                              "'lam' given twice")):
+                              "'lam' given twice"),
+                             ({"family": "tower", "k": 2.7, "rho": 1, "q": 0.9}, "bad field 'k'"),
+                             ({"family": "tower", "k": True, "rho": 1, "q": 0}, "bad field 'k'"),
+                             ("expexp:a=1,a=2,c=1", "'a' given twice")):
             with pytest.raises(SpecFormatError, match=message):
                 resolve_source(bad)
 

@@ -180,9 +180,30 @@ class TestLink:
 
 class TestBatch:
     def test_load_rejects_unknown_fields(self):
-        with pytest.raises(SpecFormatError):
-            load_batch({"instances": [{"theorem": "T1", "f": "x", "g": "y", "h": "z",
-                                       "bogus": 1}]})
+        # instances and their grids are read by the corpus schema rule and
+        # checked by TheoremInstance, so every malformed document is refused
+        # at load, before any instance runs (sources are resolved later)
+        item = {"theorem": "T1", "f": "x", "g": "y", "h": "z"}
+        grid = {"sigma_min": 5, "sigma_max": 30, "count": 48}
+
+        def batch(**fields):
+            return {"instances": [dict(item, **fields)]}
+
+        for doc, message in ((batch(bogus=1), r"unknown fields for instance 0: \['bogus'\]"),
+                             (batch(grid=dict(grid, bogus=1)), r"unknown fields for grid: \['bogus'\]"),
+                             (batch(grid=dict(grid, count=48.9)), "bad field 'count'"),
+                             (batch(m=2.7), "bad field 'm' for instance 0"),
+                             (batch(m=True), "bad field 'm' for instance 0"),
+                             ({"instances": [item, dict(item, theorem="T99")]}, "unknown theorem id 'T99'"),
+                             (batch(tolerance=0), "tolerance must be finite and positive"),
+                             (batch(tolerance=math.inf), "tolerance must be finite and positive"),
+                             (batch(grid="5:30:48"), "grid must be an object"),
+                             ({"instances": 5}, "needs an 'instances' array")):
+            with pytest.raises(SpecFormatError, match=message):
+                load_batch(doc)
+        # integral numbers and shorthand integers are still integers
+        loaded = load_batch(batch(m=2.0, q="1", grid=dict(grid, count=48.0)))
+        assert (loaded[0].m, loaded[0].q, loaded[0].grid) == (2, 1, GridSpec(5.0, 30.0, 48))
 
     def test_load_rejects_missing_instances(self):
         with pytest.raises(SpecFormatError):
@@ -203,6 +224,14 @@ class TestBatch:
         payload = reports[0].to_json()
         assert payload["theorem"] == "C5"
         assert payload["verdict"] == "pass"
+
+    def test_readme_batch_example_loads(self):
+        # the documented format must stay loadable as the schema tightens
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        section = readme.split("Batch JSON for `check`:", 1)[1]
+        instances = load_batch(json.loads(section.split("```json\n", 1)[1].split("```", 1)[0]))
+        assert [i.theorem_id for i in instances] == ["T1"]
+        assert instances[0].grid == GridSpec(5.0, 30.0, 64, "linear")
 
     def test_numeric_error_is_an_instance_verdict(self):
         # expexp:a=30 leaves the machine range near sigma = 700/30; the batch
