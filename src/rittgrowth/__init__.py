@@ -13,8 +13,8 @@ from .levelindex import (ExtReal, compare, exp_iter, from_real, log_iter,
 from .series import (SeriesSpec, ValidationReport, expexp_spec, log_sum_upper, max_term_log,
                      table_spec, term_log, validate)
 from .growth import GridSpec, GrowthProfile, SourceBundle, invert_modulus, sample_profile
-from .indicators import (EstimatorConfig, IndexPair, IndicatorEstimate, RelativeIndicators,
-                         Samples, detect_index_pair, detect_relative_index_pair, order_pair,
+from .indicators import (IndexPair, IndicatorEstimate, RelativeIndicators, Samples,
+                         detect_index_pair, detect_relative_index_pair, order_pair,
                          profile_samples, ratio_sequence, relative_indicators, tail_estimate,
                          type_pair, weak_type_pair)
 from .oracle import TailSequence, check_difference_rules, exact_limits

@@ -27,9 +27,9 @@ from . import series as series_mod
 from . import theorems as theorems_mod
 from .errors import RittGrowthError, SpecFormatError
 from .growth import GridSpec, sample_profile
-from .indicators import (DEFAULT_CONFIG, EstimatorConfig, detect_index_pair,
-                         detect_relative_index_pair, json_number, order_pair, profile_samples,
-                         ratio_sequence, relative_indicators, type_pair, weak_type_pair)
+from .indicators import (WINDOW, detect_index_pair, detect_relative_index_pair, json_number,
+                         order_pair, profile_samples, ratio_sequence, relative_indicators,
+                         type_pair, weak_type_pair)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -63,12 +63,6 @@ def _emit(doc, args) -> None:
         Path(args.output).write_text(text)
     else:
         sys.stdout.write(text)
-
-
-def _config_from_args(args) -> EstimatorConfig:
-    if getattr(args, "window", None) is not None:
-        return replace(DEFAULT_CONFIG, window_fraction=args.window)
-    return DEFAULT_CONFIG
 
 
 def cmd_validate(args) -> int:
@@ -106,14 +100,13 @@ def cmd_profile(args) -> int:
 def cmd_indicator(args) -> int:
     entry = _load_source_arg(args.spec)
     grid = _parse_grid(args.sigma)
-    cfg = _config_from_args(args)
     samples = profile_samples(entry.bundle(), grid)
-    rho, lam = order_pair(samples, args.p, args.q, cfg)
+    rho, lam = order_pair(samples, args.p, args.q, args.window)
     estimates = [rho, lam]
     if args.kind in ("type", "all"):
-        estimates += type_pair(samples, args.p, args.q, rho.value, cfg)
+        estimates += type_pair(samples, args.p, args.q, rho.value, args.window)
     if args.kind in ("weak-type", "all"):
-        estimates += weak_type_pair(samples, args.p, args.q, lam.value, cfg)
+        estimates += weak_type_pair(samples, args.p, args.q, lam.value, args.window)
     if args.plot_data:
         # the upper surrogate's samples, the first set
         seq = ratio_sequence(samples.sets[0][1], "order", args.p, args.q)
@@ -131,9 +124,8 @@ def cmd_relative(args) -> int:
     f_entry = _load_source_arg(args.f_spec)
     g_entry = _load_source_arg(args.g_spec)
     grid = _parse_grid(args.sigma)
-    cfg = _config_from_args(args)
     rel = relative_indicators(f_entry.bundle(), g_entry.bundle(),
-                              args.p, args.q, grid, cfg, form=args.form)
+                              args.p, args.q, grid, args.window, form=args.form)
     _emit({
         "f": f_entry.id, "g": g_entry.id, "form": rel.form, "grid": grid.describe(),
         "estimates": {k: e.to_json(grid) for k, e in rel.by_kind().items()},
@@ -145,13 +137,12 @@ def cmd_relative(args) -> int:
 def cmd_detect(args) -> int:
     entry = _load_source_arg(args.spec)
     grid = _parse_grid(args.sigma) if args.sigma else None
-    cfg = _config_from_args(args)
     if args.g_spec:
         g_entry = _load_source_arg(args.g_spec)
         result = detect_relative_index_pair(entry.bundle(), g_entry.bundle(),
-                                            args.m, args.p_max, args.q_max, grid, cfg)
+                                            args.m, args.p_max, args.q_max, grid, args.window)
     else:
-        result = detect_index_pair(entry.bundle(), args.p_max, args.q_max, grid, cfg)
+        result = detect_index_pair(entry.bundle(), args.p_max, args.q_max, grid, args.window)
     _emit({
         "source": entry.id,
         "pair": {"p": result.pair.p, "q": result.pair.q},
@@ -236,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--sigma", required=True)
     p.add_argument("--kind", choices=["order", "type", "weak-type", "all"], default="order")
-    p.add_argument("--window", type=float, help="tail window fraction")
+    p.add_argument("--window", type=float, default=WINDOW, help="tail window fraction")
     p.add_argument("--plot-data", help="write (sigma, ratio) columns for external plotting")
     add_common(p)
     p.set_defaults(func=cmd_indicator)
@@ -248,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--sigma", required=True)
     p.add_argument("--form", choices=["direct", "dual"], default="direct")
-    p.add_argument("--window", type=float)
+    p.add_argument("--window", type=float, default=WINDOW)
     add_common(p)
     p.set_defaults(func=cmd_relative)
 
@@ -259,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p-max", type=int, default=4)
     p.add_argument("--q-max", type=int, default=4)
     p.add_argument("--sigma", help="min:max:count[:log]")
-    p.add_argument("--window", type=float)
+    p.add_argument("--window", type=float, default=WINDOW)
     add_common(p)
     p.set_defaults(func=cmd_detect)
 

@@ -185,7 +185,14 @@ def _fmt(v: float) -> str:
 def _column(values) -> list:
     if not isinstance(values, list):  # shorthand cannot carry a table
         raise TypeError(f"expected an array of numbers, got {values!r}")
-    return [float(v) for v in values]
+    return [number(v) for v in values]
+
+
+def number(value) -> float:
+    """A number field: JSON 2 or 2.5, or shorthand "2.5"; a boolean is refused."""
+    if isinstance(value, bool):
+        raise ValueError(f"expected a number, got {value!r}")
+    return float(value)
 
 
 def integer(value) -> int:
@@ -225,16 +232,16 @@ def read_fields(schema, doc, what: str, aliases=None) -> list:
 # The source schema: each family's entry builder and its fields.  Shorthand
 # and JSON documents share it; 'lambda' is an alias of the field 'lam'.
 _FAMILIES = {
-    "expexp": (_expexp_entry, (("a", float), ("c", float))),
-    "tower": (_tower_entry, (("k", integer), ("rho", float), ("q", integer))),
-    "osc": (_osc_entry, (("rho", float), ("lam", float), ("p", integer), ("q", integer))),
+    "expexp": (_expexp_entry, (("a", number), ("c", number))),
+    "tower": (_tower_entry, (("k", integer), ("rho", number), ("q", integer))),
+    "osc": (_osc_entry, (("rho", number), ("lam", number), ("p", integer), ("q", integer))),
     "table": (_table_entry, (("name", str, "table"), ("lam", _column), ("log_norm", _column))),
 }
 _FAMILY_ALIASES = {"osc_profile": "osc"}
 _FIELD_ALIASES = {"lambda": "lam"}
 
 # The grid schema, in GridSpec's argument order.
-GRID_FIELDS = (("sigma_min", float), ("sigma_max", float), ("count", integer),
+GRID_FIELDS = (("sigma_min", number), ("sigma_max", number), ("count", integer),
                ("spacing", str, GridSpec.spacing))
 
 

@@ -76,6 +76,9 @@ class GridSpec:
                 "count": self.count, "spacing": self.spacing}
 
 
+DEFAULT_GRID = GridSpec(5.0, 30.0, 64)  # theorem instances' grid and the detectors'
+
+
 class GrowthSource:
     """Strictly increasing curve sigma -> log M(sigma) as an ExtReal."""
 

@@ -17,6 +17,9 @@ the ratio across the window) and an interval obtained by re-estimating
 on the certified lower/upper growth surrogates.  The curve is sampled
 once per surrogate pairing (``Samples``); every indicator and both
 index-pair scans read those samples.
+
+The one setting is the tail window, a share of the ratio points (``window``,
+default WINDOW, the CLI's --window); the other numbers are module constants.
 """
 
 from __future__ import annotations
@@ -29,29 +32,23 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DetectionFailedError, DomainError, IndicatorUndefinedError
-from .growth import GridSpec, SourceBundle, compose_samples, invert_along, sample_profile
+from .growth import DEFAULT_GRID, GridSpec, SourceBundle, compose_samples, invert_along, sample_profile
 from .levelindex import ExtReal, exp_iter, from_real, log_iter, pow_scale, ratio_to_float, to_real_or_none
 
 LIMSUP = "limsup"
 LIMINF = "liminf"
 
 
-@dataclass(frozen=True)
-class EstimatorConfig:
-    """Knobs of the tail estimation; defaults match the package tolerances."""
-
-    window_fraction: float = 0.4
-    min_points: int = 16
-    resid_rel_tol: float = 1e-3   # accept the extrapolated intercept below this residual level
-    drift_tol: float = 0.05      # non-convergence flag: |trend| * window vs value
-    finite_eps: float = 1e-3     # numeric meaning of "finite and nonzero"
-    index_margin: float = 0.1    # excess over the Kronecker/b threshold in index-pair scans
-
-    def finite_nonzero(self, value: float) -> bool:
-        return self.finite_eps <= value <= 1.0 / self.finite_eps
+WINDOW = 0.4            # tail window, as a share of the ratio points; the one setting
+_MIN_POINTS = 16
+_RESID_REL_TOL = 1e-3   # accept the extrapolated intercept below this residual level
+_DRIFT_TOL = 0.05       # non-convergence flag: |trend| * window vs value
+FINITE_EPS = 1e-3       # numeric meaning of "finite and nonzero"
+_INDEX_MARGIN = 0.1     # excess over the Kronecker/b threshold in index-pair scans
 
 
-DEFAULT_CONFIG = EstimatorConfig()
+def finite_nonzero(value: float) -> bool:
+    return FINITE_EPS <= value <= 1.0 / FINITE_EPS
 
 
 @dataclass(frozen=True)
@@ -172,7 +169,7 @@ def ratio_sequence(samples: Sequence[tuple[float, ExtReal]], kind: str, p: int, 
     return RatioSequence(kind, p, q, aux_exponent, tuple(points), tuple(dropped))
 
 
-def tail_estimate(seq: RatioSequence, mode: str, config: EstimatorConfig = DEFAULT_CONFIG,
+def tail_estimate(seq: RatioSequence, mode: str, window: float = WINDOW,
                   kind_label: Optional[str] = None) -> IndicatorEstimate:
     """Finite-grid stand-in for the limsup/liminf of a ratio sequence."""
     if mode not in (LIMSUP, LIMINF):
@@ -180,10 +177,9 @@ def tail_estimate(seq: RatioSequence, mode: str, config: EstimatorConfig = DEFAU
     pts = seq.points
     if len(pts) < 8:
         raise ValueError(f"tail estimation needs >= 8 ratio points, got {len(pts)}")
-    frac = config.window_fraction
-    if not 0.0 < frac <= 1.0:
+    if not 0.0 < window <= 1.0:
         raise ValueError("window_fraction must lie in (0, 1]")
-    w = min(len(pts), max(config.min_points, math.ceil(frac * len(pts))))
+    w = min(len(pts), max(_MIN_POINTS, math.ceil(window * len(pts))))
     win = pts[-w:]
     rs = np.array([p.ratio for p in win])
     xs = np.array([p.regressor for p in win])
@@ -208,10 +204,10 @@ def tail_estimate(seq: RatioSequence, mode: str, config: EstimatorConfig = DEFAU
             intercept = float(rs.mean())
             fit = np.full_like(rs, intercept)
         resid_rms = float(np.sqrt(np.mean((rs - fit) ** 2)))
-        if resid_rms <= config.resid_rel_tol * max(1.0, abs(float(intercept))):
+        if resid_rms <= _RESID_REL_TOL * max(1.0, abs(float(intercept))):
             value, method = float(intercept), "extrapolated"
 
-    converged = math.isfinite(value) and abs(trend) * w <= config.drift_tol * max(1.0, abs(value))
+    converged = math.isfinite(value) and abs(trend) * w <= _DRIFT_TOL * max(1.0, abs(value))
     if finite.sum() >= 3:
         diffs = np.diff(rs[finite])
         up = float(np.mean(diffs > 0))
@@ -221,17 +217,17 @@ def tail_estimate(seq: RatioSequence, mode: str, config: EstimatorConfig = DEFAU
     label = kind_label or ("order" if seq.kind == "order" else "type")
     return IndicatorEstimate(
         kind=label, p=seq.p, q=seq.q, value=value, lo=value, hi=value,
-        trend=trend, window=frac, converged=converged, method=method,
+        trend=trend, window=window, converged=converged, method=method,
         n_points=w, n_dropped=len(seq.dropped), aux_exponent=seq.aux_exponent,
         direction_balance=balance,
     )
 
 
-def _admissible(est: IndicatorEstimate, threshold: float, config: EstimatorConfig) -> bool:
+def _admissible(est: IndicatorEstimate, threshold: float) -> bool:
     """An order estimate counts as finite nonzero for index-pair purposes only
     if the ratio sequence is not simply drifting: either the bias-removed
     extrapolation succeeded, or the window oscillates in both directions."""
-    if not (config.finite_nonzero(est.value) and est.value > threshold):
+    if not (finite_nonzero(est.value) and est.value > threshold):
         return False
     return est.method == "extrapolated" or est.direction_balance >= 0.2
 
@@ -293,20 +289,20 @@ def relative_samples(f_bundle: SourceBundle, g_bundle: SourceBundle, grid: GridS
 
 
 def _estimate(samples: Samples, kind: str, p: int, q: int, mode: str, label: str,
-              config: EstimatorConfig, aux_exponent: Optional[float] = None) -> IndicatorEstimate:
+              window: float, aux_exponent: Optional[float] = None) -> IndicatorEstimate:
     """One indicator on every pairing: the first gives the value, all the interval."""
     ests = [tail_estimate(ratio_sequence(pts, kind, p, q, aux_exponent, samples.value_depth),
-                          mode, config, samples.prefix + label)
+                          mode, window, samples.prefix + label)
             for _name, pts in samples.sets]
     values = [e.value for e in ests]
     return replace(ests[0], lo=min(values), hi=max(values))
 
 
 def order_pair(samples: Samples, p: int, q: int,
-               config: EstimatorConfig = DEFAULT_CONFIG) -> tuple[IndicatorEstimate, IndicatorEstimate]:
+               window: float = WINDOW) -> tuple[IndicatorEstimate, IndicatorEstimate]:
     """(order, lower order) at index-pair (p, q) from the sampled surrogates."""
-    return (_estimate(samples, "order", p, q, LIMSUP, "order", config),
-            _estimate(samples, "order", p, q, LIMINF, "lower_order", config))
+    return (_estimate(samples, "order", p, q, LIMSUP, "order", window),
+            _estimate(samples, "order", p, q, LIMINF, "lower_order", window))
 
 
 def _require_finite_positive(value: float, what: str) -> None:
@@ -317,19 +313,19 @@ def _require_finite_positive(value: float, what: str) -> None:
 
 
 def type_pair(samples: Samples, p: int, q: int, rho: float,
-              config: EstimatorConfig = DEFAULT_CONFIG) -> tuple[IndicatorEstimate, IndicatorEstimate]:
+              window: float = WINDOW) -> tuple[IndicatorEstimate, IndicatorEstimate]:
     """(type, lower type): limsup/liminf of log^[p-1]M / (log^[q-1]sigma)^rho."""
     _require_finite_positive(rho, "the type indicator")
-    return (_estimate(samples, "type", p, q, LIMSUP, "type", config, rho),
-            _estimate(samples, "type", p, q, LIMINF, "lower_type", config, rho))
+    return (_estimate(samples, "type", p, q, LIMSUP, "type", window, rho),
+            _estimate(samples, "type", p, q, LIMINF, "lower_type", window, rho))
 
 
 def weak_type_pair(samples: Samples, p: int, q: int, lam: float,
-                   config: EstimatorConfig = DEFAULT_CONFIG) -> tuple[IndicatorEstimate, IndicatorEstimate]:
+                   window: float = WINDOW) -> tuple[IndicatorEstimate, IndicatorEstimate]:
     """(tau_bar, tau): limsup/liminf of the same ratio with the lower order as exponent."""
     _require_finite_positive(lam, "the weak-type indicator")
-    return (_estimate(samples, "type", p, q, LIMSUP, "weak_type_tau_bar", config, lam),
-            _estimate(samples, "type", p, q, LIMINF, "weak_type_tau", config, lam))
+    return (_estimate(samples, "type", p, q, LIMSUP, "weak_type_tau_bar", window, lam),
+            _estimate(samples, "type", p, q, LIMINF, "weak_type_tau", window, lam))
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +357,7 @@ class RelativeIndicators:
 
 
 def relative_indicators(f_bundle: SourceBundle, g_bundle: SourceBundle, p: int, q: int,
-                        grid: GridSpec, config: EstimatorConfig = DEFAULT_CONFIG,
+                        grid: GridSpec, window: float = WINDOW,
                         form: str = "direct") -> RelativeIndicators:
     """The full relative indicator set of f measured through g's growth scale.
 
@@ -370,15 +366,15 @@ def relative_indicators(f_bundle: SourceBundle, g_bundle: SourceBundle, p: int, 
     block is reported as None with a note.
     """
     samples = relative_samples(f_bundle, g_bundle, grid, form)
-    rho, lam = order_pair(samples, p, q, config)
+    rho, lam = order_pair(samples, p, q, window)
     notes: list[str] = []
     delta = delta_bar = tau = tau_bar = None
-    if config.finite_nonzero(rho.value):
-        delta, delta_bar = type_pair(samples, p, q, rho.value, config)
+    if finite_nonzero(rho.value):
+        delta, delta_bar = type_pair(samples, p, q, rho.value, window)
     else:
         notes.append(f"type skipped: relative order {rho.value} not finite nonzero")
-    if config.finite_nonzero(lam.value):
-        tau_bar, tau = weak_type_pair(samples, p, q, lam.value, config)
+    if finite_nonzero(lam.value):
+        tau_bar, tau = weak_type_pair(samples, p, q, lam.value, window)
     else:
         notes.append(f"weak type skipped: relative lower order {lam.value} not finite nonzero")
     return RelativeIndicators(rho, lam, delta, delta_bar, tau, tau_bar, form, tuple(notes))
@@ -396,7 +392,7 @@ class DetectionResult:
 
 
 def _detect(sample, p_max: int, q_max: int, grid: Optional[GridSpec], candidates,
-            threshold, what: str, config: EstimatorConfig) -> DetectionResult:
+            threshold, what: str, window: float) -> DetectionResult:
     """First candidate (p, q) whose order is admissible above threshold(p, q).
 
     Candidates scan p up and q down, which mirrors the defining exclusion:
@@ -405,23 +401,23 @@ def _detect(sample, p_max: int, q_max: int, grid: Optional[GridSpec], candidates
     """
     if p_max > 6 or q_max > 6:
         raise ValueError("index-pair scans are limited to p_max, q_max <= 6")
-    samples = sample(grid or GridSpec(5.0, 30.0, 64))
+    samples = sample(grid or DEFAULT_GRID)
     evidence: list[tuple[int, int, float]] = []
     for p, q in candidates:
         try:
-            est = _estimate(samples, "order", p, q, LIMSUP, "order", config)
+            est = _estimate(samples, "order", p, q, LIMSUP, "order", window)
         except DomainError:
             evidence.append((p, q, math.nan))
             continue
         evidence.append((p, q, est.value))
-        if _admissible(est, threshold(p, q), config):
+        if _admissible(est, threshold(p, q)):
             return DetectionResult(IndexPair(p, q), est, tuple(evidence))
     raise DetectionFailedError(f"no admissible {what} up to ({p_max}, {q_max})", evidence)
 
 
 def detect_index_pair(bundle: SourceBundle, p_max: int = 4, q_max: int = 4,
                       grid: Optional[GridSpec] = None,
-                      config: EstimatorConfig = DEFAULT_CONFIG) -> DetectionResult:
+                      window: float = WINDOW) -> DetectionResult:
     """First (p, q), scanning p up and q down, whose order is finite nonzero.
 
     The diagonal (1,1) candidate carries the extra threshold 1 + margin.
@@ -429,17 +425,16 @@ def detect_index_pair(bundle: SourceBundle, p_max: int = 4, q_max: int = 4,
     cands = chain([(1, 1)], ((p, q) for p in range(1, p_max + 1)
                              for q in range(min(p - 1, q_max), -1, -1)))
     return _detect(lambda grid: profile_samples(bundle, grid), p_max, q_max, grid, cands,
-                   lambda p, q: 1.0 + config.index_margin if p == q else config.finite_eps,
-                   "index-pair", config)
+                   lambda p, q: 1.0 + _INDEX_MARGIN if p == q else FINITE_EPS,
+                   "index-pair", window)
 
 
 def detect_relative_index_pair(f_bundle: SourceBundle, g_bundle: SourceBundle, m: int,
                                p_max: int = 4, q_max: int = 4,
                                grid: Optional[GridSpec] = None,
-                               config: EstimatorConfig = DEFAULT_CONFIG) -> DetectionResult:
+                               window: float = WINDOW) -> DetectionResult:
     """Relative analogue; the b-threshold bites only on the (m, m) diagonal."""
     cands = ((p, q) for p in range(p_max + 1) for q in range(min(p, q_max), -1, -1))
     return _detect(lambda grid: relative_samples(f_bundle, g_bundle, grid), p_max, q_max, grid,
-                   cands, lambda p, q: max((1.0 if p == q == m else 0.0) + config.index_margin,
-                                           config.finite_eps),
-                   "relative index-pair", config)
+                   cands, lambda p, q: max((1.0 if p == q == m else 0.0) + _INDEX_MARGIN, FINITE_EPS),
+                   "relative index-pair", window)

@@ -30,13 +30,11 @@ from dataclasses import dataclass
 from functools import cached_property, partial
 from typing import Optional
 
-from .corpus import CorpusEntry, grid_spec, integer, read_fields, resolve_source
+from .corpus import CorpusEntry, grid_spec, integer, number, read_fields, resolve_source
 from .errors import IncompleteInstanceError, RittGrowthError, SpecFormatError
-from .growth import GridSpec
-from .indicators import (DEFAULT_CONFIG, EstimatorConfig, IndicatorEstimate,
-                         RelativeIndicators, json_number, relative_indicators)
-
-DEFAULT_GRID = GridSpec(5.0, 30.0, 64)
+from .growth import DEFAULT_GRID, GridSpec
+from .indicators import (FINITE_EPS, IndicatorEstimate, RelativeIndicators, finite_nonzero,
+                         json_number, relative_indicators)
 
 
 @dataclass(frozen=True)
@@ -178,8 +176,7 @@ class IndicatorWorkspace:
     estimates are deterministic, so caching cannot change any result.
     """
 
-    def __init__(self, config: EstimatorConfig = DEFAULT_CONFIG):
-        self.config = config
+    def __init__(self):
         self._entries: dict = {}
         self._sets: dict = {}
 
@@ -193,9 +190,7 @@ class IndicatorWorkspace:
         x, y = self.entry(x_ref), self.entry(y_ref)
         key = (x.id, y.id, i, j, grid)
         if key not in self._sets:
-            self._sets[key] = relative_indicators(
-                x.bundle(), y.bundle(), i, j, grid, self.config
-            )
+            self._sets[key] = relative_indicators(x.bundle(), y.bundle(), i, j, grid)
         return self._sets[key]
 
 
@@ -232,7 +227,7 @@ def _src(e, local: dict) -> str:
     if op in ("min", "max"):
         return f"_q_fold({op}, {x!r}, {', '.join(_src(y, local) for y in rest)})"
     if op == "threshold":
-        return f"_point('threshold', {'1.0 / ' if x == 'ge' else ''}c.cfg.finite_eps)"
+        return f"_point('threshold', {'1.0 / ' if x == 'ge' else ''}FINITE_EPS)"
     if op == "as":
         return f"_quantity({_NAMES[x]}, {rest[0]!r})"
     if op == "point":
@@ -243,15 +238,15 @@ def _src(e, local: dict) -> str:
 def _cond_src(text: str, local: dict) -> str:
     """Python source of a hypothesis or guard, from the text it is reported under."""
     if text.endswith(" wrt h regular"):
-        return f"_regular(c.{text[0]}h.rho, c.{text[0]}h.lam, c.tol)"
+        return f"_regular(c.{text[0]}h.rho, c.{text[0]}h.lam, c.inst.tolerance)"
     name, _, claim = text.partition(" ")
     if claim.startswith("= "):  # equal within the instance tolerance and half-widths
-        return f"_link('eq', {_src(name, local)}, {_src(claim[2:], local)}, c.tol).ok"
+        return f"_link('eq', {_src(name, local)}, {_src(claim[2:], local)}, c.inst.tolerance).ok"
     est = _NAMES[name]
-    return {"finite nonzero": f"({est} is not None and c.cfg.finite_nonzero({est}.value))",
+    return {"finite nonzero": f"({est} is not None and finite_nonzero({est}.value))",
             "available": f"{est} is not None",
-            "~ 0": f"{est}.value < c.cfg.finite_eps",
-            "~ inf": f"{est}.value > 1.0 / c.cfg.finite_eps"}[claim]
+            "~ 0": f"{est}.value < FINITE_EPS",
+            "~ inf": f"{est}.value > 1.0 / FINITE_EPS"}[claim]
 
 
 def _clause(rel, *entries, let=(), when=(), otherwise=(), note="", tol=None) -> list:
@@ -267,7 +262,7 @@ def _clause(rel, *entries, let=(), when=(), otherwise=(), note="", tol=None) -> 
         value = _src(e, local)
         local[name] = f"v{len(local)}"
         lines.append(f"{local[name]} = {value}")
-    tol = "c.tol" if tol is None else repr(tol)
+    tol = "c.inst.tolerance" if tol is None else repr(tol)
     if rel is None:
         for i, (left, r, right) in enumerate(entries):
             lines += [f"l{i} = _link({r!r}, {_src(left, local)}, {_src(right, local)}, {tol})",
@@ -442,7 +437,6 @@ class _Run:
         self.fh = ws.rel_set(inst.f, inst.h, inst.m, inst.q, inst.grid)
         self.gh = ws.rel_set(inst.g, inst.h, inst.m, inst.p, inst.grid)
         self.fg = ws.rel_set(inst.f, inst.g, inst.p, inst.q, inst.grid)
-        self.tol, self.cfg = inst.tolerance, ws.config
         self.hyp, self.notes = {}, []
 
     @cached_property
@@ -479,20 +473,29 @@ def check_instance(instance: TheoremInstance, ws: Optional[IndicatorWorkspace] =
 # defaults; sources stay as given, for the workspace to resolve.
 _INSTANCE_FIELDS = (("theorem", str), *((name, lambda ref: ref) for name in "fgh"),
                     *((name, integer, getattr(TheoremInstance, name)) for name in "mpq"),
-                    ("tolerance", float, TheoremInstance.tolerance),
+                    ("tolerance", number, TheoremInstance.tolerance),
                     ("grid", grid_spec, TheoremInstance.grid))
+
+
+def _array(items) -> list:
+    if not isinstance(items, list):
+        raise SpecFormatError("batch document needs an 'instances' array")
+    return items
 
 
 def load_batch(doc: dict) -> list[TheoremInstance]:
     """Batch document: {"instances": [{theorem, f, g, h, m?, p?, q?, tolerance?, grid?}]}."""
-    items = doc.get("instances") if isinstance(doc, dict) else None
-    if not isinstance(items, list):
-        raise SpecFormatError("batch document needs an 'instances' array")
-    return [TheoremInstance(*read_fields(_INSTANCE_FIELDS, item, f"instance {i}"))
-            for i, item in enumerate(items)]
+    items, = read_fields((("instances", _array),), doc, "batch document")
+    instances = []
+    for i, item in enumerate(items):
+        args = read_fields(_INSTANCE_FIELDS, item, f"instance {i}")
+        try:
+            instances.append(TheoremInstance(*args))
+        except SpecFormatError as exc:  # named by its place, as the schema rule's errors are
+            raise SpecFormatError(f"instance {i}: {exc}") from exc
+    return instances
 
 
-def run_batch(instances: list[TheoremInstance],
-              config: EstimatorConfig = DEFAULT_CONFIG) -> list[CheckReport]:
-    ws = IndicatorWorkspace(config)
+def run_batch(instances: list[TheoremInstance]) -> list[CheckReport]:
+    ws = IndicatorWorkspace()
     return [check_instance(inst, ws) for inst in instances]

@@ -239,6 +239,39 @@ class TestDetect:
         assert "no admissible" in err
 
 
+class TestWindow:
+    # --window is the estimator's one setting; every command that estimates takes it
+    COMMANDS = (["indicator", "--spec", "expexp:a=2,c=1", "--p", "2", "--q", "0",
+                 "--sigma", "5:30:64", "--kind", "all"],
+                ["relative", "--f-spec", "expexp:a=2,c=1", "--g-spec", "expexp:a=1,c=1",
+                 "--p", "0", "--q", "0", "--sigma", "5:25:32"],
+                ["detect", "--spec", "expexp:a=2,c=1"])
+
+    def test_window_reaches_every_estimate(self, capsys):
+        seen = 0
+        for cmd in self.COMMANDS:
+            code, out, _ = run(cmd + ["--window", "0.3"], capsys)
+            assert code == 0, cmd
+            doc = json.loads(out)
+            # indicator lists its estimates, relative maps kinds to them, detect has one
+            estimates = doc.get("estimates", [doc.get("order")])
+            if isinstance(estimates, dict):
+                estimates = list(estimates.values())
+            for est in estimates:
+                # detect reads the default 5:30:64 grid; dropped points are not ratio points
+                count = doc.get("grid", {"count": 64})["count"] - est["n_dropped"]
+                assert est["window"] == 0.3
+                assert est["n_points"] == max(16, math.ceil(0.3 * count))
+                seen += 1
+        assert seen == 6 + 6 + 1
+
+    def test_window_outside_zero_one_is_usage_error(self, capsys):
+        for cmd in self.COMMANDS:
+            code, out, err = run(cmd + ["--window", "0"], capsys)
+            assert (code, out) == (2, ""), cmd
+            assert "must lie in (0, 1]" in err
+
+
 class TestJsonNumbers:
     def test_detect_evidence_is_strict_json(self, capsys):
         # a depth-3 tower's order at (1, 1) overflows to inf; JSON has no

@@ -77,6 +77,9 @@ class TestRegistry:
                               "'lam' given twice"),
                              ({"family": "tower", "k": 2.7, "rho": 1, "q": 0.9}, "bad field 'k'"),
                              ({"family": "tower", "k": True, "rho": 1, "q": 0}, "bad field 'k'"),
+                             ({"family": "expexp", "a": True, "c": 1}, "bad field 'a'"),
+                             ({"family": "table", "lam": [True, 2, 3], "log_norm": [0, -1, -2]},
+                              "bad field 'lam'"),
                              ("expexp:a=1,a=2,c=1", "'a' given twice")):
             with pytest.raises(SpecFormatError, match=message):
                 resolve_source(bad)

@@ -194,11 +194,17 @@ class TestBatch:
                              (batch(grid=dict(grid, count=48.9)), "bad field 'count'"),
                              (batch(m=2.7), "bad field 'm' for instance 0"),
                              (batch(m=True), "bad field 'm' for instance 0"),
-                             ({"instances": [item, dict(item, theorem="T99")]}, "unknown theorem id 'T99'"),
+                             ({"instances": [item, dict(item, theorem="T99")]},
+                              "instance 1: unknown theorem id 'T99'"),
+                             (batch(m=-1), "instance 0: theorem indices"),
                              (batch(tolerance=0), "tolerance must be finite and positive"),
                              (batch(tolerance=math.inf), "tolerance must be finite and positive"),
+                             (batch(tolerance=True), "bad field 'tolerance' for instance 0"),
+                             (batch(grid=dict(grid, sigma_min=True)), "bad field 'sigma_min'"),
                              (batch(grid="5:30:48"), "grid must be an object"),
-                             ({"instances": 5}, "needs an 'instances' array")):
+                             ({"instances": 5}, "needs an 'instances' array"),
+                             ({"instances": [item], "bogus": 1},
+                              r"unknown fields for batch document: \['bogus'\]")):
             with pytest.raises(SpecFormatError, match=message):
                 load_batch(doc)
         # integral numbers and shorthand integers are still integers
