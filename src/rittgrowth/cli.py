@@ -71,8 +71,8 @@ def cmd_validate(args) -> int:
     report = series_mod.validate(spec, args.nmax)
     _emit({
         "spec": spec.describe(), "n_checked": report.n_checked,
-        "monotone_ok": report.monotone_ok, "d_estimate": report.d_estimate,
-        "coeff_decay_trend": report.coeff_decay_trend,
+        "monotone_ok": report.monotone_ok, "d_estimate": json_number(report.d_estimate),
+        "coeff_decay_trend": json_number(report.coeff_decay_trend),
         "verdict": report.verdict, "cause": report.cause,
     }, args)
     return EXIT_OK if report.verdict != "fail" else EXIT_NUMERIC

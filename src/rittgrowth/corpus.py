@@ -97,8 +97,8 @@ def _expexp_entry(a: float, c: float) -> CorpusEntry:
 
 
 def tower_rule_source(k: int, rho: float, q: int) -> SyntheticSource:
-    if k < 1 or q < 0 or rho <= 0:
-        raise SpecFormatError("tower rule needs k >= 1, q >= 0, rho > 0")
+    if k < 1 or q < 0 or not 0 < rho < math.inf:
+        raise SpecFormatError("tower rule needs k >= 1, q >= 0, finite rho > 0")
 
     def rule(sigma: float):
         lq = to_real(log_iter(from_real(sigma), q))

@@ -57,8 +57,8 @@ class GridSpec:
     spacing: str = "linear"  # "linear" | "log"
 
     def __post_init__(self):
-        if not self.sigma_min < self.sigma_max:
-            raise ValueError("grid needs sigma_min < sigma_max")
+        if not -math.inf < self.sigma_min < self.sigma_max < math.inf:
+            raise ValueError("grid needs finite sigma_min < sigma_max")
         if self.count < 2:
             raise ValueError("grid needs count >= 2")
         if self.spacing not in ("linear", "log"):
@@ -330,8 +330,7 @@ def invert_along(source: GrowthSource, ts: Sequence[float], ys: Iterable[ExtReal
     return xs
 
 
-def compose_samples(g_source: GrowthSource, f_source: GrowthSource,
-                    sigmas: list[float]) -> list[tuple[float, float]]:
-    """M_g^{-1}(M_f(sigma)) at each grid point, inverted along the grid by invert_along."""
-    psis = invert_along(g_source, sigmas, (f_source.log_m(s) for s in sigmas))
-    return list(zip(sigmas, psis))
+def compose_samples(g_source: GrowthSource, sigmas: list[float],
+                    f_values: Sequence[ExtReal]) -> list[tuple[float, float]]:
+    """M_g^{-1}(M_f(sigma)) at each sigma, inverted along the grid from f's values log M_f."""
+    return list(zip(sigmas, invert_along(g_source, sigmas, f_values)))

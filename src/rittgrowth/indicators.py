@@ -16,7 +16,9 @@ Each estimate carries a convergence diagnostic (least-squares drift of
 the ratio across the window) and an interval obtained by re-estimating
 on the certified lower/upper growth surrogates.  The curve is sampled
 once per surrogate pairing (``Samples``); every indicator and both
-index-pair scans read those samples.
+index-pair scans read those samples.  An indicator pair builds one ratio
+sequence per pairing, read by its limsup and liminf alike, and each grid
+point's denominator once for all pairings.
 
 The one setting is the tail window, a share of the ratio points (``window``,
 default WINDOW, the CLI's --window); the other numbers are module constants.
@@ -27,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from itertools import chain
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -131,6 +133,27 @@ def ratio_sequence(samples: Sequence[tuple[float, ExtReal]], kind: str, p: int, 
     iterated logs leave their domain (leading points of the grid) are
     dropped and reported, not errors; an empty result is an error.
     """
+    return next(_ratio_sequences([tuple(samples)], kind, p, q, aux_exponent, value_depth))
+
+
+def _denominator(sigma: float, kind: str, depth: int,
+                 aux_exponent: Optional[float]) -> Optional[tuple[ExtReal, float]]:
+    """(denominator, regressor 1/den or 0.0 beyond machine range), None off the log domain."""
+    try:
+        den = _apply_log_depth(from_real(sigma), depth)
+        if kind == "type":
+            den = pow_scale(den, aux_exponent)
+        elif den.level == 0 and den.mantissa <= 0.0:
+            return None
+    except DomainError:
+        return None
+    x = to_real_or_none(den)
+    return den, (1.0 / x if (x is not None and x > 0) else 0.0)
+
+
+def _ratio_sequences(sets: Sequence[Sequence[tuple[float, ExtReal]]], kind: str, p: int, q: int,
+                     aux_exponent: Optional[float], value_depth: int) -> Iterator[RatioSequence]:
+    """ratio_sequence of each set; the sets share one grid, so each denominator is built once."""
     if kind not in ("order", "type"):
         raise ValueError(f"unknown ratio kind '{kind}'")
     if kind == "type":
@@ -140,33 +163,28 @@ def ratio_sequence(samples: Sequence[tuple[float, ExtReal]], kind: str, p: int, 
             raise IndicatorUndefinedError(
                 f"type ratio needs a finite positive exponent, got {aux_exponent}"
             )
-    num_depth = p if kind == "order" else p - 1
+    num_shift = (p if kind == "order" else p - 1) - value_depth
     den_depth = q if kind == "order" else q - 1
-
-    points: list[RatioPoint] = []
-    dropped: list[float] = []
-    for sigma, value in samples:
-        try:
-            num = _apply_log_depth(value, num_depth - value_depth)
-            den = _apply_log_depth(from_real(sigma), den_depth)
-            if kind == "type":
-                den = pow_scale(den, aux_exponent)
-            elif den.level == 0 and den.mantissa <= 0.0:
+    dens = [_denominator(sigma, kind, den_depth, aux_exponent) for sigma, _value in sets[0]]
+    for samples in sets:
+        points: list[RatioPoint] = []
+        dropped: list[float] = []
+        for (sigma, value), den in zip(samples, dens):
+            try:
+                r = None if den is None else ratio_to_float(
+                    _apply_log_depth(value, num_shift), den[0])
+            except DomainError:
+                r = None
+            if r is None:
                 dropped.append(sigma)
-                continue
-            r = ratio_to_float(num, den)
-        except DomainError:
-            dropped.append(sigma)
-            continue
-        x = to_real_or_none(den)
-        regressor = 1.0 / x if (x is not None and x > 0) else 0.0
-        points.append(RatioPoint(sigma, r, regressor))
-    if not points:
-        raise DomainError(
-            f"all {len(dropped)} grid points violate the iterated-log domain for "
-            f"kind={kind}, p={p}, q={q}"
-        )
-    return RatioSequence(kind, p, q, aux_exponent, tuple(points), tuple(dropped))
+            else:
+                points.append(RatioPoint(sigma, r, den[1]))
+        if not points:
+            raise DomainError(
+                f"all {len(dropped)} grid points violate the iterated-log domain for "
+                f"kind={kind}, p={p}, q={q}"
+            )
+        yield RatioSequence(kind, p, q, aux_exponent, tuple(points), tuple(dropped))
 
 
 def tail_estimate(seq: RatioSequence, mode: str, window: float = WINDOW,
@@ -240,10 +258,11 @@ def _admissible(est: IndicatorEstimate, threshold: float) -> bool:
 class Samples:
     """A growth curve sampled along a grid, once for each surrogate pairing.
 
-    sets holds (pairing, ((sigma, value), ...)) with the pairing of the
-    point estimate first; the others only widen its interval.  value_depth
-    is the log-depth of the stored values (1 for a log M profile, 0 for a
-    composed M_g^{-1}M_f curve); prefix starts every estimate's label.
+    sets holds (pairing, ((sigma, value), ...)), every set on the same
+    sigmas, with the pairing of the point estimate first; the others only
+    widen its interval.  value_depth is the log-depth of the stored values
+    (1 for a log M profile, 0 for a composed M_g^{-1}M_f curve); prefix
+    starts every estimate's label.
     """
 
     sets: tuple[tuple[str, tuple[tuple[float, ExtReal], ...]], ...]
@@ -264,45 +283,55 @@ def relative_samples(f_bundle: SourceBundle, g_bundle: SourceBundle, grid: GridS
                      form: str = "direct") -> Samples:
     """The relative curve M_g^{-1} M_f along the grid, in either defining form.
 
-    "direct" composes.  Its center pairing composes the two upper
-    surrogates; the interval pairings cross them: (f-lower against
+    Each of f's surrogates is sampled once along the grid.  "direct"
+    composes g against those values.  Its center pairing composes the two
+    upper surrogates; the interval pairings cross them: (f-lower against
     g-upper) can only undershoot and (f-upper against g-lower) can only
     overshoot the true curve.  "dual" inverts both curves at a shared
     value grid, f's own curve values along the sigma grid, which keeps
     both inversions inside their achievable ranges; f is re-inverted
     rather than assuming M^{-1}M = id.
     """
-    sigmas = grid.sigmas()
-    if form == "direct":
-        sets = [("center", compose_samples(g_bundle.upper, f_bundle.upper, sigmas))]
-        if f_bundle.lower is not None or g_bundle.lower is not None:
-            sets.append(("low", compose_samples(g_bundle.upper, f_bundle.lower_or_upper, sigmas)))
-            sets.append(("high", compose_samples(g_bundle.lower_or_upper, f_bundle.upper, sigmas)))
-    elif form == "dual":
-        ys = [f_bundle.upper.log_m(s) for s in sigmas]
-        sets = [("center", list(zip(invert_along(f_bundle.upper, sigmas, ys),
-                                    invert_along(g_bundle.upper, sigmas, ys))))]
-    else:
+    if form not in ("direct", "dual"):
         raise ValueError(f"unknown relative form '{form}'")
-    return Samples(tuple((name, tuple((s, from_real(v)) for s, v in pts)) for name, pts in sets),
-                   value_depth=0, prefix="relative_")
+    sigmas = grid.sigmas()
+    f_upper = [f_bundle.upper.log_m(s) for s in sigmas]
+    if form == "dual":
+        pts = zip(invert_along(f_bundle.upper, sigmas, f_upper),
+                  invert_along(g_bundle.upper, sigmas, f_upper))
+        sets = [("center", tuple((u, from_real(v)) for u, v in pts))]
+    else:
+        def composed(g_source, f_values):
+            return tuple((s, from_real(v)) for s, v in compose_samples(g_source, sigmas, f_values))
+
+        center = composed(g_bundle.upper, f_upper)
+        sets = [("center", center)]
+        # a crossed pairing whose lower surrogate is missing is center itself
+        if f_bundle.lower is not None or g_bundle.lower is not None:
+            sets.append(("low", center if f_bundle.lower is None else
+                         composed(g_bundle.upper, [f_bundle.lower.log_m(s) for s in sigmas])))
+            sets.append(("high", center if g_bundle.lower is None else
+                         composed(g_bundle.lower, f_upper)))
+    return Samples(tuple(sets), value_depth=0, prefix="relative_")
 
 
-def _estimate(samples: Samples, kind: str, p: int, q: int, mode: str, label: str,
-              window: float, aux_exponent: Optional[float] = None) -> IndicatorEstimate:
-    """One indicator on every pairing: the first gives the value, all the interval."""
-    ests = [tail_estimate(ratio_sequence(pts, kind, p, q, aux_exponent, samples.value_depth),
-                          mode, window, samples.prefix + label)
-            for _name, pts in samples.sets]
-    values = [e.value for e in ests]
-    return replace(ests[0], lo=min(values), hi=max(values))
+def _estimates(samples: Samples, kind: str, p: int, q: int, modes: Sequence[tuple[str, str]],
+               window: float, aux_exponent: Optional[float] = None) -> tuple[IndicatorEstimate, ...]:
+    """One indicator per (mode, label) of modes, all read from each pairing's one ratio
+    sequence: the first pairing gives every value, all of them its interval."""
+    rows: list[list[IndicatorEstimate]] = [[] for _ in modes]
+    for seq in _ratio_sequences([pts for _name, pts in samples.sets], kind, p, q,
+                                aux_exponent, samples.value_depth):
+        for row, (mode, label) in zip(rows, modes):
+            row.append(tail_estimate(seq, mode, window, samples.prefix + label))
+    return tuple(replace(ests[0], lo=min(e.value for e in ests), hi=max(e.value for e in ests))
+                 for ests in rows)
 
 
 def order_pair(samples: Samples, p: int, q: int,
                window: float = WINDOW) -> tuple[IndicatorEstimate, IndicatorEstimate]:
     """(order, lower order) at index-pair (p, q) from the sampled surrogates."""
-    return (_estimate(samples, "order", p, q, LIMSUP, "order", window),
-            _estimate(samples, "order", p, q, LIMINF, "lower_order", window))
+    return _estimates(samples, "order", p, q, ((LIMSUP, "order"), (LIMINF, "lower_order")), window)
 
 
 def _require_finite_positive(value: float, what: str) -> None:
@@ -316,16 +345,16 @@ def type_pair(samples: Samples, p: int, q: int, rho: float,
               window: float = WINDOW) -> tuple[IndicatorEstimate, IndicatorEstimate]:
     """(type, lower type): limsup/liminf of log^[p-1]M / (log^[q-1]sigma)^rho."""
     _require_finite_positive(rho, "the type indicator")
-    return (_estimate(samples, "type", p, q, LIMSUP, "type", window, rho),
-            _estimate(samples, "type", p, q, LIMINF, "lower_type", window, rho))
+    return _estimates(samples, "type", p, q, ((LIMSUP, "type"), (LIMINF, "lower_type")),
+                      window, rho)
 
 
 def weak_type_pair(samples: Samples, p: int, q: int, lam: float,
                    window: float = WINDOW) -> tuple[IndicatorEstimate, IndicatorEstimate]:
     """(tau_bar, tau): limsup/liminf of the same ratio with the lower order as exponent."""
     _require_finite_positive(lam, "the weak-type indicator")
-    return (_estimate(samples, "type", p, q, LIMSUP, "weak_type_tau_bar", window, lam),
-            _estimate(samples, "type", p, q, LIMINF, "weak_type_tau", window, lam))
+    return _estimates(samples, "type", p, q, ((LIMSUP, "weak_type_tau_bar"),
+                                              (LIMINF, "weak_type_tau")), window, lam)
 
 
 # ---------------------------------------------------------------------------
@@ -405,7 +434,7 @@ def _detect(sample, p_max: int, q_max: int, grid: Optional[GridSpec], candidates
     evidence: list[tuple[int, int, float]] = []
     for p, q in candidates:
         try:
-            est = _estimate(samples, "order", p, q, LIMSUP, "order", window)
+            est, = _estimates(samples, "order", p, q, ((LIMSUP, "order"),), window)
         except DomainError:
             evidence.append((p, q, math.nan))
             continue

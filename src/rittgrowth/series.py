@@ -99,8 +99,8 @@ def expexp_spec(a: float, c: float, log_scale: float = 0.0) -> SeriesSpec:
     The sum has the closed form exp(c * e^(a sigma)) - 1, which makes this
     the workhorse family with analytically known indicators.
     """
-    if a <= 0 or c <= 0:
-        raise SpecFormatError("expexp requires a > 0 and c > 0")
+    if not (0 < a < math.inf and 0 < c < math.inf and math.isfinite(log_scale)):
+        raise SpecFormatError("expexp requires finite a > 0, c > 0 and log_scale")
     log_c = math.log(c)
 
     def lam(n: float) -> float:

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import pytest
 
@@ -12,6 +13,13 @@ def run(args, capsys):
     code = main(args)
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def strict_json(text):
+    """Parse JSON that must not hold the non-standard NaN or Infinity."""
+    def reject(token):
+        raise ValueError(f"non-JSON constant {token}")
+    return json.loads(text, parse_constant=reject)
 
 
 class TestValidate:
@@ -81,6 +89,20 @@ class TestProfile:
         expected = math.log(1 + math.exp(-1) + math.exp(-2.5) + math.exp(-4.5))
         assert samples[0]["mantissa"] == pytest.approx(expected, rel=1e-12)
 
+    def test_non_finite_input_is_a_usage_error(self, capsys):
+        for args in (["profile", "--spec", "expexp:a=1,c=1", "--sigma", "5:inf:8"],
+                     ["profile", "--spec", "expexp:a=1,c=1", "--sigma", "nan:30:8"],
+                     ["profile", "--spec", "tower:k=2,rho=nan,q=0", "--sigma", "5:30:8"],
+                     ["indicator", "--spec", "expexp:a=inf,c=1", "--p", "2", "--q", "0",
+                      "--sigma", "5:30:64"],
+                     ["indicator", "--spec", "expexp:a=1,c=nan", "--p", "2", "--q", "0",
+                      "--sigma", "5:30:64"]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # a numpy RuntimeWarning fails the run
+                code, out, err = run(args, capsys)
+            assert (code, out) == (2, ""), args
+            assert "finite" in err and "RuntimeWarning" not in err, args
+
 
 class TestSourceContract:
     """Every command reads a source document through the one corpus schema."""
@@ -100,7 +122,8 @@ class TestSourceContract:
         path.write_text(json.dumps(self.FAILING_TABLE))
         code, out, _ = run(["validate", "--spec", str(path)], capsys)
         assert code == 3
-        doc = json.loads(out)
+        doc = strict_json(out)
+        assert doc["d_estimate"] == "nan"
         assert doc["verdict"] == "fail"
         assert doc["cause"] == "exponents not strictly increasing from a positive start"
         code, out, err = run(["profile", "--spec", str(path), "--sigma", "0:3:4"], capsys)
@@ -278,10 +301,7 @@ class TestJsonNumbers:
         # Infinity, so the evidence must carry it as the string "inf"
         code, out, _ = run(["detect", "--spec", "tower:k=3,rho=2,q=0"], capsys)
         assert code == 0
-
-        def reject(token):
-            raise ValueError(f"non-JSON constant {token}")
-        doc = json.loads(out, parse_constant=reject)
+        doc = strict_json(out)
         assert doc["evidence"][0] == {"p": 1, "q": 1, "order": "inf"}
 
 

@@ -80,7 +80,12 @@ class TestRegistry:
                              ({"family": "expexp", "a": True, "c": 1}, "bad field 'a'"),
                              ({"family": "table", "lam": [True, 2, 3], "log_norm": [0, -1, -2]},
                               "bad field 'lam'"),
-                             ("expexp:a=1,a=2,c=1", "'a' given twice")):
+                             ("expexp:a=1,a=2,c=1", "'a' given twice"),
+                             ("expexp:a=inf,c=1", "finite a > 0"),
+                             ("expexp:a=1,c=nan", "finite a > 0"),
+                             ({"family": "expexp", "a": 1, "c": float("inf")}, "finite a > 0"),
+                             ("tower:k=2,rho=nan,q=0", "finite rho > 0"),
+                             ("tower:k=2,rho=inf,q=0", "finite rho > 0")):
             with pytest.raises(SpecFormatError, match=message):
                 resolve_source(bad)
 

@@ -38,6 +38,9 @@ class TestGridSpec:
             GridSpec(1.0, 2.0, 1)
         with pytest.raises(ValueError):
             GridSpec(0.0, 2.0, 4, "log")
+        for lo, hi in ((5.0, math.inf), (-math.inf, 5.0), (math.nan, 5.0), (5.0, math.nan)):
+            with pytest.raises(ValueError, match="finite sigma_min < sigma_max"):
+                GridSpec(lo, hi, 8)
 
 
 class TestSampleProfile:
@@ -187,7 +190,8 @@ class TestCompose:
     def test_monotone_in_sigma(self):
         f = parse_shorthand("expexp:a=2,c=1").bundle().upper
         g = parse_shorthand("expexp:a=1,c=3").bundle().upper
-        samples = compose_samples(g, f, GridSpec(5.0, 20.0, 24).sigmas())
+        sigmas = GridSpec(5.0, 20.0, 24).sigmas()
+        samples = compose_samples(g, sigmas, [f.log_m(s) for s in sigmas])
         psis = [p for _, p in samples]
         assert all(b > a for a, b in zip(psis, psis[1:]))
 
@@ -211,7 +215,8 @@ class TestWarmStart:
     @pytest.mark.parametrize("f_id,g_id,grid", WARM_PAIRS)
     def test_compose_matches_cold(self, f_id, g_id, grid):
         f, g = warm_bundles(f_id, g_id)
-        for s, psi in compose_samples(g, f, grid.sigmas()):
+        sigmas = grid.sigmas()
+        for s, psi in compose_samples(g, sigmas, [f.log_m(s) for s in sigmas]):
             cold = invert_modulus(g, f.log_m(s))
             assert abs(psi - cold) <= INVERT_REL_TOL * max(1.0, abs(psi))
 
@@ -232,11 +237,11 @@ class TestWarmStart:
         f, g = warm_bundles(f_id, g_id)
         sigmas = grid.sigmas()
         counted_g = CountingSource(g)
-        compose_samples(counted_g, f, sigmas)
+        ys = [f.log_m(s) for s in sigmas]
+        compose_samples(counted_g, sigmas, ys)
         assert counted_g.calls / len(sigmas) <= 6
         # the dual form inverts both curves at f's values
         counted_f, counted_g = CountingSource(f), CountingSource(g)
-        ys = [f.log_m(s) for s in sigmas]
         invert_along(counted_f, sigmas, ys)
         invert_along(counted_g, sigmas, ys)
         assert (counted_f.calls + counted_g.calls) / (2 * len(sigmas)) <= 6

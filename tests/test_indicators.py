@@ -1,17 +1,20 @@
 """Ratio sequences, tail estimation, indicator recovery, detection."""
 
 import math
+from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from rittgrowth import indicators as indicators_mod
 from rittgrowth.corpus import parse_shorthand
 from rittgrowth.errors import DetectionFailedError, DomainError, IndicatorUndefinedError
-from rittgrowth.growth import GridSpec, sample_profile
-from rittgrowth.indicators import (LIMINF, LIMSUP, RatioPoint, RatioSequence,
+from rittgrowth.growth import GridSpec, SourceBundle, sample_profile
+from rittgrowth.indicators import (LIMINF, LIMSUP, WINDOW, RatioPoint, RatioSequence,
                                    detect_index_pair, detect_relative_index_pair, order_pair,
                                    profile_samples, ratio_sequence, relative_indicators,
-                                   tail_estimate, type_pair, weak_type_pair)
+                                   relative_samples, tail_estimate, type_pair, weak_type_pair)
 from rittgrowth.series import expexp_spec
 
 
@@ -215,6 +218,93 @@ class TestRelative:
         dual = relative_indicators(f, g, 0, 0, grid, form="dual")
         assert abs(direct.rho.value - dual.rho.value) <= 2e-2
         assert abs(direct.lam.value - dual.lam.value) <= 2e-2
+
+
+class RecordingSource:
+    """Wraps a source and counts its log_m calls at each sigma."""
+
+    def __init__(self, source):
+        self.source = source
+        self.sigma_floor = source.sigma_floor
+        self.calls = Counter()
+
+    def log_m(self, sigma):
+        self.calls[sigma] += 1
+        return self.source.log_m(sigma)
+
+
+def _reference(samples, kind, p, q, mode, label, aux=None):
+    """One indicator as the sum of its parts: a ratio sequence per pairing and mode."""
+    ests = [tail_estimate(ratio_sequence(pts, kind, p, q, aux, samples.value_depth), mode,
+                          WINDOW, samples.prefix + label) for _name, pts in samples.sets]
+    values = [e.value for e in ests]
+    return replace(ests[0], lo=min(values), hi=max(values))
+
+
+class TestSharedRatioLayer:
+    """Each curve value, ratio sequence and denominator is computed once."""
+
+    def test_f_is_sampled_once_per_grid_point(self):
+        f = parse_shorthand("expexp:a=2,c=1").bundle()
+        upper, lower = RecordingSource(f.upper), RecordingSource(f.lower)
+        grid = GridSpec(5.0, 30.0, 24)
+        samples = relative_samples(SourceBundle(upper, lower),
+                                   parse_shorthand("expexp:a=1,c=3").bundle(), grid)
+        assert [name for name, _ in samples.sets] == ["center", "low", "high"]
+        assert upper.calls == lower.calls == Counter(grid.sigmas())
+
+    @pytest.mark.parametrize("f_sh,g_sh,reused", [
+        ("expexp:a=2,c=1", "tower:k=2,rho=1,q=0", "high"),
+        ("tower:k=2,rho=1,q=0", "expexp:a=1,c=1", "low"),
+    ])
+    def test_mixed_pair_inverts_two_pairings(self, f_sh, g_sh, reused, monkeypatch):
+        composed = []
+        compose = indicators_mod.compose_samples
+
+        def counting(g_source, sigmas, f_values):
+            composed.append(g_source)
+            return compose(g_source, sigmas, f_values)
+
+        monkeypatch.setattr(indicators_mod, "compose_samples", counting)
+        samples = relative_samples(parse_shorthand(f_sh).bundle(), parse_shorthand(g_sh).bundle(),
+                                   GridSpec(5.0, 25.0, 32))
+        sets = dict(samples.sets)
+        assert list(sets) == ["center", "low", "high"]
+        assert len(composed) == 2
+        assert sets[reused] is sets["center"]
+
+    @pytest.mark.parametrize("make,p,q,aux", [
+        (lambda: profile_samples(parse_shorthand("expexp:a=2,c=1").bundle(),
+                                 GridSpec(5.0, 30.0, 64)), 2, 0, 2.0),
+        # sigma <= 1 leaves the domain of log sigma: the leading points drop
+        (lambda: profile_samples(parse_shorthand("expexp:a=1,c=3").bundle(),
+                                 GridSpec(0.5, 30.0, 64)), 2, 1, 1.0),
+        (lambda: relative_samples(parse_shorthand("expexp:a=2,c=1").bundle(),
+                                  parse_shorthand("expexp:a=1,c=3").bundle(),
+                                  GridSpec(5.0, 25.0, 32)), 0, 0, 2.0),
+        (lambda: relative_samples(parse_shorthand("expexp:a=2,c=1").bundle(),
+                                  parse_shorthand("expexp:a=1,c=3").bundle(),
+                                  GridSpec(1.0, 30.0, 64)), 1, 1, 1.0),
+        (lambda: relative_samples(parse_shorthand("expexp:a=2,c=1").bundle(),
+                                  parse_shorthand("expexp:a=1,c=3").bundle(),
+                                  GridSpec(1.0, 30.0, 64)), 1, 2, 1.0),
+        (lambda: relative_samples(parse_shorthand("tower:k=2,rho=1,q=0").bundle(),
+                                  parse_shorthand("expexp:a=1,c=1").bundle(),
+                                  GridSpec(5.0, 25.0, 32)), 0, 0, 1.0),
+    ])
+    def test_pairs_match_per_pairing_reference(self, make, p, q, aux):
+        samples = make()
+        got = (order_pair(samples, p, q) + type_pair(samples, p, q, aux)
+               + weak_type_pair(samples, p, q, aux))
+        want = (_reference(samples, "order", p, q, LIMSUP, "order"),
+                _reference(samples, "order", p, q, LIMINF, "lower_order"),
+                _reference(samples, "type", p, q, LIMSUP, "type", aux),
+                _reference(samples, "type", p, q, LIMINF, "lower_type", aux),
+                _reference(samples, "type", p, q, LIMSUP, "weak_type_tau_bar", aux),
+                _reference(samples, "type", p, q, LIMINF, "weak_type_tau", aux))
+        assert [repr(e) for e in got] == [repr(e) for e in want]
+        if q > 0:
+            assert got[0].n_dropped > 0
 
 
 class TestDetection:
