@@ -29,7 +29,7 @@ from .errors import RittGrowthError, SpecFormatError
 from .growth import GridSpec, sample_profile
 from .indicators import (WINDOW, detect_index_pair, detect_relative_index_pair, json_number,
                          order_pair, profile_samples, ratio_sequence, relative_indicators,
-                         type_pair, weak_type_pair)
+                         type_pairs)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -102,11 +102,9 @@ def cmd_indicator(args) -> int:
     grid = _parse_grid(args.sigma)
     samples = profile_samples(entry.bundle(), grid)
     rho, lam = order_pair(samples, args.p, args.q, args.window)
-    estimates = [rho, lam]
-    if args.kind in ("type", "all"):
-        estimates += type_pair(samples, args.p, args.q, rho.value, args.window)
-    if args.kind in ("weak-type", "all"):
-        estimates += weak_type_pair(samples, args.p, args.q, lam.value, args.window)
+    pairs = type_pairs(samples, args.p, args.q, rho.value if args.kind in ("type", "all") else None,
+                       lam.value if args.kind in ("weak-type", "all") else None, args.window)
+    estimates = [rho, lam, *(e for pair in pairs for e in pair if e is not None)]
     if args.plot_data:
         # the upper surrogate's samples, the first set
         seq = ratio_sequence(samples.sets[0][1], "order", args.p, args.q)
@@ -124,8 +122,8 @@ def cmd_relative(args) -> int:
     f_entry = _load_source_arg(args.f_spec)
     g_entry = _load_source_arg(args.g_spec)
     grid = _parse_grid(args.sigma)
-    rel = relative_indicators(f_entry.bundle(), g_entry.bundle(),
-                              args.p, args.q, grid, args.window, form=args.form)
+    rel = relative_indicators(profile_samples(f_entry.bundle(), grid), g_entry.bundle(),
+                              args.p, args.q, args.window, form=args.form)
     _emit({
         "f": f_entry.id, "g": g_entry.id, "form": rel.form, "grid": grid.describe(),
         "estimates": {k: e.to_json(grid) for k, e in rel.by_kind().items()},

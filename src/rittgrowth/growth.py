@@ -330,7 +330,7 @@ def invert_along(source: GrowthSource, ts: Sequence[float], ys: Iterable[ExtReal
     return xs
 
 
-def compose_samples(g_source: GrowthSource, sigmas: list[float],
+def compose_samples(g_source: GrowthSource, sigmas: Sequence[float],
                     f_values: Sequence[ExtReal]) -> list[tuple[float, float]]:
     """M_g^{-1}(M_f(sigma)) at each sigma, inverted along the grid from f's values log M_f."""
     return list(zip(sigmas, invert_along(g_source, sigmas, f_values)))

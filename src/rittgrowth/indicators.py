@@ -15,10 +15,12 @@ grid they become tail-window statistics:
 Each estimate carries a convergence diagnostic (least-squares drift of
 the ratio across the window) and an interval obtained by re-estimating
 on the certified lower/upper growth surrogates.  The curve is sampled
-once per surrogate pairing (``Samples``); every indicator and both
-index-pair scans read those samples.  An indicator pair builds one ratio
-sequence per pairing, read by its limsup and liminf alike, and each grid
-point's denominator once for all pairings.
+once per surrogate pairing (``Samples``); every indicator, both index-pair
+scans and the relative curve M_g^{-1} M_f, composed from f's profile, read
+those samples, so f enters only through ``sample_profile`` and its floor and
+monotonicity checks.  An indicator pair builds one ratio sequence per
+pairing, read by its limsup and liminf alike (a type and a weak type of equal
+exponents share it), and each grid point's denominator once for all pairings.
 
 The one setting is the tail window, a share of the ratio points (``window``,
 default WINDOW, the CLI's --window); the other numbers are module constants.
@@ -103,16 +105,9 @@ class IndicatorEstimate:
     direction_balance: float = 0.0
 
     def to_json(self, grid: Optional[GridSpec] = None) -> dict:
-        num = json_number
-        doc = {
-            "kind": self.kind, "p": self.p, "q": self.q,
-            "value": num(self.value), "lo": num(self.lo), "hi": num(self.hi),
-            "trend": num(self.trend), "window": self.window,
-            "converged": self.converged, "method": self.method,
-            "n_points": self.n_points, "n_dropped": self.n_dropped,
-        }
-        if self.aux_exponent is not None:
-            doc["aux_exponent"] = self.aux_exponent
+        # every field but direction_balance; aux_exponent only when set
+        doc = {name: json_number(v) for name, v in vars(self).items()
+               if name != "direction_balance" and v is not None}
         if grid is not None:
             doc["grid"] = grid.describe()
         return doc
@@ -262,12 +257,13 @@ class Samples:
     sigmas, with the pairing of the point estimate first; the others only
     widen its interval.  value_depth is the log-depth of the stored values
     (1 for a log M profile, 0 for a composed M_g^{-1}M_f curve); prefix
-    starts every estimate's label.
+    starts every estimate's label; a profile keeps the bundle it sampled.
     """
 
     sets: tuple[tuple[str, tuple[tuple[float, ExtReal], ...]], ...]
     value_depth: int = 1
     prefix: str = ""
+    bundle: Optional[SourceBundle] = None
 
 
 def profile_samples(bundle: SourceBundle, grid: GridSpec) -> Samples:
@@ -276,28 +272,26 @@ def profile_samples(bundle: SourceBundle, grid: GridSpec) -> Samples:
     for name, src in bundle.surrogates():
         prof = sample_profile(src, grid)
         sets.append((name, tuple(zip(prof.sigmas, prof.values))))
-    return Samples(tuple(sets))
+    return Samples(tuple(sets), bundle=bundle)
 
 
-def relative_samples(f_bundle: SourceBundle, g_bundle: SourceBundle, grid: GridSpec,
-                     form: str = "direct") -> Samples:
-    """The relative curve M_g^{-1} M_f along the grid, in either defining form.
+def relative_samples(f: Samples, g_bundle: SourceBundle, form: str = "direct") -> Samples:
+    """The relative curve M_g^{-1} M_f along f's profile (profile_samples), in either form.
 
-    Each of f's surrogates is sampled once along the grid.  "direct"
-    composes g against those values.  Its center pairing composes the two
-    upper surrogates; the interval pairings cross them: (f-lower against
-    g-upper) can only undershoot and (f-upper against g-lower) can only
-    overshoot the true curve.  "dual" inverts both curves at a shared
-    value grid, f's own curve values along the sigma grid, which keeps
-    both inversions inside their achievable ranges; f is re-inverted
-    rather than assuming M^{-1}M = id.
+    "direct" composes g against f's sampled values.  Its center pairing
+    composes the two upper surrogates; the interval pairings cross them:
+    (f-lower against g-upper) can only undershoot and (f-upper against
+    g-lower) can only overshoot the true curve.  "dual" inverts both
+    curves at a shared value grid, f's own upper values, which keeps both
+    inversions inside their achievable ranges; f's upper source is
+    re-inverted rather than assuming M^{-1}M = id.
     """
     if form not in ("direct", "dual"):
         raise ValueError(f"unknown relative form '{form}'")
-    sigmas = grid.sigmas()
-    f_upper = [f_bundle.upper.log_m(s) for s in sigmas]
+    (_upper, upper), *lower = f.sets
+    sigmas, f_upper = zip(*upper)
     if form == "dual":
-        pts = zip(invert_along(f_bundle.upper, sigmas, f_upper),
+        pts = zip(invert_along(f.bundle.upper, sigmas, f_upper),
                   invert_along(g_bundle.upper, sigmas, f_upper))
         sets = [("center", tuple((u, from_real(v)) for u, v in pts))]
     else:
@@ -307,9 +301,9 @@ def relative_samples(f_bundle: SourceBundle, g_bundle: SourceBundle, grid: GridS
         center = composed(g_bundle.upper, f_upper)
         sets = [("center", center)]
         # a crossed pairing whose lower surrogate is missing is center itself
-        if f_bundle.lower is not None or g_bundle.lower is not None:
-            sets.append(("low", center if f_bundle.lower is None else
-                         composed(g_bundle.upper, [f_bundle.lower.log_m(s) for s in sigmas])))
+        if lower or g_bundle.lower is not None:
+            sets.append(("low", composed(g_bundle.upper, [v for _s, v in lower[0][1]])
+                         if lower else center))
             sets.append(("high", center if g_bundle.lower is None else
                          composed(g_bundle.lower, f_upper)))
     return Samples(tuple(sets), value_depth=0, prefix="relative_")
@@ -341,20 +335,34 @@ def _require_finite_positive(value: float, what: str) -> None:
         )
 
 
+_TYPE_MODES = ((LIMSUP, "type"), (LIMINF, "lower_type"))
+_WEAK_TYPE_MODES = ((LIMSUP, "weak_type_tau_bar"), (LIMINF, "weak_type_tau"))
+
+
 def type_pair(samples: Samples, p: int, q: int, rho: float,
               window: float = WINDOW) -> tuple[IndicatorEstimate, IndicatorEstimate]:
     """(type, lower type): limsup/liminf of log^[p-1]M / (log^[q-1]sigma)^rho."""
     _require_finite_positive(rho, "the type indicator")
-    return _estimates(samples, "type", p, q, ((LIMSUP, "type"), (LIMINF, "lower_type")),
-                      window, rho)
+    return _estimates(samples, "type", p, q, _TYPE_MODES, window, rho)
 
 
 def weak_type_pair(samples: Samples, p: int, q: int, lam: float,
                    window: float = WINDOW) -> tuple[IndicatorEstimate, IndicatorEstimate]:
     """(tau_bar, tau): limsup/liminf of the same ratio with the lower order as exponent."""
     _require_finite_positive(lam, "the weak-type indicator")
-    return _estimates(samples, "type", p, q, ((LIMSUP, "weak_type_tau_bar"),
-                                              (LIMINF, "weak_type_tau")), window, lam)
+    return _estimates(samples, "type", p, q, _WEAK_TYPE_MODES, window, lam)
+
+
+def type_pairs(samples: Samples, p: int, q: int, rho: Optional[float], lam: Optional[float],
+               window: float = WINDOW) -> tuple[tuple, tuple]:
+    """(type_pair at rho, weak_type_pair at lam), (None, None) where the exponent is
+    None; equal exponents share one ratio sequence per pairing."""
+    if rho is not None and rho == lam:
+        _require_finite_positive(rho, "the type indicator")
+        ests = _estimates(samples, "type", p, q, _TYPE_MODES + _WEAK_TYPE_MODES, window, rho)
+        return ests[:2], ests[2:]
+    return ((None, None) if rho is None else type_pair(samples, p, q, rho, window),
+            (None, None) if lam is None else weak_type_pair(samples, p, q, lam, window))
 
 
 # ---------------------------------------------------------------------------
@@ -373,40 +381,28 @@ class RelativeIndicators:
     notes: tuple[str, ...] = ()
 
     def by_kind(self) -> dict:
-        out = {"relative_order": self.rho, "relative_lower_order": self.lam}
-        if self.delta is not None:
-            out["relative_type"] = self.delta
-        if self.delta_bar is not None:
-            out["relative_lower_type"] = self.delta_bar
-        if self.tau is not None:
-            out["relative_weak_type_tau"] = self.tau
-        if self.tau_bar is not None:
-            out["relative_weak_type_tau_bar"] = self.tau_bar
-        return out
+        kinds = ("order", "lower_order", "type", "lower_type", "weak_type_tau", "weak_type_tau_bar")
+        ests = (self.rho, self.lam, self.delta, self.delta_bar, self.tau, self.tau_bar)
+        return {f"relative_{kind}": e for kind, e in zip(kinds, ests) if e is not None}
 
 
-def relative_indicators(f_bundle: SourceBundle, g_bundle: SourceBundle, p: int, q: int,
-                        grid: GridSpec, window: float = WINDOW,
-                        form: str = "direct") -> RelativeIndicators:
-    """The full relative indicator set of f measured through g's growth scale.
+def relative_indicators(f: Samples, g_bundle: SourceBundle, p: int, q: int,
+                        window: float = WINDOW, form: str = "direct") -> RelativeIndicators:
+    """The full relative indicator set of f, given as its profile, through g's growth scale.
 
     Types and weak types are only computed when the corresponding order or
     lower order is finite nonzero (their defining hypothesis); a skipped
     block is reported as None with a note.
     """
-    samples = relative_samples(f_bundle, g_bundle, grid, form)
+    samples = relative_samples(f, g_bundle, form)
     rho, lam = order_pair(samples, p, q, window)
-    notes: list[str] = []
-    delta = delta_bar = tau = tau_bar = None
-    if finite_nonzero(rho.value):
-        delta, delta_bar = type_pair(samples, p, q, rho.value, window)
-    else:
-        notes.append(f"type skipped: relative order {rho.value} not finite nonzero")
-    if finite_nonzero(lam.value):
-        tau_bar, tau = weak_type_pair(samples, p, q, lam.value, window)
-    else:
-        notes.append(f"weak type skipped: relative lower order {lam.value} not finite nonzero")
-    return RelativeIndicators(rho, lam, delta, delta_bar, tau, tau_bar, form, tuple(notes))
+    ok_rho, ok_lam = finite_nonzero(rho.value), finite_nonzero(lam.value)
+    (delta, delta_bar), (tau_bar, tau) = type_pairs(samples, p, q, rho.value if ok_rho else None,
+                                                    lam.value if ok_lam else None, window)
+    notes = tuple(note for ok, note in (
+        (ok_rho, f"type skipped: relative order {rho.value} not finite nonzero"),
+        (ok_lam, f"weak type skipped: relative lower order {lam.value} not finite nonzero")) if not ok)
+    return RelativeIndicators(rho, lam, delta, delta_bar, tau, tau_bar, form, notes)
 
 
 # ---------------------------------------------------------------------------
@@ -464,6 +460,7 @@ def detect_relative_index_pair(f_bundle: SourceBundle, g_bundle: SourceBundle, m
                                window: float = WINDOW) -> DetectionResult:
     """Relative analogue; the b-threshold bites only on the (m, m) diagonal."""
     cands = ((p, q) for p in range(p_max + 1) for q in range(min(p, q_max), -1, -1))
-    return _detect(lambda grid: relative_samples(f_bundle, g_bundle, grid), p_max, q_max, grid,
-                   cands, lambda p, q: max((1.0 if p == q == m else 0.0) + _INDEX_MARGIN, FINITE_EPS),
+    return _detect(lambda grid: relative_samples(profile_samples(f_bundle, grid), g_bundle),
+                   p_max, q_max, grid, cands,
+                   lambda p, q: max((1.0 if p == q == m else 0.0) + _INDEX_MARGIN, FINITE_EPS),
                    "relative index-pair", window)

@@ -34,7 +34,7 @@ from .corpus import CorpusEntry, grid_spec, integer, number, read_fields, resolv
 from .errors import IncompleteInstanceError, RittGrowthError, SpecFormatError
 from .growth import DEFAULT_GRID, GridSpec
 from .indicators import (FINITE_EPS, IndicatorEstimate, RelativeIndicators, finite_nonzero,
-                         json_number, relative_indicators)
+                         json_number, profile_samples, relative_indicators)
 
 
 @dataclass(frozen=True)
@@ -170,27 +170,37 @@ class CheckReport:
 
 
 class IndicatorWorkspace:
-    """Resolves source references and caches relative indicator sets.
+    """Resolves source references and caches profiles and relative indicator sets.
 
-    Theorem batches reuse the same (pair, indices, grid) sets heavily;
-    estimates are deterministic, so caching cannot change any result.
+    Theorem batches reuse the same (pair, indices, grid) sets heavily, and
+    an f met with several partners g on one grid shares one profile.  Both
+    caches key a curve by its family and parameters, not by its id, which
+    names only a table.  Estimates are deterministic, so caching cannot
+    change any result.
     """
 
     def __init__(self):
-        self._entries: dict = {}
+        self._entries: dict = {}  # reference -> (entry, curve key)
+        self._profiles: dict = {}
         self._sets: dict = {}
 
-    def entry(self, ref) -> CorpusEntry:
+    def _resolve(self, ref) -> tuple[CorpusEntry, str]:
         key = json.dumps(ref, sort_keys=True) if isinstance(ref, dict) else str(ref)
         if key not in self._entries:
-            self._entries[key] = resolve_source(ref)
+            entry = resolve_source(ref)
+            self._entries[key] = entry, json.dumps([entry.family, entry.params], sort_keys=True)
         return self._entries[key]
 
+    def entry(self, ref) -> CorpusEntry:
+        return self._resolve(ref)[0]
+
     def rel_set(self, x_ref, y_ref, i: int, j: int, grid: GridSpec) -> RelativeIndicators:
-        x, y = self.entry(x_ref), self.entry(y_ref)
-        key = (x.id, y.id, i, j, grid)
+        (x, x_curve), (y, y_curve) = self._resolve(x_ref), self._resolve(y_ref)
+        key = (x_curve, y_curve, i, j, grid)
         if key not in self._sets:
-            self._sets[key] = relative_indicators(x.bundle(), y.bundle(), i, j, grid)
+            if (x_curve, grid) not in self._profiles:
+                self._profiles[x_curve, grid] = profile_samples(x.bundle(), grid)
+            self._sets[key] = relative_indicators(self._profiles[x_curve, grid], y.bundle(), i, j)
         return self._sets[key]
 
 

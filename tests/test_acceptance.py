@@ -75,7 +75,8 @@ def test_criterion_3_relative_indicators():
         for ga, gc in EXPEXP_FAMILIES:
             if (fa, fc) == (ga, gc):
                 continue
-            rel = relative_indicators(bundles[(fa, fc)], bundles[(ga, gc)], 0, 0, grid)
+            rel = relative_indicators(profile_samples(bundles[(fa, fc)], grid), bundles[(ga, gc)],
+                                      0, 0)
             worst_order = max(worst_order, abs(rel.rho.value - fa / ga))
             if fa == ga:
                 worst_type = max(worst_type, abs(rel.delta.value - fc / gc))

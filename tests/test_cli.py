@@ -248,6 +248,37 @@ class TestRelative:
         assert doc["estimates"]["relative_order"]["value"] == pytest.approx(2.0, abs=1e-2)
 
 
+    def test_samples_each_surrogate_of_f_once(self, capsys, monkeypatch):
+        import rittgrowth.indicators as indicators_mod
+        from rittgrowth.growth import sample_profile
+        calls = []
+
+        def counting(source, grid):
+            calls.append(source.describe()["surrogate"])
+            return sample_profile(source, grid)
+
+        monkeypatch.setattr(indicators_mod, "sample_profile", counting)
+        code, _, _ = run(["relative", "--f-spec", "expexp:a=2,c=1", "--g-spec", "expexp:a=1,c=3",
+                          "--p", "0", "--q", "0", "--sigma", "5:30:48"], capsys)
+        assert code == 0
+        assert calls == ["upper", "lower"]
+
+    # f's floor is 1.0, since log sigma must be defined and non-negative
+    FLOOR_PAIR = ["tower:k=2,rho=2,q=1", "--g-spec", "tower:k=2,rho=1,q=0"]
+    FLOOR_GRID = ["--sigma", "0.5:3e4:100:log"]
+
+    @pytest.mark.parametrize("args", [
+        ["relative", "--f-spec", *FLOOR_PAIR, "--p", "1", "--q", "1", *FLOOR_GRID],
+        ["relative", "--f-spec", *FLOOR_PAIR, "--p", "1", "--q", "1", *FLOOR_GRID,
+         "--form", "dual"],
+        ["detect", "--spec", *FLOOR_PAIR, *FLOOR_GRID],
+    ])
+    def test_grid_below_the_floor_of_f(self, args, capsys):
+        code, _, err = run(args, capsys)
+        assert code == 3
+        assert "grid starts at sigma=0.5 below the source floor 1.0" in err
+
+
 class TestDetect:
     def test_absolute(self, capsys):
         code, out, _ = run(["detect", "--spec", "expexp:a=2,c=1"], capsys)

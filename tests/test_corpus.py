@@ -147,8 +147,8 @@ class TestEstimatorAgreement:
     def test_relative_pair_against_closed_form(self):
         f = parse_shorthand("expexp:a=3,c=2")
         g = parse_shorthand("expexp:a=2,c=1")
-        rel = relative_indicators(f.bundle(), g.bundle(), 0, 0,
-                                  GridSpec(5.0, 30.0, 48))
+        rel = relative_indicators(profile_samples(f.bundle(), GridSpec(5.0, 30.0, 48)),
+                                  g.bundle(), 0, 0)
         assert rel.rho.value == pytest.approx(analytic_relative(f, g, "relative_order", 0, 0),
                                               abs=1e-2)
         assert rel.delta.value == pytest.approx(analytic_relative(f, g, "relative_type", 0, 0),

@@ -11,7 +11,7 @@ from rittgrowth.errors import BracketError, NumericError
 from rittgrowth import growth as growth_mod
 from rittgrowth.growth import (INVERT_REL_TOL, GridSpec, SeriesUpperSource, SyntheticSource,
                                compose_samples, invert_along, invert_modulus, sample_profile)
-from rittgrowth.indicators import relative_samples
+from rittgrowth.indicators import profile_samples, relative_samples
 from rittgrowth.levelindex import ExtReal, compare, from_real, to_real
 from rittgrowth.series import expexp_spec
 
@@ -224,7 +224,8 @@ class TestWarmStart:
     def test_dual_matches_cold(self, f_id, g_id, grid):
         f_bundle = parse_shorthand(f_id).bundle()
         g_bundle = parse_shorthand(g_id).bundle()
-        (_name, pts), = relative_samples(f_bundle, g_bundle, grid, form="dual").sets
+        (_name, pts), = relative_samples(profile_samples(f_bundle, grid), g_bundle,
+                                         form="dual").sets
         for s, (u, v) in zip(grid.sigmas(), pts):
             y = f_bundle.upper.log_m(s)
             cold_u = invert_modulus(f_bundle.upper, y)

@@ -8,14 +8,19 @@ import numpy as np
 import pytest
 
 from rittgrowth import indicators as indicators_mod
-from rittgrowth.corpus import parse_shorthand
-from rittgrowth.errors import DetectionFailedError, DomainError, IndicatorUndefinedError
-from rittgrowth.growth import GridSpec, SourceBundle, sample_profile
+from rittgrowth import theorems as theorems_mod
+from rittgrowth.corpus import parse_shorthand, resolve_source
+from rittgrowth.errors import (DetectionFailedError, DomainError, IndicatorUndefinedError,
+                               NumericError)
+from rittgrowth.growth import GridSpec, SourceBundle, SyntheticSource, sample_profile
 from rittgrowth.indicators import (LIMINF, LIMSUP, WINDOW, RatioPoint, RatioSequence,
                                    detect_index_pair, detect_relative_index_pair, order_pair,
                                    profile_samples, ratio_sequence, relative_indicators,
-                                   relative_samples, tail_estimate, type_pair, weak_type_pair)
+                                   relative_samples, tail_estimate, type_pair, type_pairs,
+                                   weak_type_pair)
+from rittgrowth.levelindex import from_real
 from rittgrowth.series import expexp_spec
+from rittgrowth.theorems import IndicatorWorkspace
 
 
 def _upper_samples(shorthand, grid):
@@ -175,16 +180,16 @@ class TestCoefficientScaling:
 
 class TestRelative:
     def test_order_ratio_of_rates(self):
-        rel = relative_indicators(parse_shorthand("expexp:a=2,c=1").bundle(),
-                                  parse_shorthand("expexp:a=1,c=1").bundle(),
-                                  0, 0, GridSpec(5.0, 30.0, 48))
+        rel = relative_indicators(profile_samples(parse_shorthand("expexp:a=2,c=1").bundle(),
+                                                  GridSpec(5.0, 30.0, 48)),
+                                  parse_shorthand("expexp:a=1,c=1").bundle(), 0, 0)
         assert rel.rho.value == pytest.approx(2.0, abs=1e-2)
         assert rel.lam.value == pytest.approx(2.0, abs=1e-2)
 
     def test_relative_type(self):
-        rel = relative_indicators(parse_shorthand("expexp:a=1,c=5").bundle(),
-                                  parse_shorthand("expexp:a=1,c=2").bundle(),
-                                  0, 0, GridSpec(5.0, 30.0, 48))
+        rel = relative_indicators(profile_samples(parse_shorthand("expexp:a=1,c=5").bundle(),
+                                                  GridSpec(5.0, 30.0, 48)),
+                                  parse_shorthand("expexp:a=1,c=2").bundle(), 0, 0)
         assert rel.rho.value == pytest.approx(1.0, abs=1e-2)
         assert rel.delta.value == pytest.approx(2.5, abs=1e-2)
         assert rel.delta_bar.value == pytest.approx(2.5, abs=1e-2)
@@ -192,15 +197,15 @@ class TestRelative:
 
     def test_self_relative_is_one(self):
         b = parse_shorthand("expexp:a=1,c=3").bundle()
-        rel = relative_indicators(b, b, 0, 0, GridSpec(5.0, 30.0, 48))
+        rel = relative_indicators(profile_samples(b, GridSpec(5.0, 30.0, 48)), b, 0, 0)
         assert rel.rho.value == pytest.approx(1.0, abs=1e-3)
         assert rel.lam.value == pytest.approx(1.0, abs=1e-3)
 
     def test_types_gated_by_degenerate_order(self):
         # f grows at a higher tower depth: relative order diverges, types skipped
-        rel = relative_indicators(parse_shorthand("tower:k=3,rho=1,q=0").bundle(),
-                                  parse_shorthand("tower:k=2,rho=1,q=0").bundle(),
-                                  0, 0, GridSpec(5.0, 30.0, 48))
+        rel = relative_indicators(profile_samples(parse_shorthand("tower:k=3,rho=1,q=0").bundle(),
+                                                  GridSpec(5.0, 30.0, 48)),
+                                  parse_shorthand("tower:k=2,rho=1,q=0").bundle(), 0, 0)
         assert rel.rho.value > 1e3
         assert rel.delta is None
         assert any("skipped" in n for n in rel.notes)
@@ -214,8 +219,8 @@ class TestRelative:
         f = parse_shorthand(f_sh).bundle()
         g = parse_shorthand(g_sh).bundle()
         grid = GridSpec(5.0, 30.0, 48)
-        direct = relative_indicators(f, g, 0, 0, grid, form="direct")
-        dual = relative_indicators(f, g, 0, 0, grid, form="dual")
+        direct = relative_indicators(profile_samples(f, grid), g, 0, 0, form="direct")
+        dual = relative_indicators(profile_samples(f, grid), g, 0, 0, form="dual")
         assert abs(direct.rho.value - dual.rho.value) <= 2e-2
         assert abs(direct.lam.value - dual.lam.value) <= 2e-2
 
@@ -231,6 +236,9 @@ class RecordingSource:
     def log_m(self, sigma):
         self.calls[sigma] += 1
         return self.source.log_m(sigma)
+
+    def describe(self):
+        return self.source.describe()
 
 
 def _reference(samples, kind, p, q, mode, label, aux=None):
@@ -248,10 +256,32 @@ class TestSharedRatioLayer:
         f = parse_shorthand("expexp:a=2,c=1").bundle()
         upper, lower = RecordingSource(f.upper), RecordingSource(f.lower)
         grid = GridSpec(5.0, 30.0, 24)
-        samples = relative_samples(SourceBundle(upper, lower),
-                                   parse_shorthand("expexp:a=1,c=3").bundle(), grid)
+        samples = relative_samples(profile_samples(SourceBundle(upper, lower), grid),
+                                   parse_shorthand("expexp:a=1,c=3").bundle())
         assert [name for name, _ in samples.sets] == ["center", "low", "high"]
         assert upper.calls == lower.calls == Counter(grid.sigmas())
+
+    def test_f_is_sampled_once_across_partners(self, monkeypatch):
+        f_ref = "expexp:a=2,c=1"
+        recorded = []
+
+        def resolve(ref):
+            entry = resolve_source(ref)
+            if ref != f_ref:
+                return entry
+            bundle = entry.bundle()
+            recorded.append(SourceBundle(RecordingSource(bundle.upper),
+                                         RecordingSource(bundle.lower)))
+            return replace(entry, _bundle=recorded[-1])
+
+        monkeypatch.setattr(theorems_mod, "resolve_source", resolve)
+        ws = IndicatorWorkspace()
+        grid = GridSpec(5.0, 30.0, 24)
+        first = ws.rel_set(f_ref, "expexp:a=1,c=3", 0, 0, grid)
+        second = ws.rel_set(f_ref, "expexp:a=1,c=1", 0, 0, grid)
+        assert first is not second
+        bundle, = recorded
+        assert bundle.upper.calls == bundle.lower.calls == Counter(grid.sigmas())
 
     @pytest.mark.parametrize("f_sh,g_sh,reused", [
         ("expexp:a=2,c=1", "tower:k=2,rho=1,q=0", "high"),
@@ -266,8 +296,9 @@ class TestSharedRatioLayer:
             return compose(g_source, sigmas, f_values)
 
         monkeypatch.setattr(indicators_mod, "compose_samples", counting)
-        samples = relative_samples(parse_shorthand(f_sh).bundle(), parse_shorthand(g_sh).bundle(),
-                                   GridSpec(5.0, 25.0, 32))
+        samples = relative_samples(profile_samples(parse_shorthand(f_sh).bundle(),
+                                                   GridSpec(5.0, 25.0, 32)),
+                                   parse_shorthand(g_sh).bundle())
         sets = dict(samples.sets)
         assert list(sets) == ["center", "low", "high"]
         assert len(composed) == 2
@@ -279,18 +310,18 @@ class TestSharedRatioLayer:
         # sigma <= 1 leaves the domain of log sigma: the leading points drop
         (lambda: profile_samples(parse_shorthand("expexp:a=1,c=3").bundle(),
                                  GridSpec(0.5, 30.0, 64)), 2, 1, 1.0),
-        (lambda: relative_samples(parse_shorthand("expexp:a=2,c=1").bundle(),
-                                  parse_shorthand("expexp:a=1,c=3").bundle(),
-                                  GridSpec(5.0, 25.0, 32)), 0, 0, 2.0),
-        (lambda: relative_samples(parse_shorthand("expexp:a=2,c=1").bundle(),
-                                  parse_shorthand("expexp:a=1,c=3").bundle(),
-                                  GridSpec(1.0, 30.0, 64)), 1, 1, 1.0),
-        (lambda: relative_samples(parse_shorthand("expexp:a=2,c=1").bundle(),
-                                  parse_shorthand("expexp:a=1,c=3").bundle(),
-                                  GridSpec(1.0, 30.0, 64)), 1, 2, 1.0),
-        (lambda: relative_samples(parse_shorthand("tower:k=2,rho=1,q=0").bundle(),
-                                  parse_shorthand("expexp:a=1,c=1").bundle(),
-                                  GridSpec(5.0, 25.0, 32)), 0, 0, 1.0),
+        (lambda: relative_samples(profile_samples(parse_shorthand("expexp:a=2,c=1").bundle(),
+                                                  GridSpec(5.0, 25.0, 32)),
+                                  parse_shorthand("expexp:a=1,c=3").bundle()), 0, 0, 2.0),
+        (lambda: relative_samples(profile_samples(parse_shorthand("expexp:a=2,c=1").bundle(),
+                                                  GridSpec(1.0, 30.0, 64)),
+                                  parse_shorthand("expexp:a=1,c=3").bundle()), 1, 1, 1.0),
+        (lambda: relative_samples(profile_samples(parse_shorthand("expexp:a=2,c=1").bundle(),
+                                                  GridSpec(1.0, 30.0, 64)),
+                                  parse_shorthand("expexp:a=1,c=3").bundle()), 1, 2, 1.0),
+        (lambda: relative_samples(profile_samples(parse_shorthand("tower:k=2,rho=1,q=0").bundle(),
+                                                  GridSpec(5.0, 25.0, 32)),
+                                  parse_shorthand("expexp:a=1,c=1").bundle()), 0, 0, 1.0),
     ])
     def test_pairs_match_per_pairing_reference(self, make, p, q, aux):
         samples = make()
@@ -305,6 +336,55 @@ class TestSharedRatioLayer:
         assert [repr(e) for e in got] == [repr(e) for e in want]
         if q > 0:
             assert got[0].n_dropped > 0
+
+
+class TestTypeSequences:
+    """A type and a weak type of equal exponents share one ratio sequence per pairing."""
+
+    @staticmethod
+    def _count_type_sequences(monkeypatch):
+        built = []
+        build = indicators_mod._ratio_sequences
+
+        def counting(sets, kind, *args):
+            for seq in build(sets, kind, *args):
+                built.append(kind)
+                yield seq
+
+        monkeypatch.setattr(indicators_mod, "_ratio_sequences", counting)
+        return built
+
+    def test_relative_set_builds_type_sequences_once(self, monkeypatch):
+        f = profile_samples(parse_shorthand("expexp:a=2,c=1").bundle(), GridSpec(5.0, 30.0, 48))
+        g = parse_shorthand("expexp:a=1,c=3").bundle()
+        samples = relative_samples(f, g)
+        rho, lam = order_pair(samples, 0, 0)
+        assert rho.value == lam.value
+        built = self._count_type_sequences(monkeypatch)
+        rel = relative_indicators(f, g, 0, 0)
+        assert built.count("type") == len(samples.sets) == 3
+        want = type_pair(samples, 0, 0, rho.value) + weak_type_pair(samples, 0, 0, lam.value)
+        assert repr((rel.delta, rel.delta_bar, rel.tau_bar, rel.tau)) == repr(want)
+
+    def test_unequal_exponents_build_both(self, monkeypatch):
+        samples = profile_samples(parse_shorthand("expexp:a=2,c=1").bundle(),
+                                  GridSpec(5.0, 30.0, 64))
+        built = self._count_type_sequences(monkeypatch)
+        got = type_pairs(samples, 2, 0, 2.0, 1.5)
+        assert built.count("type") == 2 * len(samples.sets)
+        assert repr(got) == repr((type_pair(samples, 2, 0, 2.0), weak_type_pair(samples, 2, 0, 1.5)))
+        assert type_pairs(samples, 2, 0, None, 1.5)[0] == (None, None)
+
+
+class TestRelativeChecksTheProfile:
+    """f enters the relative layer through sample_profile and its checks."""
+
+    def test_non_monotone_f_is_refused(self):
+        # log M_f = sigma + 8 sin(sigma) falls on parts of the grid
+        wave = SyntheticSource("wave", {}, lambda s: from_real(s + 8.0 * math.sin(s)))
+        g = parse_shorthand("tower:k=1,rho=1,q=0").bundle()
+        with pytest.raises(NumericError, match="profile not strictly increasing"):
+            detect_relative_index_pair(SourceBundle(wave), g, 0, grid=GridSpec(1.0, 20.0, 64))
 
 
 class TestDetection:

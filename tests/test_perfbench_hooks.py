@@ -28,3 +28,23 @@ def test_tracer_counts_one_upper_surrogate_call(monkeypatch):
     assert metrics["series.log_sum_upper.calls"] == 1
     assert metrics["series.window_terms"] > 0
     assert metrics["corpus.bundles_built"] == 1
+
+
+def test_tracer_counts_one_relative_set(monkeypatch):
+    # rel_set samples f's profile, then composes: the wrapped names on that path
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from tracer import Tracer
+
+    from rittgrowth.growth import GridSpec
+    from rittgrowth.theorems import IndicatorWorkspace
+
+    tracer = Tracer().install()
+    try:
+        IndicatorWorkspace().rel_set("tower:k=2,rho=2,q=0", "tower:k=2,rho=1,q=0", 0, 0,
+                                     GridSpec(5.0, 30.0, 24))
+    finally:
+        tracer.uninstall()
+    metrics = tracer.metrics(1)
+    assert metrics["theorems.rel_set_misses"] == 1
+    assert metrics["indicators.relative_sets"] == 1
+    assert metrics["indicators.profile_samplings_per_unit"] == 1  # one synthetic surrogate

@@ -6,9 +6,11 @@ from pathlib import Path
 
 import pytest
 
+from rittgrowth.corpus import resolve_source
 from rittgrowth.errors import SpecFormatError
 from rittgrowth.growth import GridSpec
-from rittgrowth.indicators import IndicatorEstimate, RelativeIndicators
+from rittgrowth.indicators import (IndicatorEstimate, RelativeIndicators, profile_samples,
+                                   relative_indicators)
 from rittgrowth.theorems import (THEOREM_IDS, IndicatorWorkspace, Quantity, TheoremInstance,
                                  _link, check_instance, load_batch, run_batch)
 
@@ -163,6 +165,27 @@ class TestRemark:
                                "tower:k=2,rho=1,q=0", grid=OSC_GRID)
         r = check_instance(inst, ws)
         assert r.verdict == "vacuous"
+
+
+def _table(rate):
+    """An unnamed table: every such table's id is 'table:table'."""
+    return {"family": "table", "lam": [rate * n for n in range(1, 65)],
+            "log_norm": [-math.lgamma(n + 1) for n in range(1, 65)]}
+
+
+class TestWorkspace:
+    def test_unnamed_tables_get_their_own_sets(self):
+        ws = IndicatorWorkspace()
+        g, grid = "expexp:a=1,c=1", GridSpec(1.0, 3.0, 32)
+        t1, t2 = _table(1.0), _table(2.0)
+        assert ws.entry(t1).id == ws.entry(t2).id
+        sets = [ws.rel_set(t, g, 0, 0, grid) for t in (t1, t2)]
+        for t, rel in zip((t1, t2), sets):
+            fresh = relative_indicators(profile_samples(resolve_source(t).bundle(), grid),
+                                        resolve_source(g).bundle(), 0, 0)
+            assert repr(rel) == repr(fresh)
+        assert sets[0].rho.value == pytest.approx(1.0, abs=1e-2)
+        assert sets[1].rho.value == pytest.approx(2.0, abs=1e-2)
 
 
 class TestLink:
