@@ -6,8 +6,8 @@ checks the inequality chains relating them on concrete function triples.
 """
 
 from .errors import (BracketError, DetectionFailedError, DomainError, ExtRangeError,
-                     IndicatorUndefinedError, NumericError, RittGrowthError,
-                     SearchLimitError, SpecFormatError, TailBoundError)
+                     IndicatorUndefinedError, NumericError, RittGrowthError, SpecFormatError,
+                     TailBoundError)
 from .levelindex import (ExtReal, compare, exp_iter, from_real, log_iter,
                          lse_accumulate, pow_scale, to_real)
 from .series import (SeriesSpec, ValidationReport, expexp_spec, log_sum_upper, max_term_log,

@@ -27,10 +27,6 @@ class BracketError(NumericError):
     """Monotone inversion could not bracket the target value."""
 
 
-class SearchLimitError(NumericError):
-    """An expanding search hit its configured extension cap."""
-
-
 class TailBoundError(NumericError):
     """The geometric tail certificate failed; carries the offending index."""
 

@@ -151,6 +151,8 @@ def _ratio_sequences(sets: Sequence[Sequence[tuple[float, ExtReal]]], kind: str,
     """ratio_sequence of each set; the sets share one grid, so each denominator is built once."""
     if kind not in ("order", "type"):
         raise ValueError(f"unknown ratio kind '{kind}'")
+    if p < 0 or q < 0:
+        raise ValueError(f"indices p, q must be >= 0, got ({p}, {q})")
     if kind == "type":
         if aux_exponent is None:
             raise ValueError("type ratios need the order as aux_exponent")
@@ -191,7 +193,7 @@ def tail_estimate(seq: RatioSequence, mode: str, window: float = WINDOW,
     if len(pts) < 8:
         raise ValueError(f"tail estimation needs >= 8 ratio points, got {len(pts)}")
     if not 0.0 < window <= 1.0:
-        raise ValueError("window_fraction must lie in (0, 1]")
+        raise ValueError("window must lie in (0, 1]")
     w = min(len(pts), max(_MIN_POINTS, math.ceil(window * len(pts))))
     win = pts[-w:]
     rs = np.array([p.ratio for p in win])
@@ -426,6 +428,8 @@ def _detect(sample, p_max: int, q_max: int, grid: Optional[GridSpec], candidates
     """
     if p_max > 6 or q_max > 6:
         raise ValueError("index-pair scans are limited to p_max, q_max <= 6")
+    if p_max < 0 or q_max < 0:
+        raise ValueError(f"p_max, q_max must be >= 0, got ({p_max}, {q_max})")
     samples = sample(grid or DEFAULT_GRID)
     evidence: list[tuple[int, int, float]] = []
     for p, q in candidates:
@@ -459,6 +463,8 @@ def detect_relative_index_pair(f_bundle: SourceBundle, g_bundle: SourceBundle, m
                                grid: Optional[GridSpec] = None,
                                window: float = WINDOW) -> DetectionResult:
     """Relative analogue; the b-threshold bites only on the (m, m) diagonal."""
+    if m < 0:
+        raise ValueError(f"m must be >= 0, got {m}")
     cands = ((p, q) for p in range(p_max + 1) for q in range(min(p, q_max), -1, -1))
     return _detect(lambda grid: relative_samples(profile_samples(f_bundle, grid), g_bundle),
                    p_max, q_max, grid, cands,

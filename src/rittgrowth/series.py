@@ -3,7 +3,9 @@
 A series is Sum_n a_n * exp(s * lambda_n) with lambda_n strictly increasing
 to infinity and log||a_n|| / lambda_n -> -inf.  Only the norms matter for
 growth, so a SeriesSpec stores two generators: n -> lambda_n and
-n -> log||a_n|| (-inf marks a vanishing term).
+n -> log||a_n|| (-inf marks a vanishing term).  A finite table is
+enumerated; an infinite series also supplies its central index and array
+forms of both generators.
 
 The maximum-modulus curve M(sigma) = sup_t ||f(sigma+it)|| is not
 computable from norms alone, but it is sandwiched:
@@ -13,16 +15,15 @@ computable from norms alone, but it is sandwiched:
 and both bounds are computed here.  Term sequences of interest are
 strictly log-concave in n once past the first term, so the maximum term
 sits at the central index of Wiman-Valiron theory: the root of the
-continuous stationarity equation d/dn log(term) = 0.  A spec that knows
-that root supplies it as its `peak` generator (expexp solves
-digamma(n+1) = log c + a*sigma); the rounded root is accepted once its
-neighbours confirm the maximum, which log-concavity makes sufficient.
-Specs without a peak generator, or a candidate that fails the check,
-fall back to a doubling bracket plus integer ternary search (the
-maximizing index grows like exp(sigma) and cannot be enumerated).  The
-sum is one outward walk from the central index in blocks laid out by the
-Wiman-Valiron local model (a discretised Gaussian in n), each bounded by
-tangents from log-concavity; see log_sum_upper.
+continuous stationarity equation d/dn log(term) = 0.  An infinite series
+supplies that root as its `peak` generator (expexp solves
+digamma(n+1) = log c + a*sigma), since the maximizing index grows like
+exp(sigma) and cannot be enumerated; the rounded root is accepted once its
+neighbours confirm the maximum, which log-concavity makes sufficient, and
+a root that fails the check is a NumericError.  The sum is one outward
+walk from the central index in blocks laid out by the Wiman-Valiron local
+model (a discretised Gaussian in n), each bounded by tangents from
+log-concavity; see log_sum_upper.
 """
 
 from __future__ import annotations
@@ -36,13 +37,13 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 from scipy.special import digamma, erfinv, gammaln, zeta
 
-from .errors import DomainError, NumericError, SearchLimitError, SpecFormatError, TailBoundError
+from .errors import DomainError, NumericError, SpecFormatError, TailBoundError
 from .levelindex import ExtReal, from_real, lse_accumulate
 
-# Hard cap for the expanding searches; doubling 2000 times from 64 covers
-# every index reachable before term magnitudes overflow the double range.
+# Hard cap for the walk's widening reach; 2000 doublings cover every index
+# reachable before term magnitudes overflow the double range.
 _MAX_DOUBLINGS = 2000
-DEFAULT_TAIL_TOL = 1e-12
+_TAIL_TOL = 1e-12  # the two tails past the walk carry at most this share of the sum
 _EPS = sys.float_info.epsilon
 # Rounding margin of a term log, in ulps of |log||a_n||| + |sigma*lambda_n|
 # (generators are taken to be accurate to a few ulps of their values).
@@ -54,20 +55,21 @@ _TAIL_PAD = 8.0
 _EXACT_INDEX = 2 ** 53
 _RANGE_HINT = "series evaluation needs roughly a*sigma < 700 for the expexp family"
 _DIGAMMA_ONE = -0.5772156649015329  # digamma(1) = -Euler's gamma
-_PEAK_CLIMB = 4  # neighbour steps from a peak candidate before the generic search
+_PEAK_CLIMB = 4  # neighbour steps from a peak candidate before it is refused
 
 
 @dataclass(frozen=True)
 class SeriesSpec:
     """A vector-valued Dirichlet series reduced to its coefficient norms.
 
-    lam / log_norm are scalar generators (1-based n).  The optional
-    *_array variants accept a float ndarray of indices and evaluate the
-    walk's block edges in one call; they must agree with the scalar
-    generators.  The optional peak generator maps sigma to the continuous
-    maximizer of n -> log||a_n|| + sigma*lambda_n; max_term_log verifies
-    the integer it rounds to and falls back to its generic search without
-    one.
+    lam / log_norm are scalar generators (1-based n).  A finite table sets
+    n_limit and needs nothing else.  An infinite series (n_limit None)
+    must also supply:
+      * lam_array / log_norm_array: the same generators on a float ndarray
+        of indices, which evaluate the walk's block edges in one call;
+      * peak: sigma -> the continuous maximizer of
+        n -> log||a_n|| + sigma*lambda_n, its central index; max_term_log
+        verifies the integer it rounds to, and log_sum_upper starts there.
     """
 
     name: str
@@ -78,6 +80,11 @@ class SeriesSpec:
     log_norm_array: Optional[Callable[[np.ndarray], np.ndarray]] = None
     n_limit: Optional[int] = None  # finite tables only
     peak: Optional[Callable[[float], float]] = None
+
+    def __post_init__(self):
+        if self.n_limit is None and None in (self.peak, self.lam_array, self.log_norm_array):
+            raise SpecFormatError(f"infinite series '{self.name}' needs peak, lam_array and "
+                                  f"log_norm_array generators")
 
     def describe(self) -> dict:
         return {"name": self.name, "params": dict(self.params)}
@@ -228,23 +235,8 @@ def _term_range_error(spec: SeriesSpec, n, sigma: float) -> NumericError:
     )
 
 
-def _mid(lo, hi):
-    m = lo + (hi - lo) / 2
-    if isinstance(lo, int) and isinstance(hi, int):
-        return int(m)
-    return m
-
-
-def _geom_probe(lo, hi, frac: float):
-    """Geometric interpolation between positive indices, type-preserving."""
-    m = math.exp(math.log(lo) + frac * (math.log(hi) - math.log(lo)))
-    if isinstance(lo, int) and isinstance(hi, int) and hi <= _EXACT_INDEX:
-        return min(hi - 1, max(lo + 1, int(m)))
-    return m
-
-
 def _verified_peak(spec: SeriesSpec, t: Callable[[float], float], sigma: float):
-    """The spec's central index rounded to an index, if it is the maximum.
+    """The spec's central index rounded to an index, checked to be the maximum term.
 
     Log-concavity makes a local maximum global, so the candidate is
     accepted once t(n-1) <= t(n) >= t(n+1).  A rising neighbour is
@@ -252,7 +244,8 @@ def _verified_peak(spec: SeriesSpec, t: Callable[[float], float], sigma: float):
     continuous root, and past n ~ 1e7 rounding of the term values is as
     large as the one-step differences.  Beyond 2**53 those differences
     vanish entirely and the factor-2 neighbours are checked instead.
-    None means the check failed and the generic search decides.
+    A candidate that fails the check means the peak generator is wrong: a
+    NumericError.
     """
     n_c = spec.peak(sigma)
     if n_c < _EXACT_INDEX:
@@ -264,74 +257,25 @@ def _verified_peak(spec: SeriesSpec, t: Callable[[float], float], sigma: float):
                 n += 1
             else:
                 return n
-        return None
-    if t(n_c / 2.0) <= t(n_c) >= t(n_c * 2.0):
+    elif t(n_c / 2.0) <= t(n_c) >= t(n_c * 2.0):
         return n_c
-    return None
+    raise NumericError(f"central index {n_c!r} of series '{spec.name}' at sigma={sigma} "
+                       f"is not its maximum term")
 
 
 def max_term_log(spec: SeriesSpec, sigma: float) -> tuple[int, ExtReal]:
     """Index and log-value of the maximum term at abscissa sigma.
 
-    Finite tables are enumerated.  Otherwise the spec's peak generator, if
-    any, proposes the index and its neighbours confirm it.  The generic
-    search, used without a peak generator or when the check fails,
-    searches 1..64 and doubles the bound while the sequence is still
-    rising at the edge, then ternary-searches the (log-concave) bracket; a
-    term that vanishes at an edge is a DomainError, as only tables may end.
+    Finite tables are enumerated.  An infinite series' peak generator
+    proposes the index and its neighbours confirm it (_verified_peak).
     Beyond 2**53 the index is tracked as a float; the flat peak makes the
     sub-integer placement irrelevant there.
     """
-    t = functools.lru_cache(maxsize=None)(lambda n: term_log(spec, n, sigma))  # phases share terms
+    t = functools.lru_cache(maxsize=None)(lambda n: term_log(spec, n, sigma))  # the climb re-reads terms
     if spec.n_limit is not None:
         best = max(range(1, spec.n_limit + 1), key=t)
-        return best, from_real(t(best))
-    if spec.peak is not None:
+    else:
         best = _verified_peak(spec, t, sigma)
-        if best is not None:
-            return best, from_real(t(best))
-
-    hi = 64
-    for _ in range(_MAX_DOUBLINGS):
-        # factor-2 probe: one-step differences fall below double rounding
-        # at tower-sized magnitudes, factor-2 differences never do
-        edge = hi if hi <= _EXACT_INDEX else float(hi)
-        if t(edge) == -math.inf:
-            raise DomainError(f"term n={edge} of series '{spec.name}' vanishes; only tables may end")
-        if t(edge * 2) < t(edge):
-            hi = hi * 2  # peak lies in [1, 2*edge]
-            break
-        hi = hi * 2
-    else:
-        raise SearchLimitError(
-            f"maximum-term search for '{spec.name}' at sigma={sigma} exceeded "
-            f"{_MAX_DOUBLINGS} doublings"
-        )
-
-    lo, hi = 1, (hi if hi <= _EXACT_INDEX else float(hi))
-    # Ternary search with geometric probes (uniform progress on the index's
-    # order of magnitude) and a flat-top stop: once the two probes agree at
-    # double resolution the peak value is already pinned.
-    while (hi - lo) > 8:
-        m1 = _geom_probe(lo, hi, 1.0 / 3.0)
-        m2 = _geom_probe(lo, hi, 2.0 / 3.0)
-        if not (lo < m1 < m2 < hi):  # index resolution exhausted
-            break
-        t1, t2 = t(m1), t(m2)
-        if t1 == t2:
-            lo, hi = m1, m2
-            break
-        if t1 < t2:
-            lo = m1
-        else:
-            hi = m2
-    # Small exhaustive sweep around the bracket firms up the integer argmax.
-    if isinstance(lo, int) and isinstance(hi, int) and (hi - lo) <= 64:
-        lo_s, hi_s = max(1, lo - 2), hi + 2
-        best = max(range(lo_s, hi_s + 1), key=t)
-    else:
-        cands = [lo, _mid(lo, hi), hi]
-        best = max(cands, key=t)
     return best, from_real(t(best))
 
 
@@ -355,8 +299,8 @@ class _Edges:
 
     def __init__(self, spec: SeriesSpec, sigma: float, ns: np.ndarray, t_star: float):
         try:
-            ln = (spec.log_norm_array or np.vectorize(spec.log_norm, otypes=[float]))(ns)
-            s_lam = sigma * (spec.lam_array or np.vectorize(spec.lam, otypes=[float]))(ns)
+            ln = spec.log_norm_array(ns)
+            s_lam = sigma * spec.lam_array(ns)
         except OverflowError as exc:  # e.g. lgamma of an index past ~1e305
             raise _term_range_error(spec, ns[-1], sigma) from exc
         t = ln + s_lam
@@ -433,28 +377,25 @@ def _offsets(per_side: int, reach_left: float, reach_right: float) -> np.ndarray
     return offsets
 
 
-def log_sum_upper(spec: SeriesSpec, sigma: float, tail_tol: float = DEFAULT_TAIL_TOL) -> ExtReal:
+def log_sum_upper(spec: SeriesSpec, sigma: float) -> ExtReal:
     """Upper surrogate: log of the full sum of term norms, certified from above.
 
     Finite tables are enumerated.  Otherwise one outward walk from the
-    central index n* (the peak generator rounded, else the maximum term's
-    index) bounds the sum (see _Edges).  The local Gaussian model sets the
-    reach, where each geometric tail falls below tail_tol/2 of the sum, and
-    the edges: a window of at most _EXACT_TERMS terms takes every term, so
-    the value is tail_tol-tight there; a wider one is cut into blocks for a
-    gap of max(tail_tol, _BLOCK_SLACK, rounding noise) between the bounds
+    central index n* (the peak generator rounded) bounds the sum (see
+    _Edges).  The local Gaussian model sets the reach, where each
+    geometric tail falls below _TAIL_TOL/2 of the sum, and the edges: a
+    window of at most _EXACT_TERMS terms takes every term, so the value is
+    _TAIL_TOL-tight there; a wider one is cut into blocks for a gap of
+    max(_TAIL_TOL, _BLOCK_SLACK, rounding noise) between the bounds
     (_offsets).  The reach grows until both tails are small enough.  Term
     values, slopes and the sum carry rounding margins, so the value never
     falls below the true sum.
     """
-    if tail_tol <= 0:
-        raise ValueError("tail_tol must be positive")
     if spec.n_limit is not None:
         ts = [term_log(spec, n, sigma) for n in range(1, spec.n_limit + 1)]
         return from_real(lse_accumulate(ts))
     # the walk needs a start near the peak, not the exact maximum term
-    n_star = float(max(1, math.floor(spec.peak(sigma) + 0.5)) if spec.peak
-                   else max_term_log(spec, sigma)[0])
+    n_star = float(max(1, math.floor(spec.peak(sigma) + 0.5)))
 
     t_star = term_log(spec, n_star, sigma)
     # The model's deviation on each side comes from the drop t(n*) - t(n* -+ h)
@@ -473,11 +414,11 @@ def log_sum_upper(spec: SeriesSpec, sigma: float, tail_tol: float = DEFAULT_TAIL
 
     # A window summed term by term has all of its mass to weigh its tails
     # against; blocks have only their edge terms, so they reach further.
-    depth = math.log(2.0 / tail_tol) + 16.0 * noise
+    depth = math.log(2.0 / _TAIL_TOL) + 16.0 * noise
     span = reach(depth + 2.0)
     if span[0] + span[1] > _EXACT_TERMS:
         span = reach(depth + 4.0 + math.log(scale))
-    per_side = math.ceil(1.2 / math.sqrt(min(max(tail_tol, _BLOCK_SLACK, noise), 0.1)))
+    per_side = math.ceil(1.2 / math.sqrt(min(max(_TAIL_TOL, _BLOCK_SLACK, noise), 0.1)))
     for _ in range(_MAX_DOUBLINGS):
         exact = span[0] + span[1] <= _EXACT_TERMS
         if exact:
@@ -492,7 +433,7 @@ def log_sum_upper(spec: SeriesSpec, sigma: float, tail_tol: float = DEFAULT_TAIL
         # the edge terms, each at least exp(hi - 2*err), bound the sum from below
         top = float(edges.hi.max())
         edge_sum = float(np.exp(edges.hi - top).sum())
-        cut = top + math.log(0.5 * tail_tol * edge_sum) - 2.0 * float(edges.err.max())
+        cut = top + math.log(0.5 * _TAIL_TOL * edge_sum) - 2.0 * float(edges.err.max())
         if tails[0] <= cut and tails[1] <= cut:
             break
         span = [min(2.0 * span[0], n_star - 1.0) if tails[0] > cut else span[0],

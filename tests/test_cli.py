@@ -293,6 +293,32 @@ class TestDetect:
         assert "no admissible" in err
 
 
+class TestIndexRange:
+    """The indices p, q, their scan bounds and m are >= 0; a negative one is a usage error."""
+
+    EXPEXP = ["--spec", "expexp:a=1,c=1"]
+    PAIR = ["--f-spec", "expexp:a=2,c=1", "--g-spec", "expexp:a=1,c=1"]
+
+    @pytest.mark.parametrize("args,message", [
+        (["indicator", *EXPEXP, "--p", "-1", "--q", "0", "--sigma", "5:30:16"],
+         "indices p, q must be >= 0, got (-1, 0)"),
+        (["indicator", *EXPEXP, "--p", "1", "--q", "-1", "--sigma", "5:30:16", "--kind", "all"],
+         "indices p, q must be >= 0, got (1, -1)"),
+        (["relative", *PAIR, "--p", "-2", "--q", "0", "--sigma", "5:30:16"],
+         "indices p, q must be >= 0, got (-2, 0)"),
+        (["relative", *PAIR, "--p", "0", "--q", "-1", "--sigma", "5:30:16", "--form", "dual"],
+         "indices p, q must be >= 0, got (0, -1)"),
+        (["detect", *EXPEXP, "--p-max", "-1"], "p_max, q_max must be >= 0, got (-1, 4)"),
+        (["detect", *EXPEXP, "--g-spec", "expexp:a=1,c=2", "--q-max", "-1"],
+         "p_max, q_max must be >= 0, got (4, -1)"),
+        (["detect", *EXPEXP, "--g-spec", "expexp:a=1,c=2", "--m", "-4"], "m must be >= 0, got -4"),
+    ])
+    def test_negative_index_is_usage_error(self, args, message, capsys):
+        code, out, err = run(args, capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: {message}\n"
+
+
 class TestWindow:
     # --window is the estimator's one setting; every command that estimates takes it
     COMMANDS = (["indicator", "--spec", "expexp:a=2,c=1", "--p", "2", "--q", "0",
@@ -323,7 +349,7 @@ class TestWindow:
         for cmd in self.COMMANDS:
             code, out, err = run(cmd + ["--window", "0"], capsys)
             assert (code, out) == (2, ""), cmd
-            assert "must lie in (0, 1]" in err
+            assert err == "error: window must lie in (0, 1]\n"
 
 
 class TestJsonNumbers:

@@ -1,8 +1,11 @@
 """Profiles, inversion and composition."""
 
+import json
 import math
 import random
+from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -14,6 +17,7 @@ from rittgrowth.growth import (INVERT_REL_TOL, GridSpec, SeriesUpperSource, Synt
 from rittgrowth.indicators import profile_samples, relative_samples
 from rittgrowth.levelindex import ExtReal, compare, from_real, to_real
 from rittgrowth.series import expexp_spec
+from rittgrowth.theorems import load_batch
 
 
 def brute_log_sum(a, c, sigma, n_hi=4000):
@@ -194,6 +198,71 @@ class TestCompose:
         samples = compose_samples(g, sigmas, [f.log_m(s) for s in sigmas])
         psis = [p for _, p in samples]
         assert all(b > a for a, b in zip(psis, psis[1:]))
+
+
+def expexp_composition(f, g, sigma):
+    """x with c_g e^(a_g x) = c_f e^(a_f sigma): M_g^{-1}(M_f(sigma)) for M = exp(c e^(a s)) - 1."""
+    return (mpmath.mpf(f["a"]) * sigma + mpmath.log(mpmath.mpf(f["c"]) / mpmath.mpf(g["c"]))) \
+        / mpmath.mpf(g["a"])
+
+
+def tower_composition(f, g, sigma):
+    """x with rho_g x = rho_f sigma: log^[k] M = rho s on both sides (q = 0)."""
+    return mpmath.mpf(f["rho"]) * sigma / mpmath.mpf(g["rho"])
+
+
+class TestComposedCurveOracle:
+    """The relative curve M_g^{-1}(M_f(sigma)) against a closed form in 40-digit mpmath.
+
+    The reference takes M as the norm sum exp(c e^(a s)) - 1, the value the
+    upper surrogates certify to within their slack, or a tower's rule.  It
+    shares no code with the solver.  Every inversion returns the midpoint
+    of a bracket at most tol = INVERT_REL_TOL * max(1, |x|) wide, so the
+    center pairing lies within tol of x*.  The crossed pairings (f-lower
+    against g-upper, f-upper against g-lower) can only undershoot and
+    overshoot the true curve, but only to within that same resolution: at
+    large a*sigma the surrogates differ by less than one stopping width,
+    and low, center and high agree to within it.
+    """
+
+    @staticmethod
+    def check(f_id, g_id, grid, reference):
+        f, g = parse_shorthand(f_id), parse_shorthand(g_id)
+        sets = dict(relative_samples(profile_samples(f.bundle(), grid), g.bundle()).sets)
+        with mpmath.workdps(40):
+            for i, (sigma, center) in enumerate(sets["center"]):
+                x = reference(f.params, g.params, mpmath.mpf(sigma))
+                tol = INVERT_REL_TOL * max(1, abs(x))
+                where = f"{f_id} vs {g_id} at sigma={sigma}"
+                assert abs(to_real(center) - x) <= tol, where
+                if "low" in sets:
+                    assert to_real(sets["low"][i][1]) <= x + tol, where
+                    assert to_real(sets["high"][i][1]) >= x - tol, where
+        return len(sets["center"])
+
+    def test_acceptance_batch_expexp_pairs(self):
+        # every expexp-expexp (f, g, grid) set that the batch's theorems compose
+        doc = json.loads((Path(__file__).resolve().parent.parent / "batches"
+                          / "acceptance_triples.json").read_text())
+        sets = []
+        for inst in load_batch(doc):
+            for x, y in ((inst.f, inst.h), (inst.g, inst.h), (inst.f, inst.g), (inst.g, inst.f)):
+                if x.startswith("expexp:") and y.startswith("expexp:") \
+                        and (x, y, inst.grid) not in sets:
+                    sets.append((x, y, inst.grid))
+        points = sum(self.check(x, y, grid, expexp_composition) for x, y, grid in sets)
+        assert (len(sets), points) == (22, 1408)
+
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_tower_pairs(self, k):
+        for rho_f, rho_g in ((2, 1), (1, 1.5)):
+            self.check(f"tower:k={k},rho={rho_f},q=0", f"tower:k={k},rho={rho_g},q=0",
+                       GridSpec(5.0, 30.0, 64), tower_composition)
+
+    def test_expexp_up_to_the_machine_range(self):
+        # a*sigma up to 690, x* up to 690 + log 3, just inside the ~700 limit
+        self.check("expexp:a=1,c=3", "expexp:a=1,c=1", GridSpec(5.0, 690.0, 64),
+                   expexp_composition)
 
 
 # (f, g, grid) on the acceptance batch's grids: expexp on a linear grid,
