@@ -12,7 +12,7 @@ from .levelindex import (ExtReal, compare, exp_iter, from_real, log_iter,
                          lse_accumulate, pow_scale, to_real)
 from .series import (SeriesSpec, ValidationReport, expexp_spec, log_sum_upper, max_term_log,
                      table_spec, term_log, validate)
-from .growth import GridSpec, GrowthProfile, SourceBundle, invert_modulus, sample_profile
+from .growth import GridSpec, SourceBundle, invert_modulus, sample_profile
 from .indicators import (IndexPair, IndicatorEstimate, RelativeIndicators, Samples,
                          detect_index_pair, detect_relative_index_pair, order_pair,
                          profile_samples, ratio_sequence, relative_indicators, tail_estimate,

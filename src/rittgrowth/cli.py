@@ -84,15 +84,12 @@ def cmd_profile(args) -> int:
     grid = _parse_grid(args.sigma)
     profile = sample_profile(source, grid)
     if args.format == "csv":
-        rows = [f"{s!r},{v.level},{v.mantissa!r}\n" for s, v in zip(profile.sigmas, profile.values)]
+        rows = [f"{s!r},{v.level},{v.mantissa!r}\n" for s, v in profile]
         _emit("".join(["sigma,level,mantissa\n"] + rows), args)
     else:
         _emit({
-            "source": profile.source, "grid": grid.describe(),
-            "samples": [
-                {"sigma": s, "level": v.level, "mantissa": v.mantissa}
-                for s, v in zip(profile.sigmas, profile.values)
-            ],
+            "source": source.describe(), "grid": grid.describe(),
+            "samples": [{"sigma": s, "level": v.level, "mantissa": v.mantissa} for s, v in profile],
         }, args)
     return EXIT_OK
 
@@ -123,9 +120,9 @@ def cmd_relative(args) -> int:
     g_entry = _load_source_arg(args.g_spec)
     grid = _parse_grid(args.sigma)
     rel = relative_indicators(profile_samples(f_entry.bundle(), grid), g_entry.bundle(),
-                              args.p, args.q, args.window, form=args.form)
+                              args.p, args.q, args.window)
     _emit({
-        "f": f_entry.id, "g": g_entry.id, "form": rel.form, "grid": grid.describe(),
+        "f": f_entry.id, "g": g_entry.id, "form": "direct", "grid": grid.describe(),
         "estimates": {k: e.to_json(grid) for k, e in rel.by_kind().items()},
         "notes": list(rel.notes),
     }, args)
@@ -236,7 +233,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--sigma", required=True)
-    p.add_argument("--form", choices=["direct", "dual"], default="direct")
     p.add_argument("--window", type=float, default=WINDOW)
     add_common(p)
     p.set_defaults(func=cmd_relative)

@@ -1,18 +1,19 @@
 """Growth curves sigma -> log M(sigma) and their monotone inversion.
 
 A *source* is any strictly increasing curve evaluable at fresh sigma
-(series surrogates or synthetic closed-form rules); profiles are sampled
-snapshots of a source on a grid.  Inversion brackets the root on the
-continuous source rather than interpolating samples, so no interpolation
-error enters the extended domain.  Its ITP solver (Oliveira & Takahashi,
-ACM TOMS 47(1), 2020) interpolates only to choose where to probe; every
-bracket update is an exact level-index comparison, so the bracket and its
-stopping rule are those of bisection, in at most one step more.
+(series surrogates or synthetic closed-form rules); a profile is a source
+sampled on a grid, its (sigma, log M) pairs.  Inversion brackets the root
+on the continuous source rather than interpolating samples, so no
+interpolation error enters the extended domain.  Its ITP solver (Oliveira
+& Takahashi, ACM TOMS 47(1), 2020) interpolates only to choose where to
+probe; every bracket update is an exact level-index comparison, so the
+bracket and its stopping rule are those of bisection, in at most one step
+more.
 
 The composition M_g^{-1}(M_f(sigma)) at the heart of every relative
 indicator is one inversion per point, carried out entirely on (level,
 mantissa) pairs; the curve value M_f(sigma) is never materialized.
-Along a grid (``invert_along``) each inversion starts from a tight
+Along a grid (``compose_samples``) each inversion starts from a tight
 bracket around the polynomial extrapolation of the points already
 solved, and ITP's truncation scales with the root's magnitude rather than
 the initial width, so a well-predicted point costs about four curve
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -156,16 +157,8 @@ class SourceBundle:
         return out
 
 
-@dataclass(frozen=True)
-class GrowthProfile:
-    source: dict
-    grid: GridSpec
-    sigmas: tuple[float, ...]
-    values: tuple[ExtReal, ...]
-
-
-def sample_profile(source: GrowthSource, grid: GridSpec) -> GrowthProfile:
-    """Evaluate the source on the grid and verify strict monotonicity."""
+def sample_profile(source: GrowthSource, grid: GridSpec) -> tuple[tuple[float, ExtReal], ...]:
+    """(sigma, log M(sigma)) along the grid, checked to be strictly increasing."""
     sigmas = grid.sigmas()
     if sigmas[0] < source.sigma_floor:
         raise NumericError(
@@ -177,7 +170,7 @@ def sample_profile(source: GrowthSource, grid: GridSpec) -> GrowthProfile:
             raise NumericError(
                 f"profile not strictly increasing between sigma={sigmas[i-1]} and sigma={sigmas[i]}"
             )
-    return GrowthProfile(source.describe(), grid, tuple(sigmas), tuple(values))
+    return tuple(zip(sigmas, values))
 
 
 def _reduced(v: ExtReal, k: int) -> float:
@@ -297,15 +290,16 @@ def _extrapolate(ts: Sequence[float], xs: Sequence[float], t: float) -> float:
     return total
 
 
-def invert_along(source: GrowthSource, ts: Sequence[float], ys: Iterable[ExtReal]) -> list[float]:
-    """invert_modulus(source, y) for each target y, warm-started along the abscissae ts.
+def compose_samples(g_source: GrowthSource, sigmas: Sequence[float],
+                    f_values: Sequence[ExtReal]) -> list[tuple[float, float]]:
+    """(sigma, M_g^{-1}(M_f(sigma))) at each sigma, from f's values log M_f there.
 
-    The targets come from a curve sampled at the strictly increasing
-    abscissae ts.  The first point is solved from a cold bracket.  Every
-    later bracket is centred on the polynomial through the last (up to
-    _WARM_POINTS) solutions, extrapolated to the new abscissa.  Its
-    half-width is twice the error of the previous prediction, floored at
-    a few INVERT_REL_TOL; the second point, with no error known yet,
+    Each point is invert_modulus(g_source, y), warm-started along the
+    strictly increasing sigmas.  The first point is solved from a cold
+    bracket.  Every later bracket is centred on the polynomial through the
+    last (up to _WARM_POINTS) solutions, extrapolated to the new sigma.
+    Its half-width is twice the error of the previous prediction, floored
+    at a few INVERT_REL_TOL; the second point, with no error known yet,
     takes max(|x|/4, 1).  A bracket that misses grows as invert_modulus
     describes, so a wrong prediction costs calls, never accuracy: each
     result meets the same bracket invariant and stopping rule as a cold
@@ -313,24 +307,18 @@ def invert_along(source: GrowthSource, ts: Sequence[float], ys: Iterable[ExtReal
     """
     xs: list[float] = []
     pred = err = None
-    for i, (t, y) in enumerate(zip(ts, ys)):
+    for i, (t, y) in enumerate(zip(sigmas, f_values)):
         bracket = None
         if xs:
-            pred = _extrapolate(ts[max(i - _WARM_POINTS, 0):i], xs[-_WARM_POINTS:], t)
+            pred = _extrapolate(sigmas[max(i - _WARM_POINTS, 0):i], xs[-_WARM_POINTS:], t)
             if err is None:
                 half = max(0.25 * abs(pred), 1.0)
             else:
                 half = max(_WARM_ERR_FACTOR * err,
                            _WARM_MIN_HALF * INVERT_REL_TOL * max(1.0, abs(pred)))
             bracket = (pred - half, pred + half)
-        x = invert_modulus(source, y, bracket)
+        x = invert_modulus(g_source, y, bracket)
         if pred is not None:
             err = abs(x - pred)
         xs.append(x)
-    return xs
-
-
-def compose_samples(g_source: GrowthSource, sigmas: Sequence[float],
-                    f_values: Sequence[ExtReal]) -> list[tuple[float, float]]:
-    """M_g^{-1}(M_f(sigma)) at each sigma, inverted along the grid from f's values log M_f."""
-    return list(zip(sigmas, invert_along(g_source, sigmas, f_values)))
+    return list(zip(sigmas, xs))

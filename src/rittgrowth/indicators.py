@@ -15,10 +15,11 @@ grid they become tail-window statistics:
 Each estimate carries a convergence diagnostic (least-squares drift of
 the ratio across the window) and an interval obtained by re-estimating
 on the certified lower/upper growth surrogates.  The curve is sampled
-once per surrogate pairing (``Samples``); every indicator, both index-pair
-scans and the relative curve M_g^{-1} M_f, composed from f's profile, read
-those samples, so f enters only through ``sample_profile`` and its floor and
-monotonicity checks.  An indicator pair builds one ratio sequence per
+once per surrogate pairing (``Samples``, each set the (sigma, value) pairs
+of ``sample_profile``); every indicator, both index-pair scans and the one
+relative curve M_g^{-1} M_f, composed from f's profile, read those samples,
+so f enters only through ``sample_profile`` and its floor and monotonicity
+checks.  An indicator pair builds one ratio sequence per
 pairing, read by its limsup and liminf alike (a type and a weak type of equal
 exponents share it), and each grid point's denominator once for all pairings.
 
@@ -36,7 +37,7 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from .errors import DetectionFailedError, DomainError, IndicatorUndefinedError
-from .growth import DEFAULT_GRID, GridSpec, SourceBundle, compose_samples, invert_along, sample_profile
+from .growth import DEFAULT_GRID, GridSpec, SourceBundle, compose_samples, sample_profile
 from .levelindex import ExtReal, exp_iter, from_real, log_iter, pow_scale, ratio_to_float, to_real_or_none
 
 LIMSUP = "limsup"
@@ -200,13 +201,8 @@ def tail_estimate(seq: RatioSequence, mode: str, window: float = WINDOW,
     xs = np.array([p.regressor for p in win])
 
     finite = np.isfinite(rs)
-    if finite.all() and w >= 2:
-        trend = float(np.polyfit(np.arange(w, dtype=float), rs, 1)[0])
-    elif finite.sum() >= 2:
-        idx = np.arange(w, dtype=float)[finite]
-        trend = float(np.polyfit(idx, rs[finite], 1)[0])
-    else:
-        trend = 0.0
+    trend = (float(np.polyfit(np.arange(w, dtype=float)[finite], rs[finite], 1)[0])
+             if finite.sum() >= 2 else 0.0)
 
     raw = float(rs.max()) if mode == LIMSUP else float(rs.min())
     value, method = raw, "window-extremum"
@@ -259,55 +255,40 @@ class Samples:
     sigmas, with the pairing of the point estimate first; the others only
     widen its interval.  value_depth is the log-depth of the stored values
     (1 for a log M profile, 0 for a composed M_g^{-1}M_f curve); prefix
-    starts every estimate's label; a profile keeps the bundle it sampled.
+    starts every estimate's label.
     """
 
     sets: tuple[tuple[str, tuple[tuple[float, ExtReal], ...]], ...]
     value_depth: int = 1
     prefix: str = ""
-    bundle: Optional[SourceBundle] = None
 
 
 def profile_samples(bundle: SourceBundle, grid: GridSpec) -> Samples:
     """log M of each surrogate of the bundle, upper first, sampled once."""
-    sets = []
-    for name, src in bundle.surrogates():
-        prof = sample_profile(src, grid)
-        sets.append((name, tuple(zip(prof.sigmas, prof.values))))
-    return Samples(tuple(sets), bundle=bundle)
+    return Samples(tuple((name, sample_profile(src, grid)) for name, src in bundle.surrogates()))
 
 
-def relative_samples(f: Samples, g_bundle: SourceBundle, form: str = "direct") -> Samples:
-    """The relative curve M_g^{-1} M_f along f's profile (profile_samples), in either form.
+def relative_samples(f: Samples, g_bundle: SourceBundle) -> Samples:
+    """The relative curve M_g^{-1} M_f, g composed against f's profile (profile_samples).
 
-    "direct" composes g against f's sampled values.  Its center pairing
-    composes the two upper surrogates; the interval pairings cross them:
-    (f-lower against g-upper) can only undershoot and (f-upper against
-    g-lower) can only overshoot the true curve.  "dual" inverts both
-    curves at a shared value grid, f's own upper values, which keeps both
-    inversions inside their achievable ranges; f's upper source is
-    re-inverted rather than assuming M^{-1}M = id.
+    The center pairing composes the two upper surrogates; the interval
+    pairings cross them: (f-lower against g-upper) can only undershoot and
+    (f-upper against g-lower) can only overshoot the true curve.
     """
-    if form not in ("direct", "dual"):
-        raise ValueError(f"unknown relative form '{form}'")
     (_upper, upper), *lower = f.sets
     sigmas, f_upper = zip(*upper)
-    if form == "dual":
-        pts = zip(invert_along(f.bundle.upper, sigmas, f_upper),
-                  invert_along(g_bundle.upper, sigmas, f_upper))
-        sets = [("center", tuple((u, from_real(v)) for u, v in pts))]
-    else:
-        def composed(g_source, f_values):
-            return tuple((s, from_real(v)) for s, v in compose_samples(g_source, sigmas, f_values))
 
-        center = composed(g_bundle.upper, f_upper)
-        sets = [("center", center)]
-        # a crossed pairing whose lower surrogate is missing is center itself
-        if lower or g_bundle.lower is not None:
-            sets.append(("low", composed(g_bundle.upper, [v for _s, v in lower[0][1]])
-                         if lower else center))
-            sets.append(("high", center if g_bundle.lower is None else
-                         composed(g_bundle.lower, f_upper)))
+    def composed(g_source, f_values):
+        return tuple((s, from_real(v)) for s, v in compose_samples(g_source, sigmas, f_values))
+
+    center = composed(g_bundle.upper, f_upper)
+    sets = [("center", center)]
+    # a crossed pairing whose lower surrogate is missing is center itself
+    if lower or g_bundle.lower is not None:
+        sets.append(("low", composed(g_bundle.upper, [v for _s, v in lower[0][1]])
+                     if lower else center))
+        sets.append(("high", center if g_bundle.lower is None else
+                     composed(g_bundle.lower, f_upper)))
     return Samples(tuple(sets), value_depth=0, prefix="relative_")
 
 
@@ -379,7 +360,6 @@ class RelativeIndicators:
     delta_bar: Optional[IndicatorEstimate] = None
     tau: Optional[IndicatorEstimate] = None
     tau_bar: Optional[IndicatorEstimate] = None
-    form: str = "direct"
     notes: tuple[str, ...] = ()
 
     def by_kind(self) -> dict:
@@ -389,14 +369,14 @@ class RelativeIndicators:
 
 
 def relative_indicators(f: Samples, g_bundle: SourceBundle, p: int, q: int,
-                        window: float = WINDOW, form: str = "direct") -> RelativeIndicators:
+                        window: float = WINDOW) -> RelativeIndicators:
     """The full relative indicator set of f, given as its profile, through g's growth scale.
 
     Types and weak types are only computed when the corresponding order or
     lower order is finite nonzero (their defining hypothesis); a skipped
     block is reported as None with a note.
     """
-    samples = relative_samples(f, g_bundle, form)
+    samples = relative_samples(f, g_bundle)
     rho, lam = order_pair(samples, p, q, window)
     ok_rho, ok_lam = finite_nonzero(rho.value), finite_nonzero(lam.value)
     (delta, delta_bar), (tau_bar, tau) = type_pairs(samples, p, q, rho.value if ok_rho else None,
@@ -404,7 +384,7 @@ def relative_indicators(f: Samples, g_bundle: SourceBundle, p: int, q: int,
     notes = tuple(note for ok, note in (
         (ok_rho, f"type skipped: relative order {rho.value} not finite nonzero"),
         (ok_lam, f"weak type skipped: relative lower order {lam.value} not finite nonzero")) if not ok)
-    return RelativeIndicators(rho, lam, delta, delta_bar, tau, tau_bar, form, notes)
+    return RelativeIndicators(rho, lam, delta, delta_bar, tau, tau_bar, notes)
 
 
 # ---------------------------------------------------------------------------

@@ -267,7 +267,8 @@ def max_term_log(spec: SeriesSpec, sigma: float) -> tuple[int, ExtReal]:
     """Index and log-value of the maximum term at abscissa sigma.
 
     Finite tables are enumerated.  An infinite series' peak generator
-    proposes the index and its neighbours confirm it (_verified_peak).
+    proposes the index and its neighbours confirm it (_verified_peak); a
+    peak on a vanishing term is a DomainError, as only tables may end.
     Beyond 2**53 the index is tracked as a float; the flat peak makes the
     sub-integer placement irrelevant there.
     """
@@ -276,6 +277,8 @@ def max_term_log(spec: SeriesSpec, sigma: float) -> tuple[int, ExtReal]:
         best = max(range(1, spec.n_limit + 1), key=t)
     else:
         best = _verified_peak(spec, t, sigma)
+        if t(best) == -math.inf:  # it ties its -inf neighbours
+            raise DomainError(f"term n={best} of series '{spec.name}' vanishes; only tables may end")
     return best, from_real(t(best))
 
 

@@ -246,7 +246,15 @@ class TestRelative:
         assert code == 0
         doc = json.loads(out)
         assert doc["estimates"]["relative_order"]["value"] == pytest.approx(2.0, abs=1e-2)
+        assert doc["form"] == "direct"
 
+    def test_form_is_not_an_option(self, capsys):
+        # the relative curve has one form, composed from f's profile
+        with pytest.raises(SystemExit) as exc:
+            main(["relative", "--f-spec", "expexp:a=2,c=1", "--g-spec", "expexp:a=1,c=1",
+                  "--p", "0", "--q", "0", "--sigma", "5:30:48", "--form", "dual"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --form dual" in capsys.readouterr().err
 
     def test_samples_each_surrogate_of_f_once(self, capsys, monkeypatch):
         import rittgrowth.indicators as indicators_mod
@@ -269,8 +277,6 @@ class TestRelative:
 
     @pytest.mark.parametrize("args", [
         ["relative", "--f-spec", *FLOOR_PAIR, "--p", "1", "--q", "1", *FLOOR_GRID],
-        ["relative", "--f-spec", *FLOOR_PAIR, "--p", "1", "--q", "1", *FLOOR_GRID,
-         "--form", "dual"],
         ["detect", "--spec", *FLOOR_PAIR, *FLOOR_GRID],
     ])
     def test_grid_below_the_floor_of_f(self, args, capsys):
@@ -306,7 +312,7 @@ class TestIndexRange:
          "indices p, q must be >= 0, got (1, -1)"),
         (["relative", *PAIR, "--p", "-2", "--q", "0", "--sigma", "5:30:16"],
          "indices p, q must be >= 0, got (-2, 0)"),
-        (["relative", *PAIR, "--p", "0", "--q", "-1", "--sigma", "5:30:16", "--form", "dual"],
+        (["relative", *PAIR, "--p", "0", "--q", "-1", "--sigma", "5:30:16"],
          "indices p, q must be >= 0, got (0, -1)"),
         (["detect", *EXPEXP, "--p-max", "-1"], "p_max, q_max must be >= 0, got (-1, 4)"),
         (["detect", *EXPEXP, "--g-spec", "expexp:a=1,c=2", "--q-max", "-1"],

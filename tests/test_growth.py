@@ -13,7 +13,7 @@ from rittgrowth.corpus import osc_rule_source, parse_shorthand, tower_rule_sourc
 from rittgrowth.errors import BracketError, NumericError
 from rittgrowth import growth as growth_mod
 from rittgrowth.growth import (INVERT_REL_TOL, GridSpec, SeriesUpperSource, SyntheticSource,
-                               compose_samples, invert_along, invert_modulus, sample_profile)
+                               compose_samples, invert_modulus, sample_profile)
 from rittgrowth.indicators import profile_samples, relative_samples
 from rittgrowth.levelindex import ExtReal, compare, from_real, to_real
 from rittgrowth.series import expexp_spec
@@ -50,16 +50,17 @@ class TestGridSpec:
 class TestSampleProfile:
     def test_series_profile_matches_brute_force(self):
         src = SeriesUpperSource(expexp_spec(1, 1))
-        prof = sample_profile(src, GridSpec(1.0, 5.0, 5))
-        assert to_real(prof.values[0]) == pytest.approx(brute_log_sum(1, 1, 1.0), rel=1e-12)
+        (sigma, value), *_ = sample_profile(src, GridSpec(1.0, 5.0, 5))
+        assert sigma == 1.0
+        assert to_real(value) == pytest.approx(brute_log_sum(1, 1, 1.0), rel=1e-12)
         # log(exp(e) - 1) = 2.6500157972111684 by direct evaluation
-        assert to_real(prof.values[0]) == pytest.approx(2.6500157972111684, rel=1e-12)
+        assert to_real(value) == pytest.approx(2.6500157972111684, rel=1e-12)
 
     def test_synthetic_rule_evaluation(self):
         # rule log M(sigma) = e^sigma, i.e. the depth-2 tower rule
         src = tower_rule_source(2, 1.0, 0)
         prof = sample_profile(src, GridSpec(1.0, 3.0, 3))
-        assert prof.values[1] == ExtReal(1, 2.0)  # e^2
+        assert prof[1] == (2.0, ExtReal(1, 2.0))  # e^2
 
     def test_decreasing_rule_rejected(self):
         src = SyntheticSource("bad", {}, lambda s: from_real(-s), sigma_floor=0.0)
@@ -290,19 +291,6 @@ class TestWarmStart:
             assert abs(psi - cold) <= INVERT_REL_TOL * max(1.0, abs(psi))
 
     @pytest.mark.parametrize("f_id,g_id,grid", WARM_PAIRS)
-    def test_dual_matches_cold(self, f_id, g_id, grid):
-        f_bundle = parse_shorthand(f_id).bundle()
-        g_bundle = parse_shorthand(g_id).bundle()
-        (_name, pts), = relative_samples(profile_samples(f_bundle, grid), g_bundle,
-                                         form="dual").sets
-        for s, (u, v) in zip(grid.sigmas(), pts):
-            y = f_bundle.upper.log_m(s)
-            cold_u = invert_modulus(f_bundle.upper, y)
-            cold_v = invert_modulus(g_bundle.upper, y)
-            assert abs(u - cold_u) <= INVERT_REL_TOL * max(1.0, abs(u))
-            assert abs(to_real(v) - cold_v) <= INVERT_REL_TOL * max(1.0, abs(cold_v))
-
-    @pytest.mark.parametrize("f_id,g_id,grid", WARM_PAIRS)
     def test_few_curve_evaluations_per_inversion(self, f_id, g_id, grid):
         f, g = warm_bundles(f_id, g_id)
         sigmas = grid.sigmas()
@@ -310,11 +298,10 @@ class TestWarmStart:
         ys = [f.log_m(s) for s in sigmas]
         compose_samples(counted_g, sigmas, ys)
         assert counted_g.calls / len(sigmas) <= 6
-        # the dual form inverts both curves at f's values
-        counted_f, counted_g = CountingSource(f), CountingSource(g)
-        invert_along(counted_f, sigmas, ys)
-        invert_along(counted_g, sigmas, ys)
-        assert (counted_f.calls + counted_g.calls) / (2 * len(sigmas)) <= 6
+        # f's own curve inverted at its values: the same warm start on a second curve
+        counted_f = CountingSource(f)
+        compose_samples(counted_f, sigmas, ys)
+        assert counted_f.calls / len(sigmas) <= 6
 
     @pytest.mark.parametrize("slope_after", [50.0, 0.02])
     def test_missed_prediction_still_lands_on_the_root(self, slope_after, monkeypatch):
@@ -337,7 +324,7 @@ class TestWarmStart:
             return x
 
         monkeypatch.setattr(growth_mod, "invert_modulus", recording)
-        xs = invert_along(source, ts, [from_real(t) for t in ts])
+        xs = [x for _t, x in compose_samples(source, ts, [from_real(t) for t in ts])]
         assert any(b is not None and not b[0] <= x <= b[1] for b, x in brackets)
         for t, x in zip(ts, xs):
             assert abs(x - exact(t)) <= INVERT_REL_TOL * max(1.0, abs(x))

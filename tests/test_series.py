@@ -172,16 +172,24 @@ class TestMachineRange:
 
 
 class TestVanishingTerms:
+    # expexp a=c=1 cut off past n = 5: an infinite series' terms may not
+    # vanish, only tables may end
+    SPEC = SeriesSpec("fin", lambda n: float(n),
+                      lambda n: -math.lgamma(n + 1) if n <= 5 else -math.inf,
+                      lam_array=lambda ns: ns,
+                      log_norm_array=lambda ns: np.where(ns <= 5, -gammaln(ns + 1.0), -np.inf),
+                      peak=math.exp)
+
     def test_walk_stops_at_a_vanishing_term(self):
-        # expexp a=c=1 cut off past n = 5: an infinite series' terms may not
-        # vanish, only tables may end
-        spec = SeriesSpec("fin", lambda n: float(n),
-                          lambda n: -math.lgamma(n + 1) if n <= 5 else -math.inf,
-                          lam_array=lambda ns: ns,
-                          log_norm_array=lambda ns: np.where(ns <= 5, -gammaln(ns + 1.0), -np.inf),
-                          peak=math.exp)
         with pytest.raises(DomainError, match=r"term n=6\.0 of series 'fin' vanishes; only tables may end"):
-            log_sum_upper(spec, 1.0)
+            log_sum_upper(self.SPEC, 1.0)
+
+    @pytest.mark.parametrize("sigma,n", [(2.0, 7), (3.0, 20)])
+    def test_peak_on_a_vanishing_term(self, sigma, n):
+        # the central index e^sigma rounds past the cut-off, where the -inf
+        # term ties its -inf neighbours
+        with pytest.raises(DomainError, match=rf"term n={n} of series 'fin' vanishes; only tables may end"):
+            max_term_log(self.SPEC, sigma)
 
 
 class TestSpecContract:
