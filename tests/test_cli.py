@@ -275,8 +275,10 @@ class TestRelative:
     FLOOR_PAIR = ["tower:k=2,rho=2,q=1", "--g-spec", "tower:k=2,rho=1,q=0"]
     FLOOR_GRID = ["--sigma", "0.5:3e4:100:log"]
 
+    # the floor is f's own, so it holds at every pair of indices
     @pytest.mark.parametrize("args", [
         ["relative", "--f-spec", *FLOOR_PAIR, "--p", "1", "--q", "1", *FLOOR_GRID],
+        ["relative", "--f-spec", *FLOOR_PAIR, "--p", "0", "--q", "0", *FLOOR_GRID],
         ["detect", "--spec", *FLOOR_PAIR, *FLOOR_GRID],
     ])
     def test_grid_below_the_floor_of_f(self, args, capsys):
