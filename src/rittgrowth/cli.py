@@ -80,7 +80,7 @@ def cmd_validate(args) -> int:
 
 def cmd_profile(args) -> int:
     bundle = _load_source_arg(args.spec).bundle()
-    source = bundle.upper if args.surrogate == "upper" else bundle.lower_or_upper
+    source = dict(bundle.surrogates()).get(args.surrogate, bundle.upper)
     grid = _parse_grid(args.sigma)
     profile = sample_profile(source, grid)
     if args.format == "csv":

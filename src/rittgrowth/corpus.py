@@ -96,7 +96,7 @@ def _expexp_entry(a: float, c: float) -> CorpusEntry:
                        SourceBundle(SeriesUpperSource(spec), SeriesLowerSource(spec)))
 
 
-def tower_rule_source(k: int, rho: float, q: int) -> SyntheticSource:
+def _tower_entry(k: int, rho: float, q: int) -> CorpusEntry:
     if k < 1 or q < 0 or not 0 < rho < math.inf:
         raise SpecFormatError("tower rule needs k >= 1, q >= 0, finite rho > 0")
 
@@ -106,11 +106,7 @@ def tower_rule_source(k: int, rho: float, q: int) -> SyntheticSource:
 
     # log^[q]sigma must be defined and non-negative: sigma >= exp^[q-1](1).
     floor = 0.0 if q == 0 else to_real(exp_iter(from_real(1.0), q - 1))
-    return SyntheticSource("tower", {"k": k, "rho": rho, "q": q}, rule, sigma_floor=floor)
-
-
-def _tower_entry(k: int, rho: float, q: int) -> CorpusEntry:
-    src = tower_rule_source(k, rho, q)
+    src = SyntheticSource("tower", {"k": k, "rho": rho, "q": q}, rule, sigma_floor=floor)
 
     note = f"rule log^[{k}]M = {rho} * log^[{q}]sigma is its own derivation"
     note_type = "exp(rho*log^[q]sigma) equals (log^[q-1]sigma)^rho exactly"
@@ -130,7 +126,7 @@ def _tower_entry(k: int, rho: float, q: int) -> CorpusEntry:
                        {"k": k, "rho": rho, "q": q}, True, (k, q), analytic, 1e-3, SourceBundle(src))
 
 
-def osc_rule_source(rho: float, lam: float, p: int, q: int) -> SyntheticSource:
+def _osc_entry(rho: float, lam: float, p: int, q: int) -> CorpusEntry:
     if not (rho > lam > 0):
         raise SpecFormatError("oscillating profile needs rho > lam > 0")
     m0 = 0.5 * (rho + lam)
@@ -149,12 +145,8 @@ def osc_rule_source(rho: float, lam: float, p: int, q: int) -> SyntheticSource:
         return exp_iter(from_real(v), p - 1)
 
     floor = 1e-6 if q == 0 else to_real(exp_iter(from_real(1.0), q - 1))
-    return SyntheticSource("osc_profile", {"rho": rho, "lam": lam, "p": p, "q": q},
-                           rule, sigma_floor=floor)
-
-
-def _osc_entry(rho: float, lam: float, p: int, q: int) -> CorpusEntry:
-    src = osc_rule_source(rho, lam, p, q)
+    src = SyntheticSource("osc_profile", {"rho": rho, "lam": lam, "p": p, "q": q},
+                          rule, sigma_floor=floor)
 
     note = "sup/inf of m0 + m1 sin(log sigma) on a log-uniform grid over whole periods"
     analytic = {

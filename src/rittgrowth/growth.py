@@ -146,10 +146,6 @@ class SourceBundle:
     upper: GrowthSource
     lower: Optional[GrowthSource] = None
 
-    @property
-    def lower_or_upper(self) -> GrowthSource:
-        return self.lower if self.lower is not None else self.upper
-
     def surrogates(self) -> list[tuple[str, GrowthSource]]:
         out = [("upper", self.upper)]
         if self.lower is not None:
@@ -265,9 +261,6 @@ def invert_modulus(source: GrowthSource, y: ExtReal,
     width0 = hi - lo
     step = 0
     while (hi - lo) > INVERT_REL_TOL * max(1.0, abs(hi)):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
         x = _itp_probe(lo, hi, f_lo, f_hi, width0, step, INVERT_REL_TOL * max(1.0, abs(lo)))
         v = source.log_m(x)
         if compare(v, y) < 0:

@@ -209,6 +209,8 @@ def tail_estimate(seq: RatioSequence, mode: str, window: float = WINDOW,
     if finite.all():
         spread = float(xs.max() - xs.min())
         if spread > 1e-13 * max(abs(float(xs.max())), 1e-300):
+            # an exact power-of-two scale keeps polyfit's column norms off 0 (subnormal xs)
+            xs = np.ldexp(xs, -math.frexp(float(np.abs(xs).max()))[1])
             slope, intercept = np.polyfit(xs, rs, 1)
             fit = intercept + slope * xs
         else:
@@ -363,9 +365,8 @@ class RelativeIndicators:
     notes: tuple[str, ...] = ()
 
     def by_kind(self) -> dict:
-        kinds = ("order", "lower_order", "type", "lower_type", "weak_type_tau", "weak_type_tau_bar")
         ests = (self.rho, self.lam, self.delta, self.delta_bar, self.tau, self.tau_bar)
-        return {f"relative_{kind}": e for kind, e in zip(kinds, ests) if e is not None}
+        return {e.kind: e for e in ests if e is not None}
 
 
 def relative_indicators(f: Samples, g_bundle: SourceBundle, p: int, q: int,

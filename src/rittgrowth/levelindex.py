@@ -8,9 +8,9 @@ A value is stored as ``(level, mantissa)`` meaning ``exp`` applied
 
 make the representation unique and give a one-branch comparison:
 lexicographic order on ``(level, mantissa)`` coincides with the order of
-the represented values.  Mantissas are ordinary doubles; the accumulated
-mantissa error is about 1e-14 per level crossed, far below any tolerance
-used downstream.
+the represented values, so ExtReal's generated ordering and compare()
+agree.  Mantissas are ordinary doubles; the accumulated mantissa error is
+about 1e-14 per level crossed, far below any tolerance used downstream.
 
 Iterated logs/exps move the level, so ``log(log(...))`` of a number the
 size of ``exp(exp(exp(x)))`` is exact level arithmetic and never touches
@@ -29,7 +29,7 @@ _E = math.e
 _EXP_LIMIT = 709.782712893384
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, order=True)
 class ExtReal:
     """Immutable level-index number: value = exp^[level](mantissa)."""
 
@@ -47,22 +47,6 @@ class ExtReal:
         else:
             if not (1.0 <= self.mantissa < _E):
                 raise ValueError(f"level-{self.level} mantissa must lie in [1, e), got {self.mantissa}")
-
-    def __repr__(self):
-        return f"ExtReal(level={self.level}, mantissa={self.mantissa!r})"
-
-    # Rich comparisons delegate to compare() so ExtReal sorts naturally.
-    def __lt__(self, other: "ExtReal") -> bool:
-        return compare(self, other) < 0
-
-    def __le__(self, other: "ExtReal") -> bool:
-        return compare(self, other) <= 0
-
-    def __gt__(self, other: "ExtReal") -> bool:
-        return compare(self, other) > 0
-
-    def __ge__(self, other: "ExtReal") -> bool:
-        return compare(self, other) >= 0
 
 
 def from_real(v: float) -> ExtReal:

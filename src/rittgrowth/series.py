@@ -100,27 +100,27 @@ class ValidationReport:
     cause: str = ""
 
 
-def expexp_spec(a: float, c: float, log_scale: float = 0.0) -> SeriesSpec:
-    """lambda_n = a*n, log||a_n|| = n log c - log n! (+ optional offset).
+def expexp_spec(a: float, c: float) -> SeriesSpec:
+    """lambda_n = a*n, log||a_n|| = n log c - log n!.
 
     The sum has the closed form exp(c * e^(a sigma)) - 1, which makes this
     the workhorse family with analytically known indicators.
     """
-    if not (0 < a < math.inf and 0 < c < math.inf and math.isfinite(log_scale)):
-        raise SpecFormatError("expexp requires finite a > 0, c > 0 and log_scale")
+    if not (0 < a < math.inf and 0 < c < math.inf):
+        raise SpecFormatError("expexp requires finite a > 0 and c > 0")
     log_c = math.log(c)
 
     def lam(n: float) -> float:
         return a * n
 
     def log_norm(n: float) -> float:
-        return n * log_c - math.lgamma(n + 1.0) + log_scale
+        return n * log_c - math.lgamma(n + 1.0)
 
     def lam_arr(ns: np.ndarray) -> np.ndarray:
         return a * ns
 
     def log_norm_arr(ns: np.ndarray) -> np.ndarray:
-        return ns * log_c - gammaln(ns + 1.0) + log_scale
+        return ns * log_c - gammaln(ns + 1.0)
 
     def peak(sigma: float) -> float:
         # Central index: d/dn [n log c - log n! + a*sigma*n] = 0 reads
@@ -142,10 +142,7 @@ def expexp_spec(a: float, c: float, log_scale: float = 0.0) -> SeriesSpec:
                     break
         return x - 1.0
 
-    params = {"a": a, "c": c}
-    if log_scale:
-        params["log_scale"] = log_scale
-    return SeriesSpec("expexp", lam, log_norm, params, lam_arr, log_norm_arr, peak=peak)
+    return SeriesSpec("expexp", lam, log_norm, {"a": a, "c": c}, lam_arr, log_norm_arr, peak=peak)
 
 
 def table_spec(name: str, lam_values: Sequence[float], log_norm_values: Sequence[float]) -> SeriesSpec:

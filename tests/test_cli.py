@@ -89,6 +89,19 @@ class TestProfile:
         expected = math.log(1 + math.exp(-1) + math.exp(-2.5) + math.exp(-4.5))
         assert samples[0]["mantissa"] == pytest.approx(expected, rel=1e-12)
 
+    @pytest.mark.parametrize("spec,source", [
+        # a synthetic rule has no lower surrogate: its one curve is reported
+        ("tower:k=2,rho=1,q=0", {"kind": "synthetic", "family": "tower",
+                                 "params": {"k": 2, "rho": 1.0, "q": 0}}),
+        ("expexp:a=1,c=1", {"kind": "series", "surrogate": "lower",
+                            "spec": {"name": "expexp", "params": {"a": 1.0, "c": 1.0}}}),
+    ])
+    def test_lower_surrogate(self, spec, source, capsys):
+        code, out, _ = run(["profile", "--spec", spec, "--sigma", "1:3:3",
+                            "--surrogate", "lower"], capsys)
+        assert code == 0
+        assert json.loads(out)["source"] == source
+
     def test_non_finite_input_is_a_usage_error(self, capsys):
         for args in (["profile", "--spec", "expexp:a=1,c=1", "--sigma", "5:inf:8"],
                      ["profile", "--spec", "expexp:a=1,c=1", "--sigma", "nan:30:8"],
@@ -212,6 +225,16 @@ class TestIndicator:
         assert code == 0
         assert calls == ["upper", "lower"]
 
+    def test_type_on_subnormal_regressors(self, capfd):
+        # at (2,0) this osc rule's type regressors are subnormal: the intercept
+        # fit must converge, and stdout must hold the JSON report alone
+        code = main(["indicator", "--spec", "osc:rho=2,lam=1,p=2,q=0", "--p", "2",
+                     "--q", "0", "--sigma", "2:1e4:300:log", "--kind", "type"])
+        out, err = capfd.readouterr()
+        assert (code, err) == (0, "")
+        kinds = [e["kind"] for e in strict_json(out)["estimates"]]
+        assert kinds == ["order", "lower_order", "type", "lower_type"]
+
     def test_bad_grid_syntax(self, capsys):
         code, _, err = run(["indicator", "--spec", "expexp:a=1,c=1", "--p", "2", "--q", "0",
                             "--sigma", "5-30"], capsys)
@@ -299,6 +322,19 @@ class TestDetect:
                             "--p-max", "2", "--q-max", "2"], capsys)
         assert code == 3
         assert "no admissible" in err
+
+    def test_off_domain_candidates_are_nan_evidence(self, capsys):
+        # log^[3] of a depth-4 tower drops below zero on this grid, so the
+        # order at (3,2), (4,3) and (4,2) is off its domain: the scan records
+        # NaN there and goes on to (4,0)
+        code, out, _ = run(["detect", "--spec", "tower:k=4,rho=1,q=0",
+                            "--sigma", "1.5:2.5:64"], capsys)
+        assert code == 0
+        doc = strict_json(out)
+        assert doc["pair"] == {"p": 4, "q": 0}
+        assert doc["order"]["value"] == pytest.approx(1.0, abs=1e-12)
+        nan = [(e["p"], e["q"]) for e in doc["evidence"] if e["order"] == "nan"]
+        assert nan == [(3, 2), (4, 3), (4, 2)]
 
 
 class TestIndexRange:

@@ -9,7 +9,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from rittgrowth.corpus import osc_rule_source, parse_shorthand, tower_rule_source
+from rittgrowth.corpus import parse_shorthand
 from rittgrowth.errors import BracketError, NumericError
 from rittgrowth import growth as growth_mod
 from rittgrowth.growth import (INVERT_REL_TOL, GridSpec, SeriesUpperSource, SyntheticSource,
@@ -58,7 +58,7 @@ class TestSampleProfile:
 
     def test_synthetic_rule_evaluation(self):
         # rule log M(sigma) = e^sigma, i.e. the depth-2 tower rule
-        src = tower_rule_source(2, 1.0, 0)
+        src = parse_shorthand("tower:k=2,rho=1,q=0").bundle().upper
         prof = sample_profile(src, GridSpec(1.0, 3.0, 3))
         assert prof[1] == (2.0, ExtReal(1, 2.0))  # e^2
 
@@ -77,7 +77,7 @@ class TestInvert:
 
     def test_synthetic_exact(self):
         # log M = e^sigma, y = e: sigma = 1
-        src = tower_rule_source(2, 1.0, 0)
+        src = parse_shorthand("tower:k=2,rho=1,q=0").bundle().upper
         assert invert_modulus(src, ExtReal(1, 1.0)) == pytest.approx(1.0, abs=1e-11)
 
     def test_below_range_is_error(self):
@@ -346,11 +346,11 @@ def test_inversion_identity_property(a, c, sigma):
 class TestOscRule:
     def test_monotone_bound_enforced(self):
         from rittgrowth.errors import SpecFormatError
-        with pytest.raises(SpecFormatError):
-            osc_rule_source(6.0, 1.0, 2, 0)  # ratio 6 > 3 + 2 sqrt(2)
+        with pytest.raises(SpecFormatError, match="too large for a monotone oscillating rule"):
+            parse_shorthand("osc:rho=6,lam=1,p=2,q=0")  # ratio 6 > 3 + 2 sqrt(2)
 
     def test_rule_values(self):
-        src = osc_rule_source(2.0, 1.0, 2, 0)
+        src = parse_shorthand("osc:rho=2,lam=1,p=2,q=0").bundle().upper
         sigma = 10.0
         v = (1.5 + 0.5 * math.sin(math.log(sigma))) * sigma
         assert to_real(src.log_m(sigma)) == pytest.approx(math.exp(v), rel=1e-12)

@@ -168,7 +168,9 @@ class TestCoefficientScaling:
         grid = GridSpec(5.0, 30.0, 200)
         base = parse_shorthand("expexp:a=1,c=1").bundle()
         from rittgrowth.growth import SeriesLowerSource, SeriesUpperSource, SourceBundle
-        spec_scaled = expexp_spec(1, 1, log_scale=K)
+        spec = expexp_spec(1, 1)
+        spec_scaled = replace(spec, log_norm=lambda n: spec.log_norm(n) + K,
+                              log_norm_array=lambda ns: spec.log_norm_array(ns) + K)
         scaled = SourceBundle(SeriesUpperSource(spec_scaled), SeriesLowerSource(spec_scaled))
         r0, _ = order_pair(profile_samples(base, grid), 2, 0)
         r1, _ = order_pair(profile_samples(scaled, grid), 2, 0)

@@ -1,5 +1,6 @@
 """Level-index arithmetic: representation bands, iterated log/exp, ordering."""
 
+import functools
 import math
 
 import mpmath
@@ -266,6 +267,25 @@ def test_order_embedding(u, v):
         assert cmp == -1
     else:
         assert cmp <= 0
+
+
+EXT_REALS = st.one_of(
+    st.builds(ExtReal, st.just(0), st.floats(max_value=E, exclude_max=True)),
+    st.builds(ExtReal, st.integers(min_value=1, max_value=4),
+              st.floats(min_value=1.0, max_value=E, exclude_max=True)),
+)
+
+
+@given(st.lists(EXT_REALS, min_size=2, max_size=8))
+@example([ExtReal(0, -0.0), ExtReal(0, 0.0)])  # equal values, unequal doubles
+@example([ExtReal(2, 1.0), ExtReal(1, 2.7)])  # the level decides
+@settings(max_examples=300)
+def test_operators_and_sorting_follow_compare(xs):
+    x, y = xs[0], xs[1]
+    c = compare(x, y)
+    assert (x < y, x <= y, x > y, x >= y) == (c < 0, c <= 0, c > 0, c >= 0)
+    assert sorted(xs) == sorted(xs, key=functools.cmp_to_key(compare))
+    assert repr(x) == f"ExtReal(level={x.level}, mantissa={x.mantissa!r})"
 
 
 @given(st.integers(min_value=0, max_value=8), st.floats(min_value=1.0, max_value=2.718),

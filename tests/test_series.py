@@ -381,8 +381,3 @@ class TestSpecFromJson:
     def test_missing_field(self):
         with pytest.raises(SpecFormatError):
             series_spec({"family": "expexp", "a": 1})
-
-    def test_non_finite_log_scale(self):
-        for log_scale in (math.inf, math.nan):
-            with pytest.raises(SpecFormatError, match="finite"):
-                expexp_spec(1.0, 1.0, log_scale)
