@@ -12,18 +12,13 @@ computable from norms alone, but it is sandwiched:
 
     max term <= M(sigma) <= sum of term norms,
 
-and both bounds are computed here.  Term sequences of interest are
-strictly log-concave in n once past the first term, so the maximum term
-sits at the central index of Wiman-Valiron theory: the root of the
-continuous stationarity equation d/dn log(term) = 0.  An infinite series
-supplies that root as its `peak` generator (expexp solves
-digamma(n+1) = log c + a*sigma), since the maximizing index grows like
-exp(sigma) and cannot be enumerated; the rounded root is accepted once its
-neighbours confirm the maximum, which log-concavity makes sufficient, and
-a root that fails the check is a NumericError.  The sum is one outward
-walk from the central index in blocks laid out by the Wiman-Valiron local
-model (a discretised Gaussian in n), each bounded by tangents from
-log-concavity; see log_sum_upper.
+and both bounds are computed here.  An infinite series' term logs t(n)
+are strictly log-concave with a convex step t(n+1) - t(n).  The maximum
+term sits at the central index of Wiman-Valiron theory, the root of
+d/dn t = 0, which the `peak` generator supplies and its neighbours
+confirm.  The sum is a walk from there: term by term on narrow windows,
+in blocks under concave quadratics on wide ones, laid out by the local
+Gaussian model (Hayman, Canad. Math. Bull. 17, 1974); see log_sum_upper.
 """
 
 from __future__ import annotations
@@ -35,7 +30,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.special import digamma, erfinv, gammaln, zeta
+from scipy.special import digamma, gammaln, zeta
 
 from .errors import DomainError, NumericError, SpecFormatError, TailBoundError
 from .levelindex import ExtReal, from_real, lse_accumulate
@@ -49,7 +44,9 @@ _EPS = sys.float_info.epsilon
 # (generators are taken to be accurate to a few ulps of their values).
 _ROUND_ULPS = 8.0
 _EXACT_TERMS = 4096  # windows summed term by term; wider ones go in blocks
-_BLOCK_SLACK = 5e-5  # blocked walks' gap: 1e-9 of log M where they start (expexp, x ~ 7e4)
+_BLOCK_SLACK = 5e-5  # gap a blocked walk is laid out for, unless rounding noise is larger
+_BLOCK_TAIL = 0.1 * _BLOCK_SLACK  # a blocked walk's tails carry at most this share of the sum
+_SQRT_PI, _SQRT_HALF = math.sqrt(math.pi), math.sqrt(0.5)
 _TAIL_PAD = 8.0
 # Largest index that doubles still carry exactly; past it indices are floats.
 _EXACT_INDEX = 2 ** 53
@@ -66,10 +63,12 @@ class SeriesSpec:
     n_limit and needs nothing else.  An infinite series (n_limit None)
     must also supply:
       * lam_array / log_norm_array: the same generators on a float ndarray
-        of indices, which evaluate the walk's block edges in one call;
+        of indices, which evaluate a term-by-term window in one call;
       * peak: sigma -> the continuous maximizer of
         n -> log||a_n|| + sigma*lambda_n, its central index; max_term_log
         verifies the integer it rounds to, and log_sum_upper starts there.
+    Its terms t(n) must be strictly log-concave with a step t(n+1) - t(n)
+    convex in n; log_sum_upper refuses a step its edges show is not.
     """
 
     name: str
@@ -213,23 +212,25 @@ def validate(spec: SeriesSpec, n_max: int = 128) -> ValidationReport:
 
 def term_log(spec: SeriesSpec, n: int, sigma: float) -> float:
     """log of one term norm: log||a_n|| + sigma * lambda_n  (-inf if vanishing)."""
+    return _term(spec, n, sigma)[0]
+
+
+def _term(spec: SeriesSpec, n, sigma: float) -> tuple[float, float]:
+    """term_log and its margin, _ROUND_ULPS ulps of |log||a_n||| + |sigma*lambda_n|."""
     try:
         ln = spec.log_norm(n)
-        if ln == -math.inf:
-            return -math.inf
-        t = ln + sigma * spec.lam(n)
+        s_lam = sigma * spec.lam(n)
     except OverflowError as exc:  # e.g. lgamma of an index past ~1e305
         raise _term_range_error(spec, n, sigma) from exc
+    t = ln + s_lam
     if math.isnan(t) or t == math.inf:
         raise _term_range_error(spec, n, sigma)
-    return t
+    return t, _ROUND_ULPS * _EPS * (abs(ln) + abs(s_lam))
 
 
 def _term_range_error(spec: SeriesSpec, n, sigma: float) -> NumericError:
-    return NumericError(
-        f"term magnitude at n={n}, sigma={sigma} of series '{spec.name}' exceeds "
-        f"the machine range; {_RANGE_HINT}"
-    )
+    return NumericError(f"term magnitude at n={n}, sigma={sigma} of series '{spec.name}' exceeds "
+                        f"the machine range; {_RANGE_HINT}")
 
 
 def _verified_peak(spec: SeriesSpec, t: Callable[[float], float], sigma: float):
@@ -238,11 +239,11 @@ def _verified_peak(spec: SeriesSpec, t: Callable[[float], float], sigma: float):
     Log-concavity makes a local maximum global, so the candidate is
     accepted once t(n-1) <= t(n) >= t(n+1).  A rising neighbour is
     climbed to first: the integer argmax can sit one off the rounded
-    continuous root, and past n ~ 1e7 rounding of the term values is as
-    large as the one-step differences.  Beyond 2**53 those differences
-    vanish entirely and the factor-2 neighbours are checked instead.
-    A candidate that fails the check means the peak generator is wrong: a
-    NumericError.
+    continuous root.  Past n ~ 1e7 rounding of the term values is as large
+    as the one-step differences, so a climb that does not settle accepts
+    neighbours within its rounding margin, and beyond 2**53 the factor-2
+    neighbours are checked instead.  A candidate that fails means the peak
+    generator is wrong: a NumericError.
     """
     n_c = spec.peak(sigma)
     if n_c < _EXACT_INDEX:
@@ -254,6 +255,8 @@ def _verified_peak(spec: SeriesSpec, t: Callable[[float], float], sigma: float):
                 n += 1
             else:
                 return n
+        if n > 1 and max(t(n - 1), t(n + 1)) <= t(n) + _term(spec, n, sigma)[1]:
+            return n
     elif t(n_c / 2.0) <= t(n_c) >= t(n_c * 2.0):
         return n_c
     raise NumericError(f"central index {n_c!r} of series '{spec.name}' at sigma={sigma} "
@@ -279,23 +282,21 @@ def max_term_log(spec: SeriesSpec, sigma: float) -> tuple[int, ExtReal]:
     return best, from_real(t(best))
 
 
-def _log_geom(c, s, m):
-    """log sum_{j=0}^{m-1} exp(c + j*s) elementwise, for finite s; -inf where m = 0."""
-    r = -np.maximum(np.abs(s), 1e-300)
-    return c + np.fmax((m - 1.0) * s, 0.0) + np.log(np.expm1(m * r) / np.expm1(r))
+def _tails(ns, f, err):
+    """log bounds of the terms before ns[0] and after ns[3], a walk's first two and last two edges.
+
+    By log-concavity the terms fall at least as fast outside the end chords,
+    so geometric series with those chords, widened by margins, bound both.
+    """
+    (n0, n1, n2, n3), (f0, f1, f2, f3), (e0, e1, e2, e3) = ns, f, err
+    s = (f1 - f0 - e0 - e1) / (n1 - n0)
+    left = -math.inf if n0 <= 1.0 else f0 + e0 - s - math.log(-math.expm1(-s)) if s > 0 else math.inf
+    s = (f3 - f2 + e2 + e3) / (n3 - n2)
+    return left, f3 + e3 + s - math.log(-math.expm1(s)) if s < 0 else math.inf
 
 
 class _Edges:
-    """Ascending block edges around the central index n* and the bounds they give.
-
-    Each edge's term log t(n) carries a margin of _ROUND_ULPS ulps of
-    |log||a_n||| + |sigma*lambda_n|, the parts that nearly cancel near n*.
-    Log-concavity bounds the terms between edges e < e' from above by the
-    tangents at both ends, with slopes from the neighbouring chords widened
-    by their margins; geometric series with the end chords bound the terms
-    outside the edges.  So the bounds hold for the true terms.  Logs are
-    relative to t(n*).
-    """
+    """Every term of a window, from the array generators; logs relative to t(n*)."""
 
     def __init__(self, spec: SeriesSpec, sigma: float, ns: np.ndarray, t_star: float):
         try:
@@ -309,141 +310,169 @@ class _Edges:
             if t[bad] == -math.inf:
                 raise DomainError(f"term n={ns[bad]} of series '{spec.name}' vanishes; only tables may end")
             raise _term_range_error(spec, ns[bad], sigma)
-        self.err = _ROUND_ULPS * _EPS * (np.abs(ln) + np.abs(s_lam))
-        self.ns, self.f = ns, t - t_star
-        self.hi = self.f + self.err
+        err = _ROUND_ULPS * _EPS * (np.abs(ln) + np.abs(s_lam))
+        f, self.last = t - t_star, float(ns[-1])
+        hi = f + err
+        # the terms, each at least exp(hi - 2*err), bound the sum from below
+        self.top = float(hi.max())
+        self.edge_sum = float(np.exp(hi - self.top).sum())
+        self.cut = self.top + math.log(0.5 * _TAIL_TOL * self.edge_sum) - 2.0 * float(err.max())
+        self.tails = _tails(*(v[[0, 1, -2, -1]].tolist() for v in (ns, f, err)))
 
-    @np.errstate(divide="ignore", invalid="ignore", over="ignore")
-    def bounds(self):
-        """log upper bounds of the terms in each block (e, e']: the left tangent parts, then the right ones."""
-        ns, f, err, hi = self.ns, self.f, self.err, self.hi
-        w = ns[1:] - ns[:-1]
-        chord, rho = (f[1:] - f[:-1]) / w, (err[:-1] + err[1:]) / w
-        # s1 >= every difference t(n+1) - t(n) from a block's left edge on
-        # (the chord before it), s2 <= every one up to its right edge
-        s1 = np.concatenate(((0.0,), chord[:-1] + rho[:-1]))
-        s2 = np.concatenate((chord[1:] - rho[1:], (0.0,)))
-        # the left tangent takes the terms up to where the tangents cross,
-        # the right one the rest
-        drop, slant = hi[1:] - hi[:-1], s1 - s2
-        m1 = np.floor(np.fmin(np.fmax((drop - w * s2) / slant, 0.0), w - 1.0))
-        m2 = w - m1
-        if ns[-1] - ns[0] > _EXACT_INDEX:
-            # past the float's integer resolution count the crossing from the
-            # nearer edge and round the far count up, so no term is lost
-            right = np.fmin(np.fmax(np.ceil((w * s1 - drop) / slant), 1.0), w)
-            near_right = right < 0.5 * w
-            m1 = np.where(near_right, np.nextafter(w - right, math.inf), m1)
-            m2 = np.where(near_right, right, np.nextafter(m2, math.inf))
-        # the end blocks have one neighbour: the first takes only its right
-        # tangent, the last only its left one
-        m1[0], m2[0], m1[-1], m2[-1] = 0.0, w[0], w[-1], 0.0
-        return _log_geom(np.concatenate((hi[:-1] + s1, hi[1:])),
-                         np.concatenate((s1, -s2)), np.concatenate((m1, m2)))
-
-    def tails(self):
-        """log bounds of the terms before the first edge and past the last one."""
-        (n0, n1), (f0, f1), (e0, e1) = (v[:2].tolist() for v in (self.ns, self.f, self.err))
-        s = (f1 - f0 - e0 - e1) / (n1 - n0)
-        left = -math.inf if n0 <= 1.0 else f0 + e0 - s - math.log(-math.expm1(-s)) if s > 0 else math.inf
-        (n0, n1), (f0, f1), (e0, e1) = (v[-2:].tolist() for v in (self.ns, self.f, self.err))
-        s = (f1 - f0 + e0 + e1) / (n1 - n0)
-        return left, f1 + e1 + s - math.log(-math.expm1(s)) if s < 0 else math.inf
+    def log_sum(self) -> float:
+        return self.top + math.log(self.edge_sum + sum(math.exp(x - self.top) for x in self.tails))
 
 
-@functools.lru_cache(maxsize=64)
-def _offsets(per_side: int, reach_left: float, reach_right: float) -> np.ndarray:
-    """Edge offsets from the central index, in units of the local standard deviation.
+def _log_block(fa: float, fb: float, w: float, d: float) -> float:
+    """log bound of the terms a..b-1 of a block of width w = b - a (see _Blocks).
 
-    For Gaussian terms of variance v a block of width w that carries a
-    share m of the sum has a bound gap proportional to m*w**2/v.  The
-    fewest edges for a total gap g have widths growing as exp(k**2/(6v))
-    with the offset k: sqrt(6)*erfinv(i/N) per side, N = 1.2/sqrt(g)
-    (calibrated on expexp: the measured gap is 0.94g at g = 5e-5).  Past
-    the last of those the widths double up to the reach, so no block is
-    more than twice as wide as its neighbour (a chord's rounding margin
-    grows with that ratio).
+    t(n) <= q(u) = mean + slope*u + d*(h - u)*(h + u)/2 at u = n - (a+b)/2,
+    h = w/2.  By the midpoint rule each exp(q(n)) is at most the integral of
+    g = exp(q) over its cell [n - 1/2, n + 1/2] plus G/(24v) (G = max g,
+    v = 1/d), and needs no G/(24v) where g is convex: beyond sqrt(v) + 1/2
+    from the peak u0.  The integral is erf-form, in the erfc form from the
+    nearer end when u0 lies outside; a block too flat or too far past its
+    peak for erfc takes the tangent at its higher end instead.
     """
-    k = math.sqrt(6.0) * erfinv(np.arange(per_side) / per_side)
-    sides = []
-    for k_max in (reach_left, reach_right):
-        core = k[:max(int(k.searchsorted(k_max)), 2)]
-        step = core[-1] - core[-2]
-        grow = math.ceil(math.log2((k_max - core[-1]) / (2.0 * step) + 1.0))
-        widths = 2.0 * (2.0 ** np.arange(1.0, grow + 1.0) - 1.0)  # 2, 4, 8, ... steps
-        sides.append(np.concatenate((core, core[-1] + step * widths)))
-    offsets = np.concatenate((-sides[0][:0:-1], sides[1]))
-    offsets.setflags(write=False)  # shared by every caller of the cache
-    return offsets
+    h, slope = 0.5 * w, (fb - fa) / w
+    if d > 0.0:
+        u0, r = slope / d, math.sqrt(0.5 * d)
+        near, z0, z1 = -h - 0.5, (-h - 0.5 - u0) * r, (h - 0.5 - u0) * r
+        if z1 <= 0.0:  # mirrored: the peak lies past the block
+            near, z0, z1 = h - 0.5, -z1, -z0
+        if z0 < 0.0:
+            near, z0, area = u0, 0.0, (math.erf(z1) - math.erf(z0)) * (1.0 + 4.0 * _EPS)
+        else:  # p - m carries 2 ulps of each
+            p, m = math.erfc(z0), math.erfc(z1)
+            area = p - m + 4.0 * _EPS * (p + m)
+        if z0 < 26.0:  # erfc underflows past ~26.5; area is relative to G = q(near) + z0*z0
+            area *= 0.5 * _SQRT_PI / r
+            if z0 < _SQRT_HALF + r:  # cells within sqrt(v) + 1/2 of u0
+                right, left = u0 + _SQRT_HALF / r + 0.5, u0 - _SQRT_HALF / r - 0.5
+                area += max((right if right < h - 1.0 else h - 1.0) - (left if left > -h else -h) + 1.0, 0.0) * d / 24.0
+            return (0.5 * (fa + fb) + slope * near + 0.5 * (d * (h - near)) * (h + near)
+                    + z0 * z0 * (1.0 + 4.0 * _EPS) + math.log(area))
+    near = -h - 0.5 if slope <= d * (-h - 0.5) else h - 0.5
+    k = abs(slope - d * near)
+    return (0.5 * (fa + fb) + slope * near + 0.5 * (d * (h - near)) * (h + near)
+            + math.log(-math.expm1(-k * w) / k if k > 0.0 else w))
+
+
+class _Blocks:
+    """Second-order bounds on a window too wide to sum term by term, in plain floats.
+
+    With a convex step, d(n) = t(n+1) - 2t(n) + t(n-1) <= 0 rises with n.
+    The discrete Green's function of d on a block [a, b] sums to
+    (n-a)(b-n)/2, so the terms lie below the chord plus D(n-a)(b-n)/2 for
+    any D >= -d(a+1): the fall between the chords of the two blocks before
+    a (-d averaged over them), widened by margins.  Those must fall along
+    the window, or it is a NumericError.  The first two blocks only anchor
+    curvature, unless the window starts with the single terms n = 1, 2.
+
+    If -d falls by k per index, a block of width w sits about k*w**3/8
+    above its terms.  Widths w0*exp(drop/3) in the local Gaussian model,
+    doubling past about two deviations, even that out over the sum to a gap
+    of about k*w0**3/3, set to max(_BLOCK_SLACK, rounding noise); k comes
+    from the drops c*r**2/2 -+ k*r**3/6 at the reach ends.
+    """
+
+    def __init__(self, spec: SeriesSpec, sigma: float, n_star: float, t_star: float, dev, span, noise: float):
+        ends = n_star - span[0], n_star + span[1]
+        known = {n_star: (t_star, noise), ends[0]: _term(spec, ends[0], sigma), ends[1]: _term(spec, ends[1], sigma)}
+        q = max(span[0], 1.0) / span[1]  # r_l = q*r_r: no powers of r, reaches pass 1e150
+        k_r3 = 6.0 * (abs((t_star - known[ends[0]][0]) / (q * q) - t_star + known[ends[1]][0])
+                      + 0.125 * noise * (1.0 + 1.0 / (q * q))) / (1.0 + q)
+        w0 = max(1.0, span[1] * (2.0 * max(_BLOCK_SLACK, noise) / k_r3) ** (1.0 / 3.0))
+        sides = []
+        for d, reach, extra in ((dev[0], span[0], 2), (dev[1], span[1], 0)):  # 2 left anchors past the reach
+            xs, x, w, rate = [], 0.0, w0, 1.0 / (6.0 * d * d)
+            while x < reach or extra:
+                extra -= x >= reach
+                grown = w0 * math.exp(x * x * rate) if x * x * rate < 60.0 else math.inf
+                w = 2.0 * w if 2.0 * w < grown else grown
+                step = w // 1.0 if w >= 1.0 else 1.0
+                x = reach if x < reach <= x + 1.5 * step else x + step
+                xs.append(x)
+            sides.append(xs)
+        ns = [n_star - x for x in reversed(sides[0])] + [n_star] + [n_star + x for x in sides[1]]
+        if ns[0] <= 3.0:  # the window starts at n = 1; edges doubling from 3 keep anchors near
+            rest = [n for n in ns if n > 3.0]
+            ns = [1.0, 2.0] + [3.0 * 2.0 ** j for j in range(math.ceil(math.log2(rest[0] / 3.0)))] + rest
+        elif n_star > _EXACT_INDEX:  # float indices can coincide
+            ns = sorted(set(ns))
+        first, self.last, logs, f, err, bound = (0 if ns[0] == 1.0 else 2), ns[-1], [], [], [], math.inf
+        c1 = m1 = w1 = c2 = m2 = w2 = pn = pt = pe = 0.0  # chord i-1 ends at edge i; block i-1 takes i-3, i-2
+        for i, n in enumerate(ns):
+            t, e = known.get(n) or _term(spec, n, sigma)
+            if t == -math.inf:
+                raise DomainError(f"term n={n} of series '{spec.name}' vanishes; only tables may end")
+            t -= t_star
+            if i:
+                w = n - pn
+                c, m = (t - pt) / w, (e + pe) / w
+                if i >= 3:
+                    fall, margin, across = c1 - c2, m1 + m2, w1 + w2
+                    d = 2.0 * (fall + margin) / across
+                    if d < 0.0 or 2.0 * (fall - margin) > bound * across:
+                        raise NumericError(f"terms of series '{spec.name}' at sigma={sigma} are not log-concave "
+                                           f"with a convex step near n={pn}")
+                    bound = min(bound, d)
+                    logs.append(_log_block(pt + pe, t + e, w, d))
+                elif not first:
+                    logs.append(pt + pe)
+                if pn == n_star:  # the terms after n* lie above their chord, which falls by g
+                    g = max(pt - pe - t + e, 1e-300)
+                    self.cut = pt - pe + math.log(-math.expm1(-g) / g * w * 0.5 * _BLOCK_TAIL)
+                c1, m1, w1, c2, m2, w2 = c2, m2, w2, c, m, w
+            f.append(t)
+            err.append(e)
+            pn, pt, pe = n, t, e
+        self.logs = logs + [pt + pe]  # the last edge's term: the right tail starts after it
+        self.tails = _tails(*([v[first], v[first + 1], v[-2], v[-1]] for v in (ns, f, err)))
+
+    def log_sum(self) -> float:
+        return lse_accumulate((*self.logs, *self.tails))
 
 
 def log_sum_upper(spec: SeriesSpec, sigma: float) -> ExtReal:
     """Upper surrogate: log of the full sum of term norms, certified from above.
 
-    Finite tables are enumerated.  Otherwise one outward walk from the
-    central index n* (the peak generator rounded) bounds the sum (see
-    _Edges).  The local Gaussian model sets the reach, where each
-    geometric tail falls below _TAIL_TOL/2 of the sum, and the edges: a
-    window of at most _EXACT_TERMS terms takes every term, so the value is
-    _TAIL_TOL-tight there; a wider one is cut into blocks for a gap of
-    max(_TAIL_TOL, _BLOCK_SLACK, rounding noise) between the bounds
-    (_offsets).  The reach grows until both tails are small enough.  Term
-    values, slopes and the sum carry rounding margins, so the value never
-    falls below the true sum.
+    Finite tables are enumerated.  Otherwise a walk around the central
+    index n* (the peak rounded) reaches, by the local Gaussian model and
+    then by doubling, until each geometric tail is below half its share.
+    Up to _EXACT_TERMS terms it takes every term (_Edges, _TAIL_TOL-tight),
+    wider ones go in blocks (_Blocks).  Terms, curvatures and the sum
+    carry rounding margins, so the value never falls below the true sum.
     """
     if spec.n_limit is not None:
         ts = [term_log(spec, n, sigma) for n in range(1, spec.n_limit + 1)]
         return from_real(lse_accumulate(ts))
     # the walk needs a start near the peak, not the exact maximum term
     n_star = float(max(1, math.floor(spec.peak(sigma) + 0.5)))
-
-    t_star = term_log(spec, n_star, sigma)
-    # The model's deviation on each side comes from the drop t(n*) - t(n* -+ h)
-    # at h ~ sqrt(n*) (the expexp variance is n*), moved out where the
-    # rounding noise of t would hide the drop.
-    ln, s_lam = spec.log_norm(n_star), sigma * spec.lam(n_star)
-    noise = _ROUND_ULPS * _EPS * (abs(ln) + abs(s_lam) + 1.0)
+    t_star, margin = _term(spec, n_star, sigma)
+    # The model's deviation on each side comes from the drop t(n*) - t(n* -+ h) at
+    # h ~ sqrt(n*) (expexp's variance), moved out where rounding would hide it.
+    noise = margin + _ROUND_ULPS * _EPS
     h = max(4.0, float(math.floor(math.sqrt(n_star) * math.sqrt(1.0 + 64.0 * noise))))
-    dev = [h / math.sqrt(2.0 * max(t_star - term_log(spec, n, sigma), 4.0 * noise))
+    dev = [h / math.sqrt(2.0 * max(t_star - _term(spec, n, sigma)[0], 4.0 * noise))
            for n in (max(n_star - h, 1.0), n_star + h)]
-    scale = min(dev)
 
-    def reach(depth):  # where the model's terms are depth below the peak, plus _TAIL_PAD terms
-        left, right = (math.ceil(d * math.sqrt(2.0 * depth)) + _TAIL_PAD for d in dev)
-        return [min(left, n_star - 1.0), right]
+    def reach(tol):  # where the model's terms fall below tol/2 of the peak, by e**-2 more, plus _TAIL_PAD terms
+        r = math.sqrt(2.0 * (math.log(2.0 / tol) + 16.0 * noise + 2.0))
+        return [min(math.ceil(dev[0] * r) + _TAIL_PAD, n_star - 1.0), math.ceil(dev[1] * r) + _TAIL_PAD]
 
-    # A window summed term by term has all of its mass to weigh its tails
-    # against; blocks have only their edge terms, so they reach further.
-    depth = math.log(2.0 / _TAIL_TOL) + 16.0 * noise
-    span = reach(depth + 2.0)
-    if span[0] + span[1] > _EXACT_TERMS:
-        span = reach(depth + 4.0 + math.log(scale))
-    per_side = math.ceil(1.2 / math.sqrt(min(max(_TAIL_TOL, _BLOCK_SLACK, noise), 0.1)))
+    span, blocked = reach(_TAIL_TOL), False
     for _ in range(_MAX_DOUBLINGS):
-        exact = span[0] + span[1] <= _EXACT_TERMS
-        if exact:
-            ns = np.arange(n_star - span[0], n_star + span[1] + 1.0)
-        else:  # reaches rounded up to quarters of the deviation keep the offsets cached
-            quarters = (math.ceil(4.0 * r / scale) / 4.0 for r in span)
-            ns = np.maximum(n_star + np.floor(scale * _offsets(per_side, *quarters)),
-                            n_star - span[0])
-            ns = ns[np.concatenate(((True,), ns[1:] > ns[:-1]))]  # some offsets coincide
-        edges = _Edges(spec, sigma, ns, t_star)
-        tails = edges.tails()
-        # the edge terms, each at least exp(hi - 2*err), bound the sum from below
-        top = float(edges.hi.max())
-        edge_sum = float(np.exp(edges.hi - top).sum())
-        cut = top + math.log(0.5 * _TAIL_TOL * edge_sum) - 2.0 * float(edges.err.max())
-        if tails[0] <= cut and tails[1] <= cut:
+        if not blocked and span[0] + span[1] > _EXACT_TERMS:  # blocks weigh tails against their slack
+            blocked, span = True, reach(_BLOCK_TAIL)
+        walk = (_Blocks(spec, sigma, n_star, t_star, dev, span, noise) if blocked else
+                _Edges(spec, sigma, np.arange(n_star - span[0], n_star + span[1] + 1.0), t_star))
+        if max(walk.tails) <= walk.cut:
             break
-        span = [min(2.0 * span[0], n_star - 1.0) if tails[0] > cut else span[0],
-                2.0 * span[1] if tails[1] > cut else span[1]]
+        span = [min(2.0 * span[0], n_star - 1.0) if walk.tails[0] > walk.cut else span[0],
+                2.0 * span[1] if walk.tails[1] > walk.cut else span[1]]
     else:
         raise TailBoundError(f"term ratio not eventually below 1 for '{spec.name}' at "
-                             f"sigma={sigma}, n={ns[-1]}", int(min(ns[-1], 2.0 ** 62)))
-    if not exact:  # blocks bound the terms between their edges
-        parts = edges.bounds()
-        top = float(parts.max())
-        edge_sum = float(np.exp(parts - top).sum()) + math.exp(edges.hi[0] - top)
-    log_u = top + math.log(edge_sum + sum(math.exp(x - top) for x in tails))
+                             f"sigma={sigma}, n={walk.last}", int(min(walk.last, 2.0 ** 62)))
+    log_u = walk.log_sum()
     return from_real(t_star + log_u + 4.0 * _EPS * (abs(t_star) + abs(log_u) + 1.0))

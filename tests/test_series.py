@@ -147,6 +147,16 @@ class TestPeakGenerator:
             tol = _ROUND_ULPS * sys.float_info.epsilon * float(abs(log_norm) + abs(s_lam))
             assert abs(mpmath.mpf(to_real(v)) - (log_norm + s_lam)) <= tol
 
+    def test_unsettled_climb_on_rounding_noise(self):
+        # near n ~ 5e10 rounding of the term logs (~1e-4) drowns the one-step
+        # differences (~2e-11), and the climb from this central index does not
+        # settle within its steps; it ends within the rounding margin instead
+        a, c, sigma = 1.1676, 2.7797, 20.198727720129796
+        n, v = max_term_log(expexp_spec(a, c), sigma)
+        ref_n, ref_t = self.oracle(a, c, sigma)
+        assert abs(n - ref_n) <= 1e-6 * ref_n
+        assert to_real(v) == pytest.approx(ref_t, rel=1e-13)
+
     def test_peak_solves_the_digamma_equation(self):
         from scipy.special import digamma
         spec = expexp_spec(2.0, 3.0)
@@ -209,6 +219,16 @@ class TestSpecContract:
         spec = dataclasses.replace(expexp_spec(1, 1), peak=lambda sigma: math.exp(sigma) + 50.0)
         with pytest.raises(NumericError, match=r"of series 'expexp' at sigma=5\.0 is not its maximum term"):
             max_term_log(spec, 5.0)
+
+    def test_non_convex_step_is_numeric_error(self):
+        # t(n) = sigma*n - k*n**3 is log-concave, but its step's curvature
+        # -6k falls: the blocked walk's chords show it.  At sigma=3e-3 the
+        # central index is 1e6 and the deviation ~1.3e4, a wide window.
+        k = 1e-15
+        spec = SeriesSpec("cubic", float, lambda n: -k * n ** 3, lam_array=lambda ns: ns,
+                          log_norm_array=lambda ns: -k * ns ** 3, peak=lambda s: math.sqrt(s / (3 * k)))
+        with pytest.raises(NumericError, match=r"series 'cubic' at sigma=0\.003 are not log-concave with a convex step"):
+            log_sum_upper(spec, 3e-3)
 
 
 class TestLogSum:
@@ -298,12 +318,16 @@ class TestSumOracle:
 
 
 def counted_spec(spec):
-    """spec with every generator wrapped to count scalar calls plus array elements."""
-    box = [0]
+    """spec with every generator wrapped to count scalar calls plus array elements.
+
+    box[0] holds that count, box[1] the array elements alone.
+    """
+    box = [0, 0]
 
     def wrap(fn):
         def counted(x):
             box[0] += np.size(x)
+            box[1] += np.size(x) if isinstance(x, np.ndarray) else 0
             return fn(x)
         return counted if fn is not None else None
 
@@ -323,6 +347,17 @@ def test_generator_evaluations_per_sum(a):
     assert box[0] / len(sigmas) <= 3000
 
 
+@pytest.mark.parametrize("a_sigma", [16.2, 18.4, 23.0, 30.0, 40.0, 100.0, 300.0])
+def test_blocked_sum_is_a_scalar_walk(a_sigma):
+    # from n* ~ 1e7 up a blocked window takes a few dozen scalar generator
+    # calls and none of the array generators, which only term-by-term
+    # windows use
+    spec, box = counted_spec(expexp_spec(1.0, 1.0))
+    log_sum_upper(spec, a_sigma)
+    assert box[1] == 0
+    assert box[0] <= 200
+
+
 from hypothesis import given, settings, strategies as st
 
 
@@ -333,6 +368,22 @@ def test_sandwich_property(a, c, sigma):
     spec = expexp_spec(a, c)
     _, mt = max_term_log(spec, sigma)
     assert compare(mt, log_sum_upper(spec, sigma)) <= 0
+
+
+@given(st.floats(min_value=0.5, max_value=3.0), st.floats(min_value=0.5, max_value=5.0),
+       st.floats(min_value=12.0, max_value=690.0))
+@settings(max_examples=60, deadline=None)
+def test_blocked_sum_against_closed_form(a, c, a_sigma):
+    # blocked windows between TestSumOracle's grid points, so a layout that
+    # changes with sigma is checked too: never below the closed form, and
+    # at most the blocks' 5e-5 plus TestSumOracle's rounding margin above
+    sigma = a_sigma / a
+    upper = log_sum_upper(expexp_spec(a, c), sigma)
+    closed = TestSumOracle.closed(a, c, sigma)
+    assert TestSumOracle.level_gap(upper, closed) <= 1e-14 * max(upper.level, 1)
+    with mpmath.workdps(50):
+        margin = 64 * sys.float_info.epsilon * (a_sigma + 1) * (abs(closed) + 1)
+        assert mpmath.mpf(to_real(upper)) - closed <= 5e-5 + margin
 
 
 @given(st.floats(min_value=0.5, max_value=3.0), st.floats(min_value=0.5, max_value=5.0),
