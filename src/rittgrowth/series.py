@@ -14,11 +14,11 @@ computable from norms alone, but it is sandwiched:
 
 and both bounds are computed here.  An infinite series' term logs t(n)
 are strictly log-concave with a convex step t(n+1) - t(n).  The maximum
-term sits at the central index of Wiman-Valiron theory, the root of
-d/dn t = 0, which the `peak` generator supplies and its neighbours
-confirm.  The sum is a walk from there: term by term on narrow windows,
-in blocks under concave quadratics on wide ones, laid out by the local
-Gaussian model (Hayman, Canad. Math. Bull. 17, 1974); see log_sum_upper.
+term sits at the central index of Wiman-Valiron theory, which the `peak`
+generator places within a few steps and its neighbours confirm.  The sum
+is a walk from there: term by term on narrow windows, in blocks under
+concave quadratics on wide ones, laid out by the local Gaussian model
+(Hayman, Canad. Math. Bull. 17, 1974); see log_sum_upper.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.special import digamma, gammaln, zeta
 
 from .errors import DomainError, NumericError, SpecFormatError, TailBoundError
 from .levelindex import ExtReal, from_real, lse_accumulate
@@ -51,8 +50,8 @@ _TAIL_PAD = 8.0
 # Largest index that doubles still carry exactly; past it indices are floats.
 _EXACT_INDEX = 2 ** 53
 _RANGE_HINT = "series evaluation needs roughly a*sigma < 700 for the expexp family"
-_DIGAMMA_ONE = -0.5772156649015329  # digamma(1) = -Euler's gamma
 _PEAK_CLIMB = 4  # neighbour steps from a peak candidate before it is refused
+_LOG_FACTORIALS = np.array([math.log(math.factorial(n)) for n in range(256)])
 
 
 @dataclass(frozen=True)
@@ -64,9 +63,9 @@ class SeriesSpec:
     must also supply:
       * lam_array / log_norm_array: the same generators on a float ndarray
         of indices, which evaluate a term-by-term window in one call;
-      * peak: sigma -> the continuous maximizer of
-        n -> log||a_n|| + sigma*lambda_n, its central index; max_term_log
-        verifies the integer it rounds to, and log_sum_upper starts there.
+      * peak: sigma -> a real whose rounding lies within _PEAK_CLIMB steps
+        of the maximum term's index, the central index; max_term_log climbs
+        from it to that index, and log_sum_upper starts there.
     Its terms t(n) must be strictly log-concave with a step t(n+1) - t(n)
     convex in n; log_sum_upper refuses a step its edges show is not.
     """
@@ -119,27 +118,27 @@ def expexp_spec(a: float, c: float) -> SeriesSpec:
         return a * ns
 
     def log_norm_arr(ns: np.ndarray) -> np.ndarray:
-        return ns * log_c - gammaln(ns + 1.0)
+        # log n!: Stirling's series (A&S 6.1.41) to 1/(360n^3), a table below 256
+        small = ns < 256.0
+        x = np.maximum(ns, 256.0) if small.any() else ns
+        log_x, r = np.log(x), 1.0 / x
+        out = (log_x - 1.0) * x  # log_x - 1 is exact
+        r *= 1.0 / 12.0 - r * r / 360.0
+        log_x *= 0.5
+        log_x += r + 0.5 * math.log(2.0 * math.pi)
+        out += log_x
+        if x is not ns:
+            out[small] = _LOG_FACTORIALS[ns[small].astype(np.intp)]
+        return np.subtract(ns * log_c, out, out=out)
 
     def peak(sigma: float) -> float:
-        # Central index: d/dn [n log c - log n! + a*sigma*n] = 0 reads
-        # digamma(n+1) = log c + a*sigma.
-        target = log_c + a * sigma
-        if target <= _DIGAMMA_ONE:  # stationary point at n <= 0: the first term leads
-            return 0.0
+        # t(n+1) - t(n) = log(x/(n+1)) with x = c*e^(a*sigma): x - 1/2 rounds to the
+        # maximum term's index, within 1/(24x) of the root of digamma(n+1) = log x
         try:
-            x = math.exp(target) + 0.5  # digamma(x) = log(x - 1/2) + O(x**-2)
+            return max(math.exp(log_c + a * sigma) - 0.5, 0.0)
         except OverflowError as exc:
-            raise NumericError(
-                f"central index of 'expexp' at sigma={sigma} exceeds the machine range; {_RANGE_HINT}"
-            ) from exc
-        if x < 1e8:  # above, the start is already exact to double precision
-            for _ in range(4):
-                step = (float(digamma(x)) - target) / float(zeta(2.0, x))  # zeta(2, x) = trigamma
-                x -= step
-                if abs(step) <= 1e-13 * x:
-                    break
-        return x - 1.0
+            raise NumericError(f"central index of 'expexp' at sigma={sigma} exceeds the machine "
+                               f"range; {_RANGE_HINT}") from exc
 
     return SeriesSpec("expexp", lam, log_norm, {"a": a, "c": c}, lam_arr, log_norm_arr, peak=peak)
 
@@ -238,12 +237,12 @@ def _verified_peak(spec: SeriesSpec, t: Callable[[float], float], sigma: float):
 
     Log-concavity makes a local maximum global, so the candidate is
     accepted once t(n-1) <= t(n) >= t(n+1).  A rising neighbour is
-    climbed to first: the integer argmax can sit one off the rounded
-    continuous root.  Past n ~ 1e7 rounding of the term values is as large
-    as the one-step differences, so a climb that does not settle accepts
-    neighbours within its rounding margin, and beyond 2**53 the factor-2
-    neighbours are checked instead.  A candidate that fails means the peak
-    generator is wrong: a NumericError.
+    climbed to first: the integer argmax can sit one off a peak that is a
+    rounded continuous root.  Past n ~ 1e7 rounding of the term values is
+    as large as the one-step differences, so a climb that does not settle
+    accepts neighbours within its rounding margin, and beyond 2**53 the
+    factor-2 neighbours are checked instead.  A candidate that fails means
+    the peak generator is wrong: a NumericError.
     """
     n_c = spec.peak(sigma)
     if n_c < _EXACT_INDEX:
@@ -395,9 +394,13 @@ class _Blocks:
                 xs.append(x)
             sides.append(xs)
         ns = [n_star - x for x in reversed(sides[0])] + [n_star] + [n_star + x for x in sides[1]]
-        if ns[0] <= 3.0:  # the window starts at n = 1; edges doubling from 3 keep anchors near
-            rest = [n for n in ns if n > 3.0]
-            ns = [1.0, 2.0] + [3.0 * 2.0 ** j for j in range(math.ceil(math.log2(rest[0] / 3.0)))] + rest
+        if ns[0] <= 3.0:  # the window starts at n = 1; doubling edges keep each block within its left edge
+            edges = [1.0, 2.0, 3.0]
+            for n in (n for n in ns if n > 3.0):
+                while n > 2.0 * edges[-1]:
+                    edges.append(2.0 * edges[-1])
+                edges.append(n)
+            ns = edges
         elif n_star > _EXACT_INDEX:  # float indices can coincide
             ns = sorted(set(ns))
         first, self.last, logs, f, err, bound = (0 if ns[0] == 1.0 else 2), ns[-1], [], [], [], math.inf

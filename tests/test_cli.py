@@ -2,7 +2,11 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -555,3 +559,11 @@ class TestDeterminism:
             assert code == 0
             outs.append(out_path.read_bytes())
         assert outs[0] == outs[1]
+
+
+def test_cli_imports_numpy_alone():
+    # a fresh interpreter: rittgrowth depends on numpy and no other package
+    code = "import sys, rittgrowth.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

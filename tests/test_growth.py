@@ -12,8 +12,8 @@ import pytest
 from rittgrowth.corpus import parse_shorthand
 from rittgrowth.errors import BracketError, NumericError
 from rittgrowth import growth as growth_mod
-from rittgrowth.growth import (INVERT_REL_TOL, GridSpec, SeriesUpperSource, SyntheticSource,
-                               compose_samples, invert_modulus, sample_profile)
+from rittgrowth.growth import (INVERT_REL_TOL, GridSpec, SeriesUpperSource, SyntheticSource, _itp_probe,
+                               _reduced, compose_samples, invert_modulus, sample_profile)
 from rittgrowth.indicators import profile_samples, relative_samples
 from rittgrowth.levelindex import ExtReal, compare, from_real, to_real
 from rittgrowth.series import expexp_spec
@@ -94,6 +94,31 @@ class TestInvert:
         for sigma in (1.0, 3.0, 11.0, 30.0):
             got = invert_modulus(bundle.upper, bundle.upper.log_m(sigma))
             assert abs(got - sigma) <= 1e-9
+
+    @pytest.mark.parametrize("shorthand,sigma,branch", [("expexp:a=1,c=1", 20.0, -math.inf),
+                                                        ("tower:k=4,rho=1,q=0", 0.1, math.inf)])
+    def test_residuals_out_of_machine_range(self, monkeypatch, shorthand, sigma, branch):
+        # from the bracket (0, 30) a level-3 target reduces log M(0) = 0.54
+        # below the machine range (-inf), and a level-2 tower target
+        # reduces log M(30) above it (+inf); the probe then takes midpoints
+        reduced, probes = [], []
+
+        def record_reduced(v, k):
+            reduced.append(_reduced(v, k))
+            return reduced[-1]
+
+        def record_probe(lo, hi, f_lo, f_hi, *rest):
+            probes.append((f_lo, f_hi))
+            return _itp_probe(lo, hi, f_lo, f_hi, *rest)
+
+        monkeypatch.setattr(growth_mod, "_reduced", record_reduced)
+        monkeypatch.setattr(growth_mod, "_itp_probe", record_probe)
+        src = parse_shorthand(shorthand).bundle().upper
+        y = src.log_m(sigma)
+        x = invert_modulus(src, y, bracket=(0.0, 30.0))
+        assert branch in reduced
+        assert any(not (math.isfinite(f_lo) and math.isfinite(f_hi)) for f_lo, f_hi in probes)
+        assert compare(src.log_m(x * (1 - 2e-12)), y) < 0 < compare(src.log_m(x * (1 + 2e-12)), y)
 
 
 class CountingSource:

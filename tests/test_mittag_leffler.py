@@ -94,3 +94,27 @@ def test_order_and_type_at_2_0(rho):
     typ, lower_type = type_pair(samples, 2, 0, order.value)
     assert typ.value == pytest.approx(1.0 / (math.e * rho), rel=1e-6)
     assert lower_type.value == pytest.approx(1.0 / (math.e * rho), rel=1e-6)
+
+
+def brute_log_sum(rho, sigma, n_star):
+    """float64 log of the sum from n = 1 to n* + 60 deviations, past which the terms are below e^-1800."""
+    ns = np.arange(1.0, n_star + 60 * math.sqrt(rho * n_star) + 100)
+    t = sigma * ns - ns * np.log(ns) / rho
+    top = t.max()
+    return top + math.log(np.exp(t - top).sum())
+
+
+N_STARS = np.geomspace(20, 2e4, 25)
+# blocked windows that reach n = 1, where the curvature of the first blocks
+# is many times that of the wide blocks after them
+REACH_ONE = ([(100.0, 3000.0), (100.0, N_STARS[21]), (500.0, N_STARS[23]), (75.0, N_STARS[20]),
+              (200.0, N_STARS[20])]
+             + [(rho, n_star) for rho in (10.0, 50.0, 150.0, 300.0, 1000.0) for n_star in N_STARS[::4]])
+
+
+@pytest.mark.parametrize("rho,n_star", REACH_ONE)
+def test_upper_sum_down_to_the_first_term(rho, n_star):
+    sigma = (1.0 + math.log(n_star)) / rho
+    gap = to_real(log_sum_upper(ml_spec(rho), sigma)) - brute_log_sum(rho, sigma, n_star)
+    margin = 64 * sys.float_info.epsilon * 2 * sigma * n_star  # as in test_upper_sum_against_mpmath
+    assert -margin <= gap <= 2e-3

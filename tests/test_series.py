@@ -7,13 +7,12 @@ import sys
 import mpmath
 import numpy as np
 import pytest
-from scipy.special import gammaln
 
 from rittgrowth.corpus import series_spec
 from rittgrowth.errors import DomainError, NumericError, SpecFormatError
 from rittgrowth.growth import GridSpec
 from rittgrowth.levelindex import compare, to_real
-from rittgrowth.series import (_ROUND_ULPS, SeriesSpec, expexp_spec, log_sum_upper,
+from rittgrowth.series import (_ROUND_ULPS, SeriesSpec, _log_block, expexp_spec, log_sum_upper,
                                max_term_log, table_spec, term_log, validate)
 
 
@@ -157,16 +156,62 @@ class TestPeakGenerator:
         assert abs(n - ref_n) <= 1e-6 * ref_n
         assert to_real(v) == pytest.approx(ref_t, rel=1e-13)
 
-    def test_peak_solves_the_digamma_equation(self):
-        from scipy.special import digamma
-        spec = expexp_spec(2.0, 3.0)
-        for sigma in (0.5, 2.0, 6.0):
-            n_c = spec.peak(sigma)
-            assert float(digamma(n_c + 1.0)) == pytest.approx(math.log(3.0) + 2.0 * sigma,
-                                                              rel=1e-13)
+    @staticmethod
+    def peak_grid():
+        # sigmas where x = c e^(a sigma) runs from 1 to 1e8, with x in 50 digits
+        for a, c in [(2.0, 3.0), (1.0, 0.5), (0.7, 2.3)]:
+            for x in np.geomspace(1.0, 1e8, 80):
+                sigma = (math.log(x) - math.log(c)) / a
+                with mpmath.workdps(50):
+                    yield expexp_spec(a, c), a, c, sigma, mpmath.mpf(c) * mpmath.exp(a * mpmath.mpf(sigma))
+
+    def test_peak_rounds_to_the_maximum_term(self):
+        # the step t(n+1) - t(n) = log(x/(n+1)) changes sign at n + 1 = x, so
+        # the maximum term's index is floor(x) wherever x is not an integer;
+        # x carries the rounding of log c + a*sigma, about 1e-15 x (|T| + 1)
+        checked = 0
+        for spec, a, c, sigma, x in self.peak_grid():
+            frac = float(x - mpmath.floor(x))
+            if min(frac, 1.0 - frac) > 1e-12 * float(x) * (abs(math.log(c)) + a * abs(sigma) + 1.0):
+                assert math.floor(spec.peak(sigma) + 0.5) == int(mpmath.floor(x))
+                checked += 1
+        assert checked >= 200
+
+    def test_peak_is_near_the_continuous_root(self):
+        # digamma(y) = log(y - 1/2) + 1/(24 (y - 1/2)**2) + O(y**-4) puts the root
+        # of digamma(n+1) = T within 1/(24 e^T) of e^T - 1/2
+        for spec, a, c, sigma, x in self.peak_grid():
+            with mpmath.workdps(50):
+                t = mpmath.log(x)
+                root = mpmath.findroot(lambda y: mpmath.digamma(y) - t, x + 0.5) - 1
+                rounding = 4 * sys.float_info.epsilon * float(x) * (abs(math.log(c)) + a * abs(sigma) + 1.0)
+                assert abs(spec.peak(sigma) - root) <= 1 / (24 * x) + rounding
 
     def test_first_term_leads_below_the_first_index(self):
         assert max_term_log(expexp_spec(1, 0.1), 0.0)[0] == 1
+
+
+class TestLogFactorial:
+    """expexp's array generator takes log n! from a table below 256 and Stirling's series above."""
+
+    NS = np.concatenate([np.arange(0.0, 301.0), np.floor(np.geomspace(256.0, 1e17, 400))])
+
+    def test_against_mpmath_loggamma(self):
+        # c = 1: log_norm_array is -log n! exactly
+        got = expexp_spec(1.0, 1.0).log_norm_array(self.NS)
+        with mpmath.workdps(40):
+            for n, v in zip(self.NS, got):
+                ref = -mpmath.loggamma(mpmath.mpf(n) + 1)
+                assert abs(v - ref) <= 2 * math.ulp(float(ref)), n
+
+    @pytest.mark.parametrize("a,c", [(1.0, 1.0), (0.5, 2.9), (3.0, 0.7)])
+    def test_agrees_with_the_scalar_generator(self, a, c):
+        # in ulps of |n log c| + log n!, at least 1, as n log c - log n! may cancel;
+        # math.lgamma is itself 3 ulps off log 2 at n = 2
+        spec = expexp_spec(a, c)
+        for n, v in zip(self.NS, spec.log_norm_array(self.NS)):
+            size = abs(n * math.log(c)) + math.lgamma(n + 1.0)
+            assert abs(v - spec.log_norm(n)) <= 2 * math.ulp(max(size, 1.0)), n
 
 
 class TestMachineRange:
@@ -187,7 +232,8 @@ class TestVanishingTerms:
     SPEC = SeriesSpec("fin", lambda n: float(n),
                       lambda n: -math.lgamma(n + 1) if n <= 5 else -math.inf,
                       lam_array=lambda ns: ns,
-                      log_norm_array=lambda ns: np.where(ns <= 5, -gammaln(ns + 1.0), -np.inf),
+                      log_norm_array=lambda ns: np.array([-math.lgamma(n + 1) if n <= 5 else -math.inf
+                                                           for n in ns]),
                       peak=math.exp)
 
     def test_walk_stops_at_a_vanishing_term(self):
@@ -356,6 +402,22 @@ def test_blocked_sum_is_a_scalar_walk(a_sigma):
     log_sum_upper(spec, a_sigma)
     assert box[1] == 0
     assert box[0] <= 200
+
+
+@pytest.mark.parametrize("fa,fb,w,d", [(0.0, -3.0, 40.0, 0.0), (-2.0, 5.0, 40.0, 0.0), (1.0, 1.0, 64.0, 0.0),
+                                       (0.0, -50.0, 10.0, 1e-3), (-50.0, 0.0, 10.0, 1e-3),
+                                       (0.0, -1e3, 200.0, 1e-4)])
+def test_block_tangent_fallback(fa, fb, w, d):
+    # a flat block (d = 0) or one whose quadratic peaks far past it (erfc
+    # underflows) is bounded by the tangent at its higher end: never below
+    # the terms' sum, up to the last ulps, and within 1 of it here
+    h, slope = w / 2, (fb - fa) / w
+    with mpmath.workdps(30):
+        us = [mpmath.mpf(j) - h for j in range(int(w))]
+        ref = float(mpmath.log(mpmath.fsum(mpmath.exp((fa + fb) / 2 + slope * u + d * (h - u) * (h + u) / 2)
+                                           for u in us)))
+    got = _log_block(fa, fb, w, d)
+    assert ref - 4 * sys.float_info.epsilon * abs(ref) <= got <= ref + 1.0
 
 
 from hypothesis import given, settings, strategies as st
