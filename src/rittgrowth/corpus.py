@@ -104,9 +104,13 @@ def _tower_entry(k: int, rho: float, q: int) -> CorpusEntry:
         lq = to_real(log_iter(from_real(sigma), q))
         return exp_iter(from_real(rho * lq), k - 1)
 
+    def inverse(y) -> float:
+        return to_real(exp_iter(from_real(to_real(log_iter(y, k - 1)) / rho), q))
+
     # log^[q]sigma must be defined and non-negative: sigma >= exp^[q-1](1).
     floor = 0.0 if q == 0 else to_real(exp_iter(from_real(1.0), q - 1))
-    src = SyntheticSource("tower", {"k": k, "rho": rho, "q": q}, rule, sigma_floor=floor)
+    src = SyntheticSource("tower", {"k": k, "rho": rho, "q": q}, rule, sigma_floor=floor,
+                          inverse=inverse)
 
     note = f"rule log^[{k}]M = {rho} * log^[{q}]sigma is its own derivation"
     note_type = "exp(rho*log^[q]sigma) equals (log^[q-1]sigma)^rho exactly"

@@ -13,11 +13,14 @@ more.
 The composition M_g^{-1}(M_f(sigma)) at the heart of every relative
 indicator is one inversion per point, carried out entirely on (level,
 mantissa) pairs; the curve value M_f(sigma) is never materialized.
-Along a grid (``compose_samples``) each inversion starts from a tight
-bracket around the polynomial extrapolation of the points already
-solved, and ITP's truncation scales with the root's magnitude rather than
-the initial width, so a well-predicted point costs about four curve
-evaluations instead of ten.
+A source may carry its own inverse, a closed-form guess at the root (the
+tower rules and the expexp surrogates do).  Two curve evaluations a
+stopping width apart confirm a guess by exact comparison, and then they
+are the whole inversion.  A guess that misses, and a source without one,
+fall back to a tight bracket around the polynomial extrapolation of the
+points already solved along the grid (``compose_samples``), which ITP
+closes in a few probes because its truncation scales with the root's
+magnitude rather than the initial width.
 """
 
 from __future__ import annotations
@@ -81,9 +84,14 @@ DEFAULT_GRID = GridSpec(5.0, 30.0, 64)  # theorem instances' grid and the detect
 
 
 class GrowthSource:
-    """Strictly increasing curve sigma -> log M(sigma) as an ExtReal."""
+    """Strictly increasing curve sigma -> log M(sigma) as an ExtReal.
+
+    inverse, when set, maps a value y = log M to a guess at the sigma with
+    log M(sigma) = y; invert_modulus confirms it on the curve itself.
+    """
 
     sigma_floor: float = 0.0
+    inverse: Optional[Callable[[ExtReal], float]] = None
 
     def log_m(self, sigma: float) -> ExtReal:
         raise NotImplementedError
@@ -97,6 +105,7 @@ class SeriesLowerSource(GrowthSource):
 
     def __init__(self, spec: SeriesSpec):
         self.spec = spec
+        self.inverse = spec.lower_inverse
 
     def log_m(self, sigma: float) -> ExtReal:
         return series_mod.max_term_log(self.spec, sigma)[1]
@@ -110,6 +119,7 @@ class SeriesUpperSource(GrowthSource):
 
     def __init__(self, spec: SeriesSpec):
         self.spec = spec
+        self.inverse = spec.upper_inverse
 
     def log_m(self, sigma: float) -> ExtReal:
         return series_mod.log_sum_upper(self.spec, sigma)
@@ -122,11 +132,12 @@ class SyntheticSource(GrowthSource):
     """Closed-form rule sigma -> log M(sigma); used for profile families."""
 
     def __init__(self, name: str, params: dict, rule: Callable[[float], ExtReal],
-                 sigma_floor: float = 0.0):
+                 sigma_floor: float = 0.0, inverse: Optional[Callable[[ExtReal], float]] = None):
         self.name = name
         self.params = params
         self.rule = rule
         self.sigma_floor = sigma_floor
+        self.inverse = inverse
 
     def log_m(self, sigma: float) -> ExtReal:
         return self.rule(sigma)
@@ -206,9 +217,38 @@ def _itp_probe(lo: float, hi: float, f_lo: float, f_hi: float,
     return x if lo < x < hi else mid
 
 
+def _guess(source: GrowthSource, y: ExtReal, floor: float):
+    """The source's guess x at the root as (x - h, log M(x - h), x + h, log M(x + h)).
+
+    h is half a stopping width at x.  None, and nothing is evaluated, when
+    the source has no inverse or the guess raises, is not finite or puts
+    x - h below the floor; None, after all, when either end raises.
+    """
+    inverse = getattr(source, "inverse", None)
+    if inverse is None:
+        return None
+    try:
+        x = inverse(y)
+        h = 0.5 * INVERT_REL_TOL * max(1.0, abs(x))
+        if not (math.isfinite(x) and x - h >= floor):
+            return None
+        return x - h, source.log_m(x - h), x + h, source.log_m(x + h)
+    except (NumericError, ArithmeticError):
+        return None
+
+
 def invert_modulus(source: GrowthSource, y: ExtReal,
-                   bracket: Optional[tuple[float, float]] = None) -> float:
+                   bracket: Optional[tuple[float, float]] = None, end: str = "mid") -> float:
     """sigma with log M(sigma) = y, resolved to 1e-12 relative in sigma.
+
+    A source with an inverse is first asked for a guess x, and log M is
+    evaluated at x -+ h, half a stopping width either side.  If
+    log M(x - h) <= y <= log M(x + h) by exact compare(), that bracket
+    already meets the stopping rule and is final: two evaluations, and a
+    result that depends on (source, y) alone.  Otherwise, or without a
+    usable guess (see _guess), the bracket is found and shrunk as follows,
+    starting with the end of a missed guess that lies nearest the root
+    wherever it tightens the bracket; no end is evaluated twice.
 
     Without a bracket the search starts from (floor, floor + 1), floor
     being max(source floor, 0).  A bracket that misses y grows by
@@ -219,25 +259,46 @@ def invert_modulus(source: GrowthSource, y: ExtReal,
     range, log^[k] M with k = max(y.level - 1, 0).  Each update is decided
     by the exact compare() against y, so the invariant
     log M(lo) <= y <= log M(hi) and the stopping rule are bisection's,
-    and at most one step is spent beyond bisection's count.  Returns the
-    midpoint of the final bracket.
+    and at most one step is spent beyond bisection's count.
+
+    Returns the final bracket's lower end for end="low", its upper end for
+    "high" and its midpoint for "mid": a root of a lower curve read as
+    "low" never exceeds the root of the curve it bounds.
     """
     floor = max(source.sigma_floor, 0.0)
+    guess = _guess(source, y, floor)
+    if guess is not None:
+        a, v_a, b, v_b = guess
+        if compare(v_a, y) <= 0 <= compare(v_b, y):
+            return _bracket_end(a, b, end)
     if bracket is None:
         lo, hi = floor, max(1.0, floor + 1.0)
     else:
         lo, hi = bracket
         lo = max(lo, floor)
         hi = max(hi, lo + INVERT_REL_TOL * max(1.0, abs(lo)))
+    v_lo = v_hi = None
+    if guess is not None:  # the root lies above b or below a
+        width = hi - lo
+        if compare(v_b, y) < 0:
+            if b > lo:
+                lo, v_lo = b, v_b
+                if hi <= lo:
+                    hi = lo + width
+        elif a < hi:
+            hi, v_hi = a, v_a
+            if lo >= hi:
+                lo = max(hi - width, floor)
 
     # Grow upward until log M(hi) >= y.
-    anchor, v_lo = lo, None
+    anchor = lo
     for _ in range(BRACKET_DOUBLINGS):
-        v_hi = source.log_m(hi)
+        if v_hi is None:
+            v_hi = source.log_m(hi)
         if compare(v_hi, y) >= 0:
             break
         lo, v_lo = hi, v_hi
-        hi = anchor + 2.0 * (hi - anchor)
+        hi, v_hi = anchor + 2.0 * (hi - anchor), None
     else:
         raise BracketError("inversion target above the achievable range after expansion")
 
@@ -268,7 +329,11 @@ def invert_modulus(source: GrowthSource, y: ExtReal,
         else:
             hi, f_hi = x, _reduced(v, k) - target
         step += 1
-    return 0.5 * (lo + hi)
+    return _bracket_end(lo, hi, end)
+
+
+def _bracket_end(lo: float, hi: float, end: str) -> float:
+    return {"low": lo, "mid": 0.5 * (lo + hi), "high": hi}[end]
 
 
 def _extrapolate(ts: Sequence[float], xs: Sequence[float], t: float) -> float:
@@ -284,19 +349,21 @@ def _extrapolate(ts: Sequence[float], xs: Sequence[float], t: float) -> float:
 
 
 def compose_samples(g_source: GrowthSource, sigmas: Sequence[float],
-                    f_values: Sequence[ExtReal]) -> list[tuple[float, float]]:
+                    f_values: Sequence[ExtReal], end: str = "mid") -> list[tuple[float, float]]:
     """(sigma, M_g^{-1}(M_f(sigma))) at each sigma, from f's values log M_f there.
 
-    Each point is invert_modulus(g_source, y), warm-started along the
-    strictly increasing sigmas.  The first point is solved from a cold
-    bracket.  Every later bracket is centred on the polynomial through the
-    last (up to _WARM_POINTS) solutions, extrapolated to the new sigma.
-    Its half-width is twice the error of the previous prediction, floored
-    at a few INVERT_REL_TOL; the second point, with no error known yet,
-    takes max(|x|/4, 1).  A bracket that misses grows as invert_modulus
-    describes, so a wrong prediction costs calls, never accuracy: each
-    result meets the same bracket invariant and stopping rule as a cold
-    call.
+    Each point is invert_modulus(g_source, y, bracket, end), warm-started
+    along the strictly increasing sigmas; end picks the bracket end each
+    point returns, and the warm start reads those returned points.  The
+    first point is solved from a cold bracket.  Every later bracket is
+    centred on the polynomial through the last (up to _WARM_POINTS)
+    solutions, extrapolated to the new sigma.  Its half-width is twice the
+    error of the previous prediction, floored at a few INVERT_REL_TOL; the
+    second point, with no error known yet, takes max(|x|/4, 1).  A source
+    whose own guess is confirmed never reads the bracket.  A bracket that
+    misses grows as invert_modulus describes, so a wrong prediction costs
+    calls, never accuracy: each result meets the same bracket invariant and
+    stopping rule as a cold call.
     """
     xs: list[float] = []
     pred = err = None
@@ -310,7 +377,7 @@ def compose_samples(g_source: GrowthSource, sigmas: Sequence[float],
                 half = max(_WARM_ERR_FACTOR * err,
                            _WARM_MIN_HALF * INVERT_REL_TOL * max(1.0, abs(pred)))
             bracket = (pred - half, pred + half)
-        x = invert_modulus(g_source, y, bracket)
+        x = invert_modulus(g_source, y, bracket, end)
         if pred is not None:
             err = abs(x - pred)
         xs.append(x)

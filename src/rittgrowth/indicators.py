@@ -275,22 +275,24 @@ def relative_samples(f: Samples, g_bundle: SourceBundle) -> Samples:
 
     The center pairing composes the two upper surrogates; the interval
     pairings cross them: (f-lower against g-upper) can only undershoot and
-    (f-upper against g-lower) can only overshoot the true curve.
+    (f-upper against g-lower) can only overshoot the true curve.  Each
+    crossed pairing keeps its inversion bracket's outer end (its lower end
+    for low, its upper end for high), so neither crosses the true curve.
     """
     (_upper, upper), *lower = f.sets
     sigmas, f_upper = zip(*upper)
 
-    def composed(g_source, f_values):
-        return tuple((s, from_real(v)) for s, v in compose_samples(g_source, sigmas, f_values))
+    def composed(g_source, f_values, end="mid"):
+        return tuple((s, from_real(v)) for s, v in compose_samples(g_source, sigmas, f_values, end))
 
     center = composed(g_bundle.upper, f_upper)
     sets = [("center", center)]
     # a crossed pairing whose lower surrogate is missing is center itself
     if lower or g_bundle.lower is not None:
-        sets.append(("low", composed(g_bundle.upper, [v for _s, v in lower[0][1]])
+        sets.append(("low", composed(g_bundle.upper, [v for _s, v in lower[0][1]], "low")
                      if lower else center))
         sets.append(("high", center if g_bundle.lower is None else
-                     composed(g_bundle.lower, f_upper)))
+                     composed(g_bundle.lower, f_upper, "high")))
     return Samples(tuple(sets), value_depth=0, prefix="relative_")
 
 

@@ -32,7 +32,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import DomainError, NumericError, SpecFormatError, TailBoundError
-from .levelindex import ExtReal, from_real, lse_accumulate
+from .levelindex import ExtReal, from_real, lse_accumulate, to_real
 
 # Hard cap for the walk's widening reach; 2000 doublings cover every index
 # reachable before term magnitudes overflow the double range.
@@ -51,6 +51,8 @@ _TAIL_PAD = 8.0
 _EXACT_INDEX = 2 ** 53
 _RANGE_HINT = "series evaluation needs roughly a*sigma < 700 for the expexp family"
 _PEAK_CLIMB = 4  # neighbour steps from a peak candidate before it is refused
+_INVERSE_ROUNDS = 4  # Newton steps, and index re-roundings, of expexp's lower inverse
+_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 _LOG_FACTORIALS = np.array([math.log(math.factorial(n)) for n in range(256)])
 
 
@@ -68,6 +70,9 @@ class SeriesSpec:
         from it to that index, and log_sum_upper starts there.
     Its terms t(n) must be strictly log-concave with a step t(n+1) - t(n)
     convex in n; log_sum_upper refuses a step its edges show is not.
+    Any series may supply upper_inverse / lower_inverse: y -> a guess at
+    the sigma where log_sum_upper / max_term_log equals y.  A guess only
+    places an inversion's bracket, which the surrogate itself confirms.
     """
 
     name: str
@@ -78,6 +83,8 @@ class SeriesSpec:
     log_norm_array: Optional[Callable[[np.ndarray], np.ndarray]] = None
     n_limit: Optional[int] = None  # finite tables only
     peak: Optional[Callable[[float], float]] = None
+    upper_inverse: Optional[Callable[[ExtReal], float]] = None
+    lower_inverse: Optional[Callable[[ExtReal], float]] = None
 
     def __post_init__(self):
         if self.n_limit is None and None in (self.peak, self.lam_array, self.log_norm_array):
@@ -140,7 +147,32 @@ def expexp_spec(a: float, c: float) -> SeriesSpec:
             raise NumericError(f"central index of 'expexp' at sigma={sigma} exceeds the machine "
                                f"range; {_RANGE_HINT}") from exc
 
-    return SeriesSpec("expexp", lam, log_norm, {"a": a, "c": c}, lam_arr, log_norm_arr, peak=peak)
+    def upper_inverse(y: ExtReal) -> float:
+        # the sum is e^X - 1 with X = c*e^(a*sigma): X = y + log1p(e^-y), kept in range for y < 0
+        v = to_real(y)
+        return (math.log(max(v, 0.0) + math.log1p(math.exp(-abs(v)))) - log_c) / a
+
+    def lower_inverse(y: ExtReal) -> float:
+        # the maximum term is about X - log(2 pi X)/2: Newton in log X, then the
+        # sigma where t(n) = y exactly, n re-rounded until it is the peak there
+        v = to_real(y)
+        n = 1.0
+        if v > 1.0:
+            u = math.log(v + _HALF_LOG_2PI + 0.5 * math.log(v))
+            for _ in range(_INVERSE_ROUNDS):
+                x = math.exp(u)
+                u -= (x - 0.5 * u - v - _HALF_LOG_2PI) / (x - 0.5)
+            n = math.floor(math.exp(u))
+        for _ in range(_INVERSE_ROUNDS):
+            sigma = (v + math.lgamma(n + 1.0) - n * log_c) / (a * n)
+            m = max(1.0, math.floor(peak(sigma) + 0.5))
+            if m == n:
+                break
+            n = m
+        return sigma
+
+    return SeriesSpec("expexp", lam, log_norm, {"a": a, "c": c}, lam_arr, log_norm_arr, peak=peak,
+                      upper_inverse=upper_inverse, lower_inverse=lower_inverse)
 
 
 def table_spec(name: str, lam_values: Sequence[float], log_norm_values: Sequence[float]) -> SeriesSpec:

@@ -115,7 +115,7 @@ class TestInvert:
         monkeypatch.setattr(growth_mod, "_itp_probe", record_probe)
         src = parse_shorthand(shorthand).bundle().upper
         y = src.log_m(sigma)
-        x = invert_modulus(src, y, bracket=(0.0, 30.0))
+        x = invert_modulus(CountingSource(src), y, bracket=(0.0, 30.0))  # no inverse: the bracket path
         assert branch in reduced
         assert any(not (math.isfinite(f_lo) and math.isfinite(f_hi)) for f_lo, f_hi in probes)
         assert compare(src.log_m(x * (1 - 2e-12)), y) < 0 < compare(src.log_m(x * (1 + 2e-12)), y)
@@ -242,13 +242,13 @@ class TestComposedCurveOracle:
 
     The reference takes M as the norm sum exp(c e^(a s)) - 1, the value the
     upper surrogates certify to within their slack, or a tower's rule.  It
-    shares no code with the solver.  Every inversion returns the midpoint
-    of a bracket at most tol = INVERT_REL_TOL * max(1, |x|) wide, so the
-    center pairing lies within tol of x*.  The crossed pairings (f-lower
-    against g-upper, f-upper against g-lower) can only undershoot and
-    overshoot the true curve, but only to within that same resolution: at
-    large a*sigma the surrogates differ by less than one stopping width,
-    and low, center and high agree to within it.
+    shares no code with the solver.  Every inversion's final bracket is at
+    most tol = INVERT_REL_TOL * max(1, |x|) wide, and the center pairing
+    returns its midpoint, so it lies within tol of x*.  The crossed
+    pairings (f-lower against g-upper, f-upper against g-lower) return the
+    bracket's outer end, so low never exceeds x* and high never falls
+    short of it, even at large a*sigma, where the surrogates differ by less
+    than one stopping width.
     """
 
     @staticmethod
@@ -262,8 +262,8 @@ class TestComposedCurveOracle:
                 where = f"{f_id} vs {g_id} at sigma={sigma}"
                 assert abs(to_real(center) - x) <= tol, where
                 if "low" in sets:
-                    assert to_real(sets["low"][i][1]) <= x + tol, where
-                    assert to_real(sets["high"][i][1]) >= x - tol, where
+                    assert to_real(sets["low"][i][1]) <= x, where
+                    assert to_real(sets["high"][i][1]) >= x, where
         return len(sets["center"])
 
     def test_acceptance_batch_expexp_pairs(self):
@@ -343,8 +343,8 @@ class TestWarmStart:
         brackets = []
         invert = growth_mod.invert_modulus
 
-        def recording(src, y, bracket=None):
-            x = invert(src, y, bracket)
+        def recording(src, y, bracket=None, end="mid"):
+            x = invert(src, y, bracket, end)
             brackets.append((bracket, x))
             return x
 
@@ -354,6 +354,99 @@ class TestWarmStart:
         for t, x in zip(ts, xs):
             assert abs(x - exact(t)) <= INVERT_REL_TOL * max(1.0, abs(x))
             assert abs(x - invert(source, from_real(t))) <= INVERT_REL_TOL * max(1.0, abs(x))
+
+
+class GuessingSource(CountingSource):
+    """Counts log_m calls and forwards an inverse: the source's own, or the one given."""
+
+    def __init__(self, source, inverse=None):
+        super().__init__(source)
+        self.inverse = inverse or source.inverse
+
+
+GUESS_SOURCES = [("tower:k=3,rho=2,q=0", "upper"), ("tower:k=2,rho=1.5,q=1", "upper"),
+                 ("expexp:a=2,c=3", "upper"), ("expexp:a=2,c=3", "lower")]
+
+
+class TestGuess:
+    """A source's own inverse places the bracket; the curve still decides it."""
+
+    @staticmethod
+    def bracket_path(source, y, bracket=None):
+        """invert_modulus without the guess (CountingSource hides the inverse): (result, calls)."""
+        counted = CountingSource(source)
+        return invert_modulus(counted, y, bracket), counted.calls
+
+    @pytest.mark.parametrize("shorthand,surrogate", GUESS_SOURCES)
+    def test_confirmed_guess_costs_two_calls(self, shorthand, surrogate):
+        source = dict(parse_shorthand(shorthand).bundle().surrogates())[surrogate]
+        for sigma in SOLVER_SIGMAS:
+            y = source.log_m(sigma)
+            counted = GuessingSource(source)
+            x = invert_modulus(counted, y)
+            assert counted.calls == 2
+            root, _calls = self.bracket_path(source, y)
+            assert abs(x - root) <= INVERT_REL_TOL * max(1.0, abs(x))
+
+    @pytest.mark.parametrize("shorthand,surrogate", GUESS_SOURCES)
+    @pytest.mark.parametrize("rel", [1e-6, -1e-6])
+    def test_wrong_guess_still_finds_the_root(self, shorthand, surrogate, rel):
+        source = dict(parse_shorthand(shorthand).bundle().surrogates())[surrogate]
+        for sigma in SOLVER_SIGMAS:
+            y = source.log_m(sigma)
+            for bracket in (None, (sigma * (1 - 1e-11), sigma * (1 + 1e-11))):
+                counted = GuessingSource(source, lambda y: source.inverse(y) * (1.0 + rel))
+                x = invert_modulus(counted, y, bracket)
+                root, calls = self.bracket_path(source, y, bracket)
+                assert abs(x - root) <= INVERT_REL_TOL * max(1.0, abs(x))
+                assert counted.calls <= calls + 2
+
+    def test_guess_ends_keep_their_side(self):
+        # low and high return the confirmed bracket's ends, mid its midpoint
+        source = parse_shorthand("expexp:a=2,c=3").bundle().upper
+        y = source.log_m(9.1)
+        low, mid, high = (invert_modulus(source, y, end=end) for end in ("low", "mid", "high"))
+        assert low < mid < high and high - low <= INVERT_REL_TOL * high
+        assert compare(source.log_m(low), y) <= 0 <= compare(source.log_m(high), y)
+
+    @staticmethod
+    def _raises(y):
+        raise NumericError("no guess here")
+
+    @pytest.mark.parametrize("inverse", [_raises, lambda y: math.nan, lambda y: -3.0, lambda y: 0.0],
+                             ids=["raises", "nan", "below-floor", "at-floor"])
+    @pytest.mark.parametrize("shorthand,surrogate", GUESS_SOURCES)
+    def test_unusable_guess_takes_the_bracket_path(self, inverse, shorthand, surrogate):
+        # x - h below the floor, like a guess that raises or is not finite,
+        # evaluates nothing: the same calls and the same result as no inverse
+        source = dict(parse_shorthand(shorthand).bundle().surrogates())[surrogate]
+        for sigma in SOLVER_SIGMAS:
+            y = source.log_m(sigma + source.sigma_floor)
+            for bracket in (None, (sigma, sigma + 1.0)):
+                counted = GuessingSource(source, inverse)
+                x = invert_modulus(counted, y, bracket)
+                assert (x, counted.calls) == self.bracket_path(source, y, bracket)
+
+    def test_guess_out_of_the_curve_range_falls_back(self):
+        # a guess where the surrogate cannot be evaluated (a*sigma > 700)
+        source = parse_shorthand("expexp:a=1,c=1").bundle().upper
+        y = source.log_m(12.0)
+        counted = GuessingSource(source, lambda y: 1e4)
+        x = invert_modulus(counted, y)
+        root, calls = self.bracket_path(source, y)
+        assert x == root and counted.calls <= calls + 1
+
+    @pytest.mark.parametrize("f_id,g_id,grid", WARM_PAIRS)
+    def test_composition_counter_gate(self, f_id, g_id, grid):
+        # exactly 2 calls a point against a tower g, a few misses against expexp
+        f, g = warm_bundles(f_id, g_id)
+        sigmas = grid.sigmas()
+        counted = GuessingSource(g)
+        compose_samples(counted, sigmas, [f.log_m(s) for s in sigmas])
+        if g_id.startswith("tower:"):
+            assert counted.calls == 2 * len(sigmas)
+        else:
+            assert counted.calls <= 2.7 * len(sigmas)
 
 
 from hypothesis import given, settings, strategies as st
@@ -366,6 +459,34 @@ def test_inversion_identity_property(a, c, sigma):
     src = SeriesUpperSource(expexp_spec(a, c))
     got = invert_modulus(src, src.log_m(sigma))
     assert abs(got - sigma) <= 1e-9 * max(1.0, sigma)
+
+
+@given(st.integers(min_value=1, max_value=4), st.integers(min_value=0, max_value=2),
+       st.floats(min_value=0.5, max_value=3.0), st.floats(min_value=1e-3, max_value=40.0))
+@settings(max_examples=200, deadline=None)
+def test_tower_guess_hits_property(k, q, rho, offset):
+    src = parse_shorthand(f"tower:k={k},rho={rho!r},q={q}").bundle().upper
+    sigma = src.sigma_floor + offset
+    counted = GuessingSource(src)
+    got = invert_modulus(counted, src.log_m(sigma))
+    assert counted.calls == 2
+    assert abs(got - sigma) <= INVERT_REL_TOL * max(1.0, sigma)
+
+
+@given(st.floats(min_value=0.5, max_value=3.0), st.floats(min_value=0.5, max_value=4.0),
+       st.floats(min_value=0.0, max_value=1.0), st.sampled_from(["upper", "lower"]))
+@settings(max_examples=200, deadline=None)
+def test_expexp_guess_hits_property(a, c, share, surrogate):
+    # the upper guess is the closed form of the sum, which only term-by-term
+    # windows (central index below ~6e4) carry to within a stopping width:
+    # there sigma stays below c*e^(a*sigma) = 3e4
+    top = 40.0 if surrogate == "lower" else math.log(3e4 / c) / a
+    sigma = 1e-3 + share * (top - 1e-3)
+    src = dict(parse_shorthand(f"expexp:a={a!r},c={c!r}").bundle().surrogates())[surrogate]
+    counted = GuessingSource(src)
+    got = invert_modulus(counted, src.log_m(sigma))
+    assert counted.calls == 2
+    assert abs(got - sigma) <= INVERT_REL_TOL * max(1.0, sigma)
 
 
 class TestOscRule:

@@ -277,9 +277,9 @@ class TestSharedRatioLayer:
         composed = []
         compose = indicators_mod.compose_samples
 
-        def counting(g_source, sigmas, f_values):
+        def counting(g_source, sigmas, f_values, end="mid"):
             composed.append(g_source)
-            return compose(g_source, sigmas, f_values)
+            return compose(g_source, sigmas, f_values, end)
 
         monkeypatch.setattr(indicators_mod, "compose_samples", counting)
         samples = relative_samples(profile_samples(parse_shorthand(f_sh).bundle(),

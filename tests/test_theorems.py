@@ -292,6 +292,20 @@ class TestBatch:
             assert json.dumps(report.to_json(), sort_keys=True) == \
                 json.dumps(forward[i].to_json(), sort_keys=True)
 
+    def test_batch_reports_do_not_depend_on_history(self):
+        # in order, reversed, and each instance with a fresh workspace: the same
+        # reports.  The instances are the benchmark's tiny batch (perfbench/gen.py's
+        # TINY_BATCH), which covers expexp, tower and osc partners
+        path = Path(__file__).resolve().parent.parent / "batches" / "acceptance_triples.json"
+        instances = [load_batch(json.loads(path.read_text()))[i] for i in (3, 4, 9, 17, 28, 29)]
+
+        def texts(reports):
+            return [json.dumps(r.to_json(), sort_keys=True) for r in reports]
+
+        forward = texts(run_batch(instances))
+        assert texts(run_batch(instances[::-1]))[::-1] == forward
+        assert texts(check_instance(inst) for inst in instances) == forward
+
 
 # Every (f, g, h) triple used above, with its indices and grid.
 PATH_TRIPLES = [
