@@ -97,7 +97,8 @@ def cmd_profile(args) -> int:
 def cmd_indicator(args) -> int:
     entry = _load_source_arg(args.spec)
     grid = _parse_grid(args.sigma)
-    samples = profile_samples(entry.bundle(), grid)
+    # the plot reads every grid point, the estimates only the tail
+    samples = profile_samples(entry.bundle(), grid, 1.0 if args.plot_data else args.window)
     rho, lam = order_pair(samples, args.p, args.q, args.window)
     pairs = type_pairs(samples, args.p, args.q, rho.value if args.kind in ("type", "all") else None,
                        lam.value if args.kind in ("weak-type", "all") else None, args.window)
@@ -119,8 +120,8 @@ def cmd_relative(args) -> int:
     f_entry = _load_source_arg(args.f_spec)
     g_entry = _load_source_arg(args.g_spec)
     grid = _parse_grid(args.sigma)
-    rel = relative_indicators(profile_samples(f_entry.bundle(), grid), g_entry.bundle(),
-                              args.p, args.q, args.window)
+    rel = relative_indicators(profile_samples(f_entry.bundle(), grid, args.window),
+                              g_entry.bundle(), args.p, args.q, args.window)
     _emit({
         "f": f_entry.id, "g": g_entry.id, "form": "direct", "grid": grid.describe(),
         "estimates": {k: e.to_json(grid) for k, e in rel.by_kind().items()},

@@ -164,9 +164,18 @@ class SourceBundle:
         return out
 
 
-def sample_profile(source: GrowthSource, grid: GridSpec) -> tuple[tuple[float, ExtReal], ...]:
-    """(sigma, log M(sigma)) along the grid, checked to be strictly increasing."""
+def sample_profile(source: GrowthSource, grid: GridSpec,
+                   tail: Optional[int] = None) -> tuple[tuple[float, ExtReal], ...]:
+    """(sigma, log M(sigma)) at grid index 0 and the last tail indices (every index
+    when tail is None), checked to be strictly increasing along those points.
+
+    The floor check reads sigma alone; index 0 is always evaluated, so an
+    error at the grid's start surfaces whatever the tail.  Between index 0
+    and the tail nothing is evaluated or checked.
+    """
     sigmas = grid.sigmas()
+    if tail is not None:
+        sigmas = sigmas[:1] + sigmas[max(1, len(sigmas) - tail):]
     if sigmas[0] < source.sigma_floor:
         raise NumericError(
             f"grid starts at sigma={sigmas[0]} below the source floor {source.sigma_floor}"
@@ -352,13 +361,17 @@ def compose_samples(g_source: GrowthSource, sigmas: Sequence[float],
                     f_values: Sequence[ExtReal], end: str = "mid") -> list[tuple[float, float]]:
     """(sigma, M_g^{-1}(M_f(sigma))) at each sigma, from f's values log M_f there.
 
-    Each point is invert_modulus(g_source, y, bracket, end), warm-started
-    along the strictly increasing sigmas; end picks the bracket end each
-    point returns, and the warm start reads those returned points.  The
-    first point is solved from a cold bracket.  Every later bracket is
-    centred on the polynomial through the last (up to _WARM_POINTS)
-    solutions, extrapolated to the new sigma.  Its half-width is twice the
-    error of the previous prediction, floored at a few INVERT_REL_TOL; the
+    Each point is invert_modulus(g_source, y, bracket, end); end picks the
+    bracket end each point returns, and the warm start reads those returned
+    points.  The first point is solved from a cold bracket.  The rest form
+    one warm chain along the strictly increasing sigmas, which may begin
+    far from the first (a sampled profile holds grid index 0 and its tail,
+    see ``indicators.Samples``).  The chain's first bracket is cold but
+    starts from the first point's root, the composition being increasing:
+    (x_0, x_0 + 1), grown upward.  Every later bracket is centred on the
+    polynomial through the chain's last (up to _WARM_POINTS) solutions,
+    extrapolated to the new sigma.  Its half-width is twice the error of
+    the previous prediction, floored at a few INVERT_REL_TOL; the chain's
     second point, with no error known yet, takes max(|x|/4, 1).  A source
     whose own guess is confirmed never reads the bracket.  A bracket that
     misses grows as invert_modulus describes, so a wrong prediction costs
@@ -368,9 +381,11 @@ def compose_samples(g_source: GrowthSource, sigmas: Sequence[float],
     xs: list[float] = []
     pred = err = None
     for i, (t, y) in enumerate(zip(sigmas, f_values)):
-        bracket = None
-        if xs:
-            pred = _extrapolate(sigmas[max(i - _WARM_POINTS, 0):i], xs[-_WARM_POINTS:], t)
+        if i < 2:
+            bracket = (xs[0], xs[0] + 1.0) if xs else None
+        else:
+            first = max(i - _WARM_POINTS, 1)
+            pred = _extrapolate(sigmas[first:i], xs[first:], t)
             if err is None:
                 half = max(0.25 * abs(pred), 1.0)
             else:

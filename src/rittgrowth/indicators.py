@@ -23,6 +23,14 @@ checks.  An indicator pair builds one ratio sequence per
 pairing, read by its limsup and liminf alike (a type and a weak type of equal
 exponents share it), and each grid point's denominator once for all pairings.
 
+An estimate reads only the tail of its ratio sequence, so a curve is
+sampled at grid index 0 and the last W = max(_MIN_POINTS, ceil(window * n))
+of the grid's n points, W at most n.  Curves increase and iterated logs
+have threshold domains, so a ratio valid at index 0 is valid at every
+point and each of its windows lies in that tail; a ratio that index 0
+leaves out is built from the whole grid (``Samples.whole``), so every
+count still covers the whole grid.
+
 The one setting is the tail window, a share of the ratio points (``window``,
 default WINDOW, the CLI's --window); the other numbers are module constants.
 """
@@ -30,9 +38,9 @@ default WINDOW, the CLI's --window); the other numbers are module constants.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from itertools import chain
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -56,6 +64,12 @@ def finite_nonzero(value: float) -> bool:
     return FINITE_EPS <= value <= 1.0 / FINITE_EPS
 
 
+def _tail_count(n: int, window: float) -> int:
+    """Points in the tail window of share window over n; all n for a share outside
+    (0, 1], which tail_estimate refuses."""
+    return min(n, max(_MIN_POINTS, math.ceil(window * n))) if 0.0 < window <= 1.0 else n
+
+
 @dataclass(frozen=True)
 class IndexPair:
     p: int
@@ -75,8 +89,9 @@ class RatioSequence:
     p: int
     q: int
     aux_exponent: Optional[float]
-    points: tuple[RatioPoint, ...]
+    points: tuple[RatioPoint, ...]  # the valid points held: the last of them
     dropped: tuple[float, ...]
+    skipped: int = 0  # valid points before those held, never evaluated
 
 
 def json_number(v):
@@ -129,7 +144,9 @@ def ratio_sequence(samples: Sequence[tuple[float, ExtReal]], kind: str, p: int, 
     iterated logs leave their domain (leading points of the grid) are
     dropped and reported, not errors; an empty result is an error.
     """
-    return next(_ratio_sequences([tuple(samples)], kind, p, q, aux_exponent, value_depth))
+    samples = tuple(samples)
+    return next(_ratio_sequences(Samples((("", samples),), len(samples), value_depth),
+                                 kind, p, q, aux_exponent, 1.0))
 
 
 def _denominator(sigma: float, kind: str, depth: int,
@@ -147,9 +164,17 @@ def _denominator(sigma: float, kind: str, depth: int,
     return den, (1.0 / x if (x is not None and x > 0) else 0.0)
 
 
-def _ratio_sequences(sets: Sequence[Sequence[tuple[float, ExtReal]]], kind: str, p: int, q: int,
-                     aux_exponent: Optional[float], value_depth: int) -> Iterator[RatioSequence]:
-    """ratio_sequence of each set; the sets share one grid, so each denominator is built once."""
+def _ratio_sequences(samples: Samples, kind: str, p: int, q: int, aux_exponent: Optional[float],
+                     window: float) -> Iterator[RatioSequence]:
+    """ratio_sequence of each set of samples, for tail windows of share window.
+
+    The sets share their sigmas, so each denominator is built once.  Values
+    increase and iterated logs have threshold domains, so a ratio's valid
+    points are a suffix of the grid: when every set's ratio is valid at
+    index 0 it is valid everywhere, and the sampled tail holds every
+    window.  Otherwise, or when the window reaches past the tail, the
+    sequences are built from samples.whole(), the whole grid.
+    """
     if kind not in ("order", "type"):
         raise ValueError(f"unknown ratio kind '{kind}'")
     if p < 0 or q < 0:
@@ -161,28 +186,34 @@ def _ratio_sequences(sets: Sequence[Sequence[tuple[float, ExtReal]]], kind: str,
             raise IndicatorUndefinedError(
                 f"type ratio needs a finite positive exponent, got {aux_exponent}"
             )
-    num_shift = (p if kind == "order" else p - 1) - value_depth
+    num_shift = (p if kind == "order" else p - 1) - samples.value_depth
     den_depth = q if kind == "order" else q - 1
+
+    def ratio(value: ExtReal, den) -> Optional[float]:
+        try:
+            return None if den is None else ratio_to_float(
+                _apply_log_depth(value, num_shift), den[0])
+        except DomainError:
+            return None
+
+    sets = [pts for _name, pts in samples.sets]
+    held, n = len(sets[0]), samples.n
     dens = [_denominator(sigma, kind, den_depth, aux_exponent) for sigma, _value in sets[0]]
-    for samples in sets:
-        points: list[RatioPoint] = []
-        dropped: list[float] = []
-        for (sigma, value), den in zip(samples, dens):
-            try:
-                r = None if den is None else ratio_to_float(
-                    _apply_log_depth(value, num_shift), den[0])
-            except DomainError:
-                r = None
-            if r is None:
-                dropped.append(sigma)
-            else:
-                points.append(RatioPoint(sigma, r, den[1]))
+    rows = [[ratio(value, den) for (_sigma, value), den in zip(pts, dens)] for pts in sets]
+    if held < n and (held - 1 < _tail_count(n, window) or any(row[0] is None for row in rows)):
+        yield from _ratio_sequences(samples.whole(), kind, p, q, aux_exponent, window)
+        return
+    start = 1 if held < n else 0  # index 0 of a sampled tail only vouches for the prefix
+    for pts, row in zip(sets, rows):
+        points = tuple(RatioPoint(sigma, r, den[1]) for (sigma, _value), r, den
+                       in zip(pts[start:], row[start:], dens[start:]) if r is not None)
+        dropped = tuple(sigma for (sigma, _value), r in zip(pts, row) if r is None)
         if not points:
             raise DomainError(
                 f"all {len(dropped)} grid points violate the iterated-log domain for "
                 f"kind={kind}, p={p}, q={q}"
             )
-        yield RatioSequence(kind, p, q, aux_exponent, tuple(points), tuple(dropped))
+        yield RatioSequence(kind, p, q, aux_exponent, points, dropped, n - held + start)
 
 
 def tail_estimate(seq: RatioSequence, mode: str, window: float = WINDOW,
@@ -191,11 +222,12 @@ def tail_estimate(seq: RatioSequence, mode: str, window: float = WINDOW,
     if mode not in (LIMSUP, LIMINF):
         raise ValueError(f"mode must be '{LIMSUP}' or '{LIMINF}'")
     pts = seq.points
-    if len(pts) < 8:
-        raise ValueError(f"tail estimation needs >= 8 ratio points, got {len(pts)}")
+    n = len(pts) + seq.skipped
+    if n < 8:
+        raise ValueError(f"tail estimation needs >= 8 ratio points, got {n}")
     if not 0.0 < window <= 1.0:
         raise ValueError("window must lie in (0, 1]")
-    w = min(len(pts), max(_MIN_POINTS, math.ceil(window * len(pts))))
+    w = _tail_count(n, window)
     win = pts[-w:]
     rs = np.array([p.ratio for p in win])
     xs = np.array([p.regressor for p in win])
@@ -251,27 +283,46 @@ def _admissible(est: IndicatorEstimate, threshold: float) -> bool:
 
 @dataclass(frozen=True)
 class Samples:
-    """A growth curve sampled along a grid, once for each surrogate pairing.
+    """A growth curve sampled on a grid of n points, once for each surrogate pairing.
 
     sets holds (pairing, ((sigma, value), ...)), every set on the same
     sigmas, with the pairing of the point estimate first; the others only
-    widen its interval.  value_depth is the log-depth of the stored values
-    (1 for a log M profile, 0 for a composed M_g^{-1}M_f curve); prefix
-    starts every estimate's label.
+    widen its interval.  The sigmas are grid index 0 and the grid's last
+    len - 1 points: the tail every estimate reads, and the point that
+    decides whether the prefix between them is in a ratio's domain.  A set
+    of n points holds the whole grid.  whole() gives the whole grid, from
+    fill() the first time it is asked.  value_depth is the log-depth of the
+    stored values (1 for a log M profile, 0 for a composed M_g^{-1}M_f
+    curve); prefix starts every estimate's label.
     """
 
     sets: tuple[tuple[str, tuple[tuple[float, ExtReal], ...]], ...]
+    n: int
     value_depth: int = 1
     prefix: str = ""
+    fill: Optional[Callable[[], Samples]] = field(default=None, repr=False, compare=False)
+    _whole: list = field(default_factory=list, init=False, repr=False, compare=False)
+
+    def whole(self) -> Samples:
+        if len(self.sets[0][1]) == self.n:
+            return self
+        if not self._whole:
+            self._whole.append(self.fill())
+        return self._whole[0]
 
 
-def profile_samples(bundle: SourceBundle, grid: GridSpec) -> Samples:
-    """log M of each surrogate of the bundle, upper first, sampled once."""
-    return Samples(tuple((name, sample_profile(src, grid)) for name, src in bundle.surrogates()))
+def profile_samples(bundle: SourceBundle, grid: GridSpec, window: float = WINDOW) -> Samples:
+    """log M of each surrogate of the bundle, upper first, sampled once: at grid index
+    0 and the last max(_MIN_POINTS, ceil(window * n)) indices, every index at window=1."""
+    tail = _tail_count(grid.count, window)
+    return Samples(tuple((name, sample_profile(src, grid, tail))
+                         for name, src in bundle.surrogates()),
+                   grid.count, fill=lambda: profile_samples(bundle, grid, 1.0))
 
 
 def relative_samples(f: Samples, g_bundle: SourceBundle) -> Samples:
-    """The relative curve M_g^{-1} M_f, g composed against f's profile (profile_samples).
+    """The relative curve M_g^{-1} M_f, g composed against f's profile (profile_samples)
+    at exactly the grid points f holds.
 
     The center pairing composes the two upper surrogates; the interval
     pairings cross them: (f-lower against g-upper) can only undershoot and
@@ -293,7 +344,8 @@ def relative_samples(f: Samples, g_bundle: SourceBundle) -> Samples:
                      if lower else center))
         sets.append(("high", center if g_bundle.lower is None else
                      composed(g_bundle.lower, f_upper, "high")))
-    return Samples(tuple(sets), value_depth=0, prefix="relative_")
+    return Samples(tuple(sets), f.n, value_depth=0, prefix="relative_",
+                   fill=lambda: relative_samples(f.whole(), g_bundle))
 
 
 def _estimates(samples: Samples, kind: str, p: int, q: int, modes: Sequence[tuple[str, str]],
@@ -301,8 +353,7 @@ def _estimates(samples: Samples, kind: str, p: int, q: int, modes: Sequence[tupl
     """One indicator per (mode, label) of modes, all read from each pairing's one ratio
     sequence: the first pairing gives every value, all of them its interval."""
     rows: list[list[IndicatorEstimate]] = [[] for _ in modes]
-    for seq in _ratio_sequences([pts for _name, pts in samples.sets], kind, p, q,
-                                aux_exponent, samples.value_depth):
+    for seq in _ratio_sequences(samples, kind, p, q, aux_exponent, window):
         for row, (mode, label) in zip(rows, modes):
             row.append(tail_estimate(seq, mode, window, samples.prefix + label))
     return tuple(replace(ests[0], lo=min(e.value for e in ests), hi=max(e.value for e in ests))
@@ -436,7 +487,7 @@ def detect_index_pair(bundle: SourceBundle, p_max: int = 4, q_max: int = 4,
     """
     cands = chain([(1, 1)], ((p, q) for p in range(1, p_max + 1)
                              for q in range(min(p - 1, q_max), -1, -1)))
-    return _detect(lambda grid: profile_samples(bundle, grid), p_max, q_max, grid, cands,
+    return _detect(lambda grid: profile_samples(bundle, grid, window), p_max, q_max, grid, cands,
                    lambda p, q: 1.0 + _INDEX_MARGIN if p == q else FINITE_EPS,
                    "index-pair", window)
 
@@ -449,7 +500,7 @@ def detect_relative_index_pair(f_bundle: SourceBundle, g_bundle: SourceBundle, m
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")
     cands = ((p, q) for p in range(p_max + 1) for q in range(min(p, q_max), -1, -1))
-    return _detect(lambda grid: relative_samples(profile_samples(f_bundle, grid), g_bundle),
+    return _detect(lambda grid: relative_samples(profile_samples(f_bundle, grid, window), g_bundle),
                    p_max, q_max, grid, cands,
                    lambda p, q: max((1.0 if p == q == m else 0.0) + _INDEX_MARGIN, FINITE_EPS),
                    "relative index-pair", window)

@@ -1,5 +1,6 @@
 """CLI surface: subcommands, exit codes, schemas, determinism."""
 
+import hashlib
 import json
 import math
 import os
@@ -217,9 +218,9 @@ class TestIndicator:
         from rittgrowth.growth import sample_profile
         calls = []
 
-        def counting(source, grid):
+        def counting(source, grid, tail=None):
             calls.append(source.describe()["surrogate"])
-            return sample_profile(source, grid)
+            return sample_profile(source, grid, tail)
 
         monkeypatch.setattr(indicators_mod, "sample_profile", counting)
         monkeypatch.setattr(cli_mod, "sample_profile", counting)
@@ -288,9 +289,9 @@ class TestRelative:
         from rittgrowth.growth import sample_profile
         calls = []
 
-        def counting(source, grid):
+        def counting(source, grid, tail=None):
             calls.append(source.describe()["surrogate"])
-            return sample_profile(source, grid)
+            return sample_profile(source, grid, tail)
 
         monkeypatch.setattr(indicators_mod, "sample_profile", counting)
         code, _, _ = run(["relative", "--f-spec", "expexp:a=2,c=1", "--g-spec", "expexp:a=1,c=3",
@@ -392,6 +393,35 @@ class TestWindow:
                 assert est["n_points"] == max(16, math.ceil(0.3 * count))
                 seen += 1
         assert seen == 6 + 6 + 1
+
+    # sha256 prefixes of outputs that read every grid point, recorded before
+    # profiles and relative curves were sampled at index 0 and the tail only
+    WHOLE_GRID = {
+        ("expexp:a=2,c=1", "5:30:64"): ("126a07bfc6a03d49", "7ae328ad7edf6878",
+                                        "0f4aaca6a8c61646", "37eb8cde29950b90"),
+        ("tower:k=2,rho=1.5,q=0", "5:3e4:200:log"): ("44e44f12f074f992", "e4748c07c743be80",
+                                                     "d20bd4d5e3389477", "6eb9e34b4b3fe66d"),
+        ("osc:rho=2,lam=1,p=2,q=0", "3:460658806.18633974:480:log"): (
+            "3c8efece0d8cd51d", "e6a95d7685db71d5", "7cb84dfe6e2a502f", "3f13534ba886810c"),
+    }
+
+    @pytest.mark.parametrize("spec,sigma", list(WHOLE_GRID))
+    def test_plot_data_and_profile_cover_the_whole_grid(self, spec, sigma, tmp_path, capsys):
+        def digest(text):
+            return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+        plot = tmp_path / "ratios.dat"
+        indicator = ["indicator", "--spec", spec, "--p", "2", "--q", "0", "--sigma", sigma,
+                     "--kind", "all"]
+        outputs = [run(indicator + ["--plot-data", str(plot)], capsys),
+                   run(indicator, capsys),
+                   run(["profile", "--spec", spec, "--sigma", sigma], capsys),
+                   run(["profile", "--spec", spec, "--sigma", sigma, "--format", "csv"], capsys)]
+        assert [code for code, _out, _err in outputs] == [0] * 4
+        report, plain, profile, csv = (digest(out) for _code, out, _err in outputs)
+        assert report == plain
+        assert (report, digest(plot.read_text()), profile, csv) == self.WHOLE_GRID[spec, sigma]
+        assert len(plot.read_text().splitlines()) == int(sigma.split(":")[2])
 
     def test_window_outside_zero_one_is_usage_error(self, capsys):
         for cmd in self.COMMANDS:

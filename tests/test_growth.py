@@ -248,13 +248,15 @@ class TestComposedCurveOracle:
     pairings (f-lower against g-upper, f-upper against g-lower) return the
     bracket's outer end, so low never exceeds x* and high never falls
     short of it, even at large a*sigma, where the surrogates differ by less
-    than one stopping width.
+    than one stopping width.  The oracle reads every grid point (window
+    share 1); the default share composes grid index 0 and the tail, and
+    must agree with the whole grid's composition there.
     """
 
     @staticmethod
     def check(f_id, g_id, grid, reference):
         f, g = parse_shorthand(f_id), parse_shorthand(g_id)
-        sets = dict(relative_samples(profile_samples(f.bundle(), grid), g.bundle()).sets)
+        sets = dict(relative_samples(profile_samples(f.bundle(), grid, 1.0), g.bundle()).sets)
         with mpmath.workdps(40):
             for i, (sigma, center) in enumerate(sets["center"]):
                 x = reference(f.params, g.params, mpmath.mpf(sigma))
@@ -266,6 +268,34 @@ class TestComposedCurveOracle:
                     assert to_real(sets["high"][i][1]) >= x, where
         return len(sets["center"])
 
+    @staticmethod
+    def tail_against_whole(f_id, g_id, grid):
+        """Compare the default-window composition with the whole grid's at the points it
+        holds: bit-identical where g's own guess is confirmed (a result of (source, y)
+        alone), else within a stopping width.  Returns (confirmed, missed) counts."""
+        f, g = parse_shorthand(f_id).bundle(), parse_shorthand(g_id).bundle()
+        f_tail = profile_samples(f, grid)
+        tail, whole = (dict(relative_samples(fs, g).sets)
+                       for fs in (f_tail, profile_samples(f, grid, 1.0)))
+        f_upper, *f_lower = (points for _name, points in f_tail.sets)
+        inputs = {"center": (g.upper, f_upper), "low": (g.upper, (f_lower or [f_upper])[0]),
+                  "high": (g.lower or g.upper, f_upper)}
+        at = {sigma: i for i, (sigma, _x) in enumerate(whole["center"])}
+        counts = [0, 0]
+        for name, points in tail.items():
+            source, f_points = inputs[name]
+            for (sigma, x), (_sigma, y) in zip(points, f_points):
+                want = whole[name][at[sigma]][1]
+                guess = growth_mod._guess(source, y, max(source.sigma_floor, 0.0))
+                hit = guess is not None and compare(guess[1], y) <= 0 <= compare(guess[3], y)
+                if hit:
+                    assert x == want, (f_id, g_id, name, sigma)
+                else:
+                    tol = INVERT_REL_TOL * max(1.0, abs(to_real(want)))
+                    assert abs(to_real(x) - to_real(want)) <= tol, (f_id, g_id, name, sigma)
+                counts[not hit] += 1
+        return counts
+
     def test_acceptance_batch_expexp_pairs(self):
         # every expexp-expexp (f, g, grid) set that the batch's theorems compose
         doc = json.loads((Path(__file__).resolve().parent.parent / "batches"
@@ -273,11 +303,14 @@ class TestComposedCurveOracle:
         sets = []
         for inst in load_batch(doc):
             for x, y in ((inst.f, inst.h), (inst.g, inst.h), (inst.f, inst.g), (inst.g, inst.f)):
-                if x.startswith("expexp:") and y.startswith("expexp:") \
-                        and (x, y, inst.grid) not in sets:
+                if (x, y, inst.grid) not in sets:
                     sets.append((x, y, inst.grid))
-        points = sum(self.check(x, y, grid, expexp_composition) for x, y, grid in sets)
-        assert (len(sets), points) == (22, 1408)
+        expexp = [s for s in sets if s[0].startswith("expexp:") and s[1].startswith("expexp:")]
+        points = sum(self.check(x, y, grid, expexp_composition) for x, y, grid in expexp)
+        assert (len(expexp), points) == (22, 1408)
+        # every set the batch composes, against its whole-grid composition
+        confirmed, missed = np.sum([self.tail_against_whole(*s) for s in sets], axis=0)
+        assert confirmed > 0 and missed > 0
 
     @pytest.mark.parametrize("k", [3, 4])
     def test_tower_pairs(self, k):

@@ -6,19 +6,22 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from rittgrowth import growth as growth_mod
 from rittgrowth import indicators as indicators_mod
 from rittgrowth import theorems as theorems_mod
 from rittgrowth.corpus import parse_shorthand, resolve_source
 from rittgrowth.errors import (DetectionFailedError, DomainError, IndicatorUndefinedError,
                                NumericError)
 from rittgrowth.growth import GridSpec, SourceBundle, SyntheticSource, sample_profile
-from rittgrowth.indicators import (LIMINF, LIMSUP, WINDOW, RatioPoint, RatioSequence,
-                                   detect_index_pair, detect_relative_index_pair, order_pair,
+from rittgrowth.indicators import (LIMINF, LIMSUP, WINDOW, IndicatorEstimate, RatioPoint,
+                                   RatioSequence, detect_index_pair, detect_relative_index_pair,
+                                   finite_nonzero, order_pair,
                                    profile_samples, ratio_sequence, relative_indicators,
                                    relative_samples, tail_estimate, type_pair, type_pairs,
                                    weak_type_pair)
-from rittgrowth.levelindex import from_real
+from rittgrowth.levelindex import from_real, to_real
 from rittgrowth.series import expexp_spec
 from rittgrowth.theorems import IndicatorWorkspace
 
@@ -230,9 +233,15 @@ class RecordingSource:
 def _reference(samples, kind, p, q, mode, label, aux=None):
     """One indicator as the sum of its parts: a ratio sequence per pairing and mode."""
     ests = [tail_estimate(ratio_sequence(pts, kind, p, q, aux, samples.value_depth), mode,
-                          WINDOW, samples.prefix + label) for _name, pts in samples.sets]
+                          WINDOW, samples.prefix + label) for _name, pts in samples.whole().sets]
     values = [e.value for e in ests]
     return replace(ests[0], lo=min(values), hi=max(values))
+
+
+def _sampled_sigmas(grid, window=WINDOW):
+    """Grid index 0 and the last max(16, ceil(window * n)) grid points, each once."""
+    sigmas = grid.sigmas()
+    return Counter(sigmas[:1] + sigmas[-max(16, math.ceil(window * grid.count)):])
 
 
 class TestSharedRatioLayer:
@@ -245,7 +254,7 @@ class TestSharedRatioLayer:
         samples = relative_samples(profile_samples(SourceBundle(upper, lower), grid),
                                    parse_shorthand("expexp:a=1,c=3").bundle())
         assert [name for name, _ in samples.sets] == ["center", "low", "high"]
-        assert upper.calls == lower.calls == Counter(grid.sigmas())
+        assert upper.calls == lower.calls == _sampled_sigmas(grid)
 
     def test_f_is_sampled_once_across_partners(self, monkeypatch):
         f_ref = "expexp:a=2,c=1"
@@ -267,7 +276,7 @@ class TestSharedRatioLayer:
         second = ws.rel_set(f_ref, "expexp:a=1,c=1", 0, 0, grid)
         assert first is not second
         bundle, = recorded
-        assert bundle.upper.calls == bundle.lower.calls == Counter(grid.sigmas())
+        assert bundle.upper.calls == bundle.lower.calls == _sampled_sigmas(grid)
 
     @pytest.mark.parametrize("f_sh,g_sh,reused", [
         ("expexp:a=2,c=1", "tower:k=2,rho=1,q=0", "high"),
@@ -409,3 +418,185 @@ class TestDetection:
                                          2, 3, 3)
         assert (det.pair.p, det.pair.q) == (0, 0)
         assert det.order.value == pytest.approx(2.0, abs=1e-2)
+
+
+# ---------------------------------------------------------------------------
+# Sampled tails: index 0 and the last W grid points stand for the whole grid.
+# ---------------------------------------------------------------------------
+
+def _outcome(estimate):
+    """estimate()'s result, or the type and message of the error it raises."""
+    try:
+        return estimate()
+    except (DomainError, IndicatorUndefinedError, NumericError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def _indicator_set(samples, p, q, window, exponents=None):
+    """Order pair at (p, q), then type and weak-type pairs wherever their exponent, the
+    order pair's value or the one given, is usable."""
+    rho, lam = order_pair(samples, p, q, window)
+    exps = [v if finite_nonzero(v) else None
+            for v in (exponents or (rho.value, lam.value))]
+    return (rho, lam) + tuple(e for pair in type_pairs(samples, p, q, *exps, window)
+                              for e in pair if e is not None)
+
+
+def _whole_and_tail(make_f, window, p, q, g_bundle=None):
+    """The indicator set at (p, q) from whole-grid samples and from sampled tails; the
+    types of both take the whole grid's orders as exponents."""
+    def estimates(share, exponents=None):
+        samples = make_f(share)
+        if g_bundle is not None:
+            samples = relative_samples(samples, g_bundle)
+        return _indicator_set(samples, p, q, window, exponents)
+    whole = _outcome(lambda: estimates(1.0))
+    exponents = (whole[0].value, whole[1].value) if isinstance(whole[0], IndicatorEstimate) else None
+    return whole, _outcome(lambda: estimates(window, exponents))
+
+
+class TestSampledTail:
+    """Profiles and relative curves hold grid index 0 and the tail window alone."""
+
+    def test_composition_inverts_index_zero_and_the_tail(self, monkeypatch):
+        grid = GridSpec(5.0, 30.0, 64)
+        tail = max(16, math.ceil(WINDOW * grid.count))
+        inverted = Counter()
+        invert = growth_mod.invert_modulus
+
+        def counting(source, y, bracket=None, end="mid"):
+            inverted[source.describe()["surrogate"], end] += 1
+            return invert(source, y, bracket, end)
+
+        monkeypatch.setattr(growth_mod, "invert_modulus", counting)
+        samples = relative_samples(profile_samples(parse_shorthand("expexp:a=2,c=1").bundle(), grid),
+                                   parse_shorthand("expexp:a=1,c=3").bundle())
+        assert inverted == {("upper", "mid"): 1 + tail, ("upper", "low"): 1 + tail,
+                            ("lower", "high"): 1 + tail}
+        assert [len(points) for _name, points in samples.sets] == [1 + tail] * 3
+
+    def test_leading_drop_reads_the_whole_grid_once(self):
+        # sigma <= 1 leaves log sigma's domain: index 0 drops, so the estimate
+        # counts its drops over the whole grid, sampled once for any (p, q)
+        f = parse_shorthand("expexp:a=1,c=3").bundle()
+        upper, lower = RecordingSource(f.upper), RecordingSource(f.lower)
+        grid = GridSpec(0.5, 30.0, 64)
+        samples = profile_samples(SourceBundle(upper, lower), grid)
+        tail = profile_samples(f, grid)
+        whole = profile_samples(f, grid, 1.0)
+        got = _indicator_set(samples, 2, 1, WINDOW)
+        assert repr(got) == repr(_indicator_set(whole, 2, 1, WINDOW))
+        assert got[0].n_dropped == 2 and got[0].n_points == math.ceil(WINDOW * 62)
+        _indicator_set(samples, 3, 1, WINDOW)
+        assert upper.calls == lower.calls == _sampled_sigmas(grid) + Counter(grid.sigmas())
+        rel = [_indicator_set(relative_samples(s, parse_shorthand("expexp:a=1,c=1").bundle()),
+                              1, 1, WINDOW) for s in (tail, whole)]
+        assert (rel[0][0].n_points, rel[0][0].n_dropped) == (rel[1][0].n_points, 2)
+
+    def test_monotonicity_is_checked_along_the_points_sampled(self):
+        # index 0 is checked against the tail's first point; a dip strictly
+        # between them is not evaluated, so only the whole grid sees it
+        grid = GridSpec(1.0, 20.0, 64)
+        start = grid.sigmas()[-max(16, math.ceil(WINDOW * grid.count))]
+        high_start = SyntheticSource("step", {}, lambda s: from_real(s + 100.0 * (s == 1.0)))
+        dip = SyntheticSource("dip", {}, lambda s: from_real(s - 5.0 * (3.0 < s < 4.0)))
+        with pytest.raises(NumericError, match=f"between sigma=1.0 and sigma={start}$"):
+            profile_samples(SourceBundle(high_start), grid)
+        assert len(profile_samples(SourceBundle(dip), grid).sets[0][1]) == 27
+        with pytest.raises(NumericError, match="profile not strictly increasing"):
+            profile_samples(SourceBundle(dip), grid, 1.0)
+
+    @pytest.mark.parametrize("window", [WINDOW, 1.0])
+    def test_all_dropped_message_counts_the_grid(self, window):
+        samples = profile_samples(parse_shorthand("expexp:a=1,c=1").bundle(),
+                                  GridSpec(0.5, 0.95, 64), window)
+        with pytest.raises(DomainError, match="^all 64 grid points violate the iterated-log "
+                                              "domain for kind=order, p=2, q=2$"):
+            order_pair(samples, 2, 2)
+
+    def test_a_wider_estimate_window_reads_the_whole_grid(self):
+        bundle = parse_shorthand("expexp:a=2,c=1").bundle()
+        grid = GridSpec(5.0, 30.0, 64)
+        got = order_pair(profile_samples(bundle, grid, 0.1), 2, 0, 0.7)
+        assert repr(got) == repr(order_pair(profile_samples(bundle, grid, 1.0), 2, 0, 0.7))
+        assert got[0].n_points == math.ceil(0.7 * 64)
+
+
+_COUNTS = st.integers(min_value=8, max_value=600)
+_SHARES = st.floats(min_value=1e-3, max_value=1.0)
+_INDICES = st.tuples(st.integers(0, 3), st.integers(0, 2))
+_OSC_SPAN = math.exp(6 * math.pi)  # three whole periods of sin(log sigma)
+
+
+@st.composite
+def _profiles(draw):
+    """(shorthand, grid) for an expexp, tower or osc profile."""
+    n = draw(_COUNTS)
+    family = draw(st.sampled_from(["expexp", "tower", "osc"]))
+    if family == "expexp":
+        lo = draw(st.floats(0.5, 6.0))
+        a, c = draw(st.floats(0.5, 3.0)), draw(st.floats(0.5, 4.0))
+        return f"expexp:a={a!r},c={c!r}", GridSpec(lo, lo + draw(st.floats(5.0, 24.0)), n)
+    lo = draw(st.floats(2.0, 6.0))
+    if family == "tower":
+        k, rho, q = draw(st.integers(1, 3)), draw(st.floats(0.5, 3.0)), draw(st.integers(0, 1))
+        return f"tower:k={k},rho={rho!r},q={q}", GridSpec(lo, lo * 1e4, n, "log")
+    lam, ratio = draw(st.floats(0.5, 2.0)), draw(st.floats(1.1, 3.0))
+    return (f"osc:rho={lam * ratio!r},lam={lam!r},p={draw(st.integers(1, 2))},q=0",
+            GridSpec(lo, lo * _OSC_SPAN, n, "log"))
+
+
+@st.composite
+def _relative_pairs(draw):
+    """(f, g, grid) for the pairings the benchmark and the batch compose, and mixed ones."""
+    n = draw(_COUNTS)
+    kind = draw(st.sampled_from(["expexp", "tower", "osc-tower", "tower-expexp", "tower-osc"]))
+    rho_f, rho_g = draw(st.floats(1.0, 3.0)), draw(st.floats(1.0, 3.0))
+    if kind == "expexp":
+        lo = draw(st.floats(0.5, 6.0))
+        return (f"expexp:a={rho_f!r},c={draw(st.floats(0.5, 4.0))!r}",
+                f"expexp:a={rho_g / 3!r},c={draw(st.floats(0.5, 4.0))!r}",
+                GridSpec(lo, lo + draw(st.floats(5.0, 24.0)), n))
+    if kind == "tower-expexp":
+        return "tower:k=2,rho=1,q=0", "expexp:a=1,c=1", GridSpec(5.0, draw(st.floats(10.0, 25.0)), n)
+    k, lo = draw(st.integers(2, 4)), draw(st.floats(3.0, 6.0))
+    grid = GridSpec(lo, lo * _OSC_SPAN, n, "log")
+    osc = f"osc:rho={rho_f!r},lam={rho_f / 1.5!r},p={k},q=0"
+    f = osc if kind == "osc-tower" else f"tower:k={k},rho={rho_f!r},q=0"
+    g = (f"osc:rho={rho_g!r},lam={rho_g / 1.5!r},p={k},q=0" if kind == "tower-osc"
+         else f"tower:k={k},rho={rho_g!r},q=0")
+    return f, g, grid
+
+
+@given(_profiles(), _SHARES, _INDICES)
+@settings(max_examples=60, deadline=None)
+def test_sampled_profile_estimates_match_the_whole_grid(profile, window, pq):
+    shorthand, grid = profile
+    bundle = parse_shorthand(shorthand).bundle()
+    whole, tail = _whole_and_tail(lambda share: profile_samples(bundle, grid, share), window, *pq)
+    assert repr(tail) == repr(whole)
+
+
+@given(_relative_pairs(), _SHARES, _INDICES)
+@settings(max_examples=25, deadline=None)
+def test_sampled_relative_estimates_match_the_whole_grid(pair, window, pq):
+    # Composed values agree within a stopping width, 1e-12 relative.  A type at
+    # p = 0 reads exp(x), where that width grows by x: its bound scales with the
+    # largest x of the grid.
+    f_id, g_id, grid = pair
+    f, g = parse_shorthand(f_id).bundle(), parse_shorthand(g_id).bundle()
+    whole, tail = _whole_and_tail(lambda share: profile_samples(f, grid, share), window, *pq,
+                                  g_bundle=g)
+    if not isinstance(whole[0], IndicatorEstimate):
+        assert tail == whole
+        return
+    assert [(e.kind, e.n_points, e.n_dropped, e.method) for e in tail] \
+        == [(e.kind, e.n_points, e.n_dropped, e.method) for e in whole]
+    x_max = 1.0
+    if pq[0] == 0 and len(whole) > 2:
+        (_sigma, x), = relative_samples(profile_samples(f, grid, 1.0), g).sets[0][1][-1:]
+        x_max = max(x_max, to_real(x))
+    for t, w in zip(tail, whole):
+        rel = 1e-12 * (x_max if "type" in w.kind else 1.0)
+        assert (t.value == w.value or math.isnan(t.value) and math.isnan(w.value)
+                or abs(t.value - w.value) <= rel * abs(w.value)), (t, w)
