@@ -21,7 +21,9 @@ relative curve M_g^{-1} M_f, composed from f's profile, read those samples,
 so f enters only through ``sample_profile`` and its floor and monotonicity
 checks.  An indicator pair builds one ratio sequence per
 pairing, read by its limsup and liminf alike (a type and a weak type of equal
-exponents share it), and each grid point's denominator once for all pairings.
+exponents share it), and each grid point's denominator once for all pairings,
+in floats.  A sequence fits each tail window once (RatioSequence.fit), in
+closed form: every mode and label reads that fit.
 
 An estimate reads only the tail of its ratio sequence, so a curve is
 sampled at grid index 0 and the last W = max(_MIN_POINTS, ceil(window * n))
@@ -46,7 +48,7 @@ import numpy as np
 
 from .errors import DetectionFailedError, DomainError, IndicatorUndefinedError
 from .growth import DEFAULT_GRID, GridSpec, SourceBundle, compose_samples, sample_profile
-from .levelindex import ExtReal, exp_iter, from_real, log_iter, pow_scale, ratio_to_float, to_real_or_none
+from .levelindex import EXP_LIMIT, ExtReal, exp_iter, from_real, log_iter, ratio_to_float, to_real
 
 LIMSUP = "limsup"
 LIMINF = "liminf"
@@ -84,6 +86,21 @@ class RatioPoint:
 
 
 @dataclass(frozen=True)
+class WindowFit:
+    """The statistics of a tail window that every limsup and liminf of it reads."""
+
+    trend: float  # least-squares slope of the finite ratios against their index
+    # least-squares intercept of the ratios against the regressors and the rms of
+    # its residuals; None when a ratio is not finite
+    intercept: Optional[float]
+    resid_rms: Optional[float]
+    high: float
+    low: float
+    # min(share of rising steps, share of falling steps) across the window
+    balance: float
+
+
+@dataclass(frozen=True)
 class RatioSequence:
     kind: str
     p: int
@@ -92,6 +109,13 @@ class RatioSequence:
     points: tuple[RatioPoint, ...]  # the valid points held: the last of them
     dropped: tuple[float, ...]
     skipped: int = 0  # valid points before those held, never evaluated
+    _fits: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def fit(self, w: int) -> WindowFit:
+        """The statistics of the last w points, computed on the first call."""
+        if w not in self._fits:
+            self._fits[w] = _fit_window(self.points[-w:])
+        return self._fits[w]
 
 
 def json_number(v):
@@ -151,17 +175,39 @@ def ratio_sequence(samples: Sequence[tuple[float, ExtReal]], kind: str, p: int, 
 
 def _denominator(sigma: float, kind: str, depth: int,
                  aux_exponent: Optional[float]) -> Optional[tuple[ExtReal, float]]:
-    """(denominator, regressor 1/den or 0.0 beyond machine range), None off the log domain."""
-    try:
-        den = _apply_log_depth(from_real(sigma), depth)
-        if kind == "type":
-            den = pow_scale(den, aux_exponent)
-        elif den.level == 0 and den.mantissa <= 0.0:
+    """(denominator, regressor 1/den or 0.0 beyond machine range), None off the log domain.
+
+    Built in floats.  The iterated logs of sigma are the chain of float logs
+    that from_real and log_iter take, so the domain is theirs.  A type's
+    denominator (log^[depth] sigma)^aux is exp(aux * log(log^[depth] sigma)),
+    or exp(aux * sigma) at depth -1; that log is a machine float even where
+    the denominator is not.  At depth -1, sigma is read as level-index values
+    carry it (to_real(from_real(sigma))), as the curves' rules read it: the
+    ratio exp(log num - aux * sigma) scales any rounding of sigma by |aux * sigma|.
+    """
+    v = sigma
+    for _ in range(depth):
+        if v <= 0.0:
             return None
-    except DomainError:
+        v = math.log(v)
+    if kind == "order":
+        return None if v <= 0.0 else (from_real(v), 1.0 / v)
+    if depth < 0:
+        if sigma < 1.0 and math.exp(sigma) == 0.0:
+            return None  # e^sigma underflows: no positive base
+        log_base = to_real(from_real(sigma))
+    elif v <= 0.0:
         return None
-    x = to_real_or_none(den)
-    return den, (1.0 / x if (x is not None and x > 0) else 0.0)
+    else:
+        log_base = math.log(v)
+    log_den = aux_exponent * log_base
+    if math.isinf(log_den):  # a tower two levels up, or no positive denominator at all
+        return None if log_den < 0 else (
+            exp_iter(from_real(math.log(aux_exponent) + math.log(log_base)), 2), 0.0)
+    if log_den > EXP_LIMIT:
+        return exp_iter(from_real(log_den), 1), 0.0
+    den = math.exp(log_den)
+    return from_real(den), (1.0 / den if den > 0.0 else 0.0)
 
 
 def _ratio_sequences(samples: Samples, kind: str, p: int, q: int, aux_exponent: Optional[float],
@@ -216,55 +262,80 @@ def _ratio_sequences(samples: Samples, kind: str, p: int, q: int, aux_exponent: 
         yield RatioSequence(kind, p, q, aux_exponent, points, dropped, n - held + start)
 
 
+def _unscale(v: float, e: int) -> float:
+    """v * 2**e, saturating to +-inf where it leaves the float range."""
+    try:
+        return math.ldexp(v, e)
+    except OverflowError:
+        return math.copysign(math.inf, v)
+
+
+def _fit_window(win: Sequence[RatioPoint]) -> WindowFit:
+    """WindowFit of a window, each least-squares line in closed form from centred sums.
+
+    The finite ratios are scaled by an exact power of two to at most 1 in
+    magnitude, so their squares and sums stay finite, and so are the
+    regressors (subnormal xs would otherwise square to 0).
+    """
+    rs = np.array([p.ratio for p in win])
+    finite = np.isfinite(rs)
+    every = bool(finite.all())
+    rf = rs if every else rs[finite]
+    n = rf.size
+    e = math.frexp(float(np.abs(rf).max()))[1] if n else 0
+    scaled = np.ldexp(rf, -e)
+    mean = float(scaled.sum()) / n if n else 0.0
+    resid = scaled - mean
+    trend = 0.0
+    if n >= 2:
+        t = np.arange(n, dtype=float) if every else np.flatnonzero(finite).astype(float)
+        t -= float(t.sum()) / n
+        trend = _unscale(float(t @ resid) / float(t @ t), e)
+
+    intercept = resid_rms = None
+    if every:
+        xs = np.array([p.regressor for p in win])
+        x_max = float(np.abs(xs).max())
+        if float(xs.max() - xs.min()) > 1e-13 * max(x_max, 1e-300):
+            xs = np.ldexp(xs, -math.frexp(x_max)[1])
+            x_mean = float(xs.sum()) / n
+            xs -= x_mean
+            slope = float(xs @ resid) / float(xs @ xs)
+            resid -= slope * xs
+            mean -= slope * x_mean
+        intercept = _unscale(mean, e)
+        resid_rms = _unscale(math.sqrt(float(resid @ resid) / n), e)
+
+    balance = 0.0
+    if n >= 3:
+        up = np.count_nonzero(rf[1:] > rf[:-1]) / (n - 1)  # rising steps
+        balance = min(up, 1.0 - up)
+    return WindowFit(trend, intercept, resid_rms, float(rs.max()), float(rs.min()), balance)
+
+
 def tail_estimate(seq: RatioSequence, mode: str, window: float = WINDOW,
                   kind_label: Optional[str] = None) -> IndicatorEstimate:
-    """Finite-grid stand-in for the limsup/liminf of a ratio sequence."""
+    """Finite-grid stand-in for the limsup/liminf of a ratio sequence, read from the
+    window's fit (seq.fit), which the other mode and labels share."""
     if mode not in (LIMSUP, LIMINF):
         raise ValueError(f"mode must be '{LIMSUP}' or '{LIMINF}'")
-    pts = seq.points
-    n = len(pts) + seq.skipped
+    n = len(seq.points) + seq.skipped
     if n < 8:
         raise ValueError(f"tail estimation needs >= 8 ratio points, got {n}")
     if not 0.0 < window <= 1.0:
         raise ValueError("window must lie in (0, 1]")
     w = _tail_count(n, window)
-    win = pts[-w:]
-    rs = np.array([p.ratio for p in win])
-    xs = np.array([p.regressor for p in win])
-
-    finite = np.isfinite(rs)
-    trend = (float(np.polyfit(np.arange(w, dtype=float)[finite], rs[finite], 1)[0])
-             if finite.sum() >= 2 else 0.0)
-
-    raw = float(rs.max()) if mode == LIMSUP else float(rs.min())
-    value, method = raw, "window-extremum"
-    if finite.all():
-        spread = float(xs.max() - xs.min())
-        if spread > 1e-13 * max(abs(float(xs.max())), 1e-300):
-            # an exact power-of-two scale keeps polyfit's column norms off 0 (subnormal xs)
-            xs = np.ldexp(xs, -math.frexp(float(np.abs(xs).max()))[1])
-            slope, intercept = np.polyfit(xs, rs, 1)
-            fit = intercept + slope * xs
-        else:
-            intercept = float(rs.mean())
-            fit = np.full_like(rs, intercept)
-        resid_rms = float(np.sqrt(np.mean((rs - fit) ** 2)))
-        if resid_rms <= _RESID_REL_TOL * max(1.0, abs(float(intercept))):
-            value, method = float(intercept), "extrapolated"
-
-    converged = math.isfinite(value) and abs(trend) * w <= _DRIFT_TOL * max(1.0, abs(value))
-    if finite.sum() >= 3:
-        diffs = np.diff(rs[finite])
-        up = float(np.mean(diffs > 0))
-        balance = min(up, 1.0 - up)
-    else:
-        balance = 0.0
+    fit = seq.fit(w)
+    value, method = (fit.high if mode == LIMSUP else fit.low), "window-extremum"
+    if fit.intercept is not None and fit.resid_rms <= _RESID_REL_TOL * max(1.0, abs(fit.intercept)):
+        value, method = fit.intercept, "extrapolated"
+    converged = math.isfinite(value) and abs(fit.trend) * w <= _DRIFT_TOL * max(1.0, abs(value))
     label = kind_label or ("order" if seq.kind == "order" else "type")
     return IndicatorEstimate(
         kind=label, p=seq.p, q=seq.q, value=value, lo=value, hi=value,
-        trend=trend, window=window, converged=converged, method=method,
+        trend=fit.trend, window=window, converged=converged, method=method,
         n_points=w, n_dropped=len(seq.dropped), aux_exponent=seq.aux_exponent,
-        direction_balance=balance,
+        direction_balance=fit.balance,
     )
 
 

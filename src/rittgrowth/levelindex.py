@@ -26,7 +26,7 @@ from .errors import DomainError, ExtRangeError
 
 _E = math.e
 # largest x with exp(x) finite in double precision
-_EXP_LIMIT = 709.782712893384
+EXP_LIMIT = 709.782712893384
 
 
 @dataclass(frozen=True, slots=True, order=True)
@@ -63,25 +63,29 @@ def from_real(v: float) -> ExtReal:
     return ExtReal(level, v)
 
 
+def _exp_chain(v: float, k: int) -> float | None:
+    """exp applied k times to v, None when a step overflows."""
+    for _ in range(k):
+        if v > EXP_LIMIT:
+            return None
+        v = math.exp(v)
+    return v
+
+
 def to_real(x: ExtReal) -> float:
     """Collapse back to a machine real; raises ExtRangeError when the tower overflows."""
-    v = x.mantissa
-    for _ in range(x.level):
-        if v > _EXP_LIMIT:
-            raise ExtRangeError(
-                f"value exp^[{x.level}]({x.mantissa}) exceeds the machine range; "
-                "keep it in the ExtReal domain"
-            )
-        v = math.exp(v)
+    v = _exp_chain(x.mantissa, x.level)
+    if v is None:
+        raise ExtRangeError(
+            f"value exp^[{x.level}]({x.mantissa}) exceeds the machine range; "
+            "keep it in the ExtReal domain"
+        )
     return v
 
 
 def to_real_or_none(x: ExtReal) -> float | None:
     """Like to_real but returns None instead of raising on overflow."""
-    try:
-        return to_real(x)
-    except ExtRangeError:
-        return None
+    return _exp_chain(x.mantissa, x.level)
 
 
 def compare(x: ExtReal, y: ExtReal) -> int:
@@ -95,8 +99,8 @@ def compare(x: ExtReal, y: ExtReal) -> int:
 
 def log_iter(x: ExtReal, k: int) -> ExtReal:
     """Apply log k times.  Raises DomainError if an intermediate value is <= 0."""
-    if k < 0:
-        return exp_iter(x, -k)
+    if k <= 0:
+        return exp_iter(x, -k) if k else x
     level, mant = x.level, x.mantissa
     for _ in range(k):
         if level >= 1:
@@ -111,8 +115,8 @@ def log_iter(x: ExtReal, k: int) -> ExtReal:
 
 def exp_iter(x: ExtReal, k: int) -> ExtReal:
     """Apply exp k times.  Never overflows: the level just grows."""
-    if k < 0:
-        return log_iter(x, -k)
+    if k <= 0:
+        return log_iter(x, -k) if k else x
     level, mant = x.level, x.mantissa
     for _ in range(k):
         if level >= 1 or mant >= 1.0:
@@ -174,8 +178,8 @@ def ratio_to_float(num: ExtReal, den: ExtReal) -> float:
     and the quotient is exp(log num - log den), evaluated one level down;
     if even the logs overflow, the compare() order decides inf / 1 / 0.
     """
-    nv = to_real_or_none(num)
-    dv = to_real_or_none(den)
+    nv = _exp_chain(num.mantissa, num.level)
+    dv = _exp_chain(den.mantissa, den.level)
     if nv is not None and dv is not None:
         if dv == 0.0:
             raise DomainError("ratio denominator is zero")
@@ -184,13 +188,14 @@ def ratio_to_float(num: ExtReal, den: ExtReal) -> float:
         raise DomainError("ratio of a tower-sized numerator to a non-positive denominator")
     if nv is not None and nv <= 0.0:
         return 0.0  # finite (possibly negative) over a tower: vanishes
-    ln = to_real_or_none(log_iter(num, 1))
-    ld = to_real_or_none(log_iter(den, 1))
+    # the logs of positive operands: a level down, or the float log at level 0
+    ln = _exp_chain(num.mantissa, num.level - 1) if num.level else math.log(nv)
+    ld = _exp_chain(den.mantissa, den.level - 1) if den.level else math.log(dv)
     if ln is not None and ld is not None:
         t = ln - ld
-        if t > _EXP_LIMIT:
+        if t > EXP_LIMIT:
             return math.inf
-        if t < -_EXP_LIMIT:
+        if t < -EXP_LIMIT:
             return 0.0
         return math.exp(t)
     c = compare(num, den)

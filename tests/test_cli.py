@@ -240,6 +240,18 @@ class TestIndicator:
         kinds = [e["kind"] for e in strict_json(out)["estimates"]]
         assert kinds == ["order", "lower_order", "type", "lower_type"]
 
+    def test_ratios_beyond_1e154_fit_without_overflow(self, capfd):
+        # the (0,1) order ratios here reach ~1e175: their squared residuals
+        # would overflow float64 unless scaled first
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning fails the run
+            code = main(["indicator", "--spec", "expexp:a=0.5,c=3.5", "--p", "0", "--q", "1",
+                         "--sigma", "4.5:9.5:8", "--kind", "all"])
+        out, err = capfd.readouterr()
+        assert (code, err) == (0, "")
+        order = strict_json(out)["estimates"][0]
+        assert order["method"] == "window-extremum" and order["value"] > 1e154
+
     def test_bad_grid_syntax(self, capsys):
         code, _, err = run(["indicator", "--spec", "expexp:a=1,c=1", "--p", "2", "--q", "0",
                             "--sigma", "5-30"], capsys)
@@ -395,14 +407,16 @@ class TestWindow:
         assert seen == 6 + 6 + 1
 
     # sha256 prefixes of outputs that read every grid point, recorded before
-    # profiles and relative curves were sampled at index 0 and the tail only
+    # profiles and relative curves were sampled at index 0 and the tail only.
+    # The reports were recorded again when the window fits became closed-form
+    # and the denominators floats; every report float stayed within 1e-13.
     WHOLE_GRID = {
-        ("expexp:a=2,c=1", "5:30:64"): ("126a07bfc6a03d49", "7ae328ad7edf6878",
+        ("expexp:a=2,c=1", "5:30:64"): ("1ab8227c8e23420a", "7ae328ad7edf6878",
                                         "0f4aaca6a8c61646", "37eb8cde29950b90"),
-        ("tower:k=2,rho=1.5,q=0", "5:3e4:200:log"): ("44e44f12f074f992", "e4748c07c743be80",
+        ("tower:k=2,rho=1.5,q=0", "5:3e4:200:log"): ("cb4b81a114dfbb28", "e4748c07c743be80",
                                                      "d20bd4d5e3389477", "6eb9e34b4b3fe66d"),
         ("osc:rho=2,lam=1,p=2,q=0", "3:460658806.18633974:480:log"): (
-            "3c8efece0d8cd51d", "e6a95d7685db71d5", "7cb84dfe6e2a502f", "3f13534ba886810c"),
+            "290ae58e247b20f6", "e6a95d7685db71d5", "7cb84dfe6e2a502f", "3f13534ba886810c"),
     }
 
     @pytest.mark.parametrize("spec,sigma", list(WHOLE_GRID))

@@ -1,6 +1,7 @@
 """Ratio sequences, tail estimation, indicator recovery, detection."""
 
 import math
+import warnings
 from collections import Counter
 from dataclasses import replace
 
@@ -21,7 +22,8 @@ from rittgrowth.indicators import (LIMINF, LIMSUP, WINDOW, IndicatorEstimate, Ra
                                    profile_samples, ratio_sequence, relative_indicators,
                                    relative_samples, tail_estimate, type_pair, type_pairs,
                                    weak_type_pair)
-from rittgrowth.levelindex import from_real, to_real
+from rittgrowth.levelindex import (ExtReal, from_real, log_iter, pow_scale, to_real,
+                                   to_real_or_none)
 from rittgrowth.series import expexp_spec
 from rittgrowth.theorems import IndicatorWorkspace
 
@@ -600,3 +602,131 @@ def test_sampled_relative_estimates_match_the_whole_grid(pair, window, pq):
         rel = 1e-12 * (x_max if "type" in w.kind else 1.0)
         assert (t.value == w.value or math.isnan(t.value) and math.isnan(w.value)
                 or abs(t.value - w.value) <= rel * abs(w.value)), (t, w)
+
+
+def _polyfit_window(rs, xs):
+    """The window statistics as np.polyfit gives them: (trend, intercept, resid_rms), the
+    last two None unless every ratio is finite.  The residual is scaled before squaring,
+    so that ratios up to 1e300 keep a finite rms."""
+    finite = np.isfinite(rs)
+    trend = (float(np.polyfit(np.arange(rs.size, dtype=float)[finite], rs[finite], 1)[0])
+             if finite.sum() >= 2 else 0.0)
+    if not finite.all():
+        return trend, None, None
+    if float(xs.max() - xs.min()) > 1e-13 * max(abs(float(xs.max())), 1e-300):
+        xs = np.ldexp(xs, -math.frexp(float(np.abs(xs).max()))[1])
+        slope, intercept = np.polyfit(xs, rs, 1)
+        resid = rs - (intercept + slope * xs)
+    else:
+        intercept = float(rs.mean())
+        resid = rs - intercept
+    scale = float(np.abs(resid).max()) or 1.0
+    return trend, float(intercept), scale * math.sqrt(float(np.mean((resid / scale) ** 2)))
+
+
+@st.composite
+def _windows(draw):
+    """(ratios, regressors) of one window: a line in the regressor plus a wave, at any
+    magnitude up to 1e300, on normal or subnormal regressors (constant ones included),
+    with a few infinite ratios in some."""
+    n = draw(st.integers(8, 600))
+    sigmas = np.geomspace(1.0, draw(st.floats(1.01, 1e4)), n)
+    xs = draw(st.sampled_from([1.0, 1e-310, 0.0])) / sigmas
+    if draw(st.booleans()):
+        xs = np.full(n, xs[0])
+    mag = 10.0 ** draw(st.integers(-300, 300))
+    wave = draw(st.sampled_from([0.0, 1e-9, 1e-4, 1e-2, 1.0]))
+    rs = mag * (draw(st.floats(-3.0, 3.0)) + draw(st.floats(-3.0, 3.0)) * sigmas[0] / sigmas
+                + wave * np.sin(np.arange(n) * draw(st.floats(0.1, 3.0))))
+    for i in draw(st.lists(st.integers(0, n - 1), max_size=3)):
+        rs[i] = draw(st.sampled_from([math.inf, -math.inf]))
+    return rs, xs
+
+
+def _near(got, want, scale, rel=1e-9):
+    return abs(got - want) <= rel * max(abs(want), scale)
+
+
+@given(_windows())
+@settings(max_examples=300, deadline=None)
+def test_window_fit_matches_polyfit(window):
+    # the closed-form fit agrees with np.polyfit within 1e-9 of the window's scale: a
+    # change of max|r| across the window for the trend, max|r| for the intercept
+    rs, xs = window
+    seq = RatioSequence("order", 2, 0, None, tuple(RatioPoint(float(i), float(r), float(x))
+                                                   for i, (r, x) in enumerate(zip(rs, xs))), ())
+    with np.errstate(all="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # polyfit may call its scaled columns ill-conditioned
+        trend, intercept, resid_rms = _polyfit_window(rs, xs)
+    fit = seq.fit(rs.size)
+    finite = rs[np.isfinite(rs)]
+    scale = float(np.abs(finite).max()) if finite.size else 0.0
+    assert _near(fit.trend, trend, scale / rs.size)
+    assert (fit.intercept is None) == (intercept is None)
+    if intercept is not None:
+        assert _near(fit.intercept, intercept, scale)
+        assert _near(fit.resid_rms, resid_rms, scale)
+    for mode in (LIMSUP, LIMINF):
+        est = tail_estimate(seq, mode, 1.0)
+        assert est.direction_balance == fit.balance
+        assert est.value == (rs.max() if mode == LIMSUP else rs.min()) or \
+            est.method == "extrapolated"
+        if intercept is None:
+            assert est.method == "window-extremum"
+            continue
+        threshold = 1e-3 * max(1.0, abs(intercept))
+        if not _near(resid_rms, threshold, 0.0):
+            assert est.method == ("extrapolated" if resid_rms <= threshold
+                                  else "window-extremum")
+        drift, bound = abs(trend) * rs.size, 0.05 * max(1.0, abs(est.value))
+        if math.isfinite(est.value) and not _near(drift, bound, 0.0):
+            assert est.converged == (drift <= bound)
+
+
+def _level_index_denominator(sigma, kind, q, rho):
+    """A denominator as level-index arithmetic builds it, None off its domain."""
+    try:
+        if kind == "order":
+            den = log_iter(from_real(sigma), q)
+            return None if den.level == 0 and den.mantissa <= 0.0 else den
+        return pow_scale(log_iter(from_real(sigma), q - 1), rho)
+    except DomainError:
+        return None
+
+
+def _log_value(x):
+    """log of a positive ExtReal as a float, -inf at 0."""
+    return -math.inf if x == ExtReal(0, 0.0) else to_real(log_iter(x, 1))
+
+
+@given(st.floats(-5.0, 1e9), st.integers(0, 4), st.floats(0.0, 50.0, exclude_min=True),
+       st.sampled_from(["order", "type"]))
+@settings(max_examples=1000, deadline=None)
+def test_denominator_matches_level_index(sigma, q, rho, kind):
+    # Values and regressors agree within 1e-13 relative to max(1, |log den|):
+    # e^L carries the rounding of L times |L|, and level-index carries more.
+    want = _level_index_denominator(sigma, kind, q, rho)
+    got = indicators_mod._denominator(sigma, kind, q if kind == "order" else q - 1,
+                                      rho if kind == "type" else None)
+    assert (got is None) == (want is None)
+    if want is None:
+        return
+    den, regressor = got
+    log_want, log_got = _log_value(want), _log_value(den)
+    tol = 1e-13 * max(1.0, abs(log_want))
+    assert log_got == log_want or abs(log_got - log_want) <= tol
+    value = to_real_or_none(want)
+    want_regressor = 1.0 / value if value is not None and value > 0 else 0.0
+    assert regressor == want_regressor or abs(regressor / want_regressor - 1.0) <= tol
+
+
+def test_denominator_exponent_beyond_the_float_range():
+    # aux * log(base) overflows a float: a base above 1 gives a level-index tower,
+    # a base below 1 a power that vanishes below every float, with no ratio
+    for sigma, depth in ((1e5, 0), (10.0, -1)):
+        want = _level_index_denominator(sigma, "type", depth + 1, 1e308)
+        den, regressor = indicators_mod._denominator(sigma, "type", depth, 1e308)
+        assert (den.level, regressor) == (want.level, 0.0)
+        assert den.mantissa == pytest.approx(want.mantissa, rel=1e-13)
+    assert _level_index_denominator(0.1, "type", 1, 1e308) is None
+    assert indicators_mod._denominator(0.1, "type", 0, 1e308) is None

@@ -9,7 +9,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from rittgrowth.errors import DomainError, ExtRangeError
 from rittgrowth.levelindex import (ExtReal, compare, exp_iter, from_real, log_iter,
-                                   lse_accumulate, pow_scale, ratio_to_float, to_real)
+                                   lse_accumulate, pow_scale, ratio_to_float, to_real,
+                                   to_real_or_none)
 
 E = math.e
 
@@ -326,3 +327,35 @@ def test_monotonicity(u, v, k):
         except DomainError:
             return
         assert_ordered(a, b)
+
+
+def _ratio_through_log_iter(num, den):
+    """ratio_to_float with each operand's log built by log_iter, as a reference."""
+    nv, dv = to_real_or_none(num), to_real_or_none(den)
+    if nv is not None and dv is not None:
+        if dv == 0.0:
+            raise DomainError("ratio denominator is zero")
+        return nv / dv
+    if dv is not None and dv <= 0.0:
+        raise DomainError("non-positive denominator")
+    if nv is not None and nv <= 0.0:
+        return 0.0
+    ln, ld = to_real_or_none(log_iter(num, 1)), to_real_or_none(log_iter(den, 1))
+    if ln is not None and ld is not None:
+        t = ln - ld
+        return math.inf if t > 709.782712893384 else 0.0 if t < -709.782712893384 else math.exp(t)
+    c = compare(num, den)
+    return 1.0 if c == 0 else math.inf if c > 0 else 0.0
+
+
+@given(EXT_REALS, EXT_REALS)
+@example(ExtReal(3, 1.8818), ExtReal(0, 2.5))  # log num ~ 710.3: a finite quotient
+@example(ExtReal(0, 2.5), ExtReal(3, 1.8818))
+@settings(max_examples=500)
+def test_ratio_to_float_matches_logs_through_log_iter(num, den):
+    def outcome(ratio):
+        try:
+            return repr(ratio(num, den))  # bit for bit, nan and -0.0 included
+        except DomainError:
+            return "DomainError"
+    assert outcome(ratio_to_float) == outcome(_ratio_through_log_iter)
