@@ -33,7 +33,7 @@ from typing import Optional
 
 from .errors import SpecFormatError
 from .growth import GridSpec, SeriesLowerSource, SeriesUpperSource, SourceBundle, SyntheticSource
-from .levelindex import exp_iter, from_real, log_iter, to_real
+from .levelindex import exp_iter, from_real, log_chain, log_iter, to_real
 from .series import SeriesSpec, expexp_spec, table_spec, validate
 
 
@@ -101,16 +101,14 @@ def _tower_entry(k: int, rho: float, q: int) -> CorpusEntry:
         raise SpecFormatError("tower rule needs k >= 1, q >= 0, finite rho > 0")
 
     def rule(sigma: float):
-        lq = to_real(log_iter(from_real(sigma), q))
-        return exp_iter(from_real(rho * lq), k - 1)
+        return exp_iter(from_real(rho * log_chain(sigma, q)), k - 1)
 
     def inverse(y) -> float:
-        return to_real(exp_iter(from_real(to_real(log_iter(y, k - 1)) / rho), q))
+        return log_chain(to_real(log_iter(y, k - 1)) / rho, -q)
 
-    # log^[q]sigma must be defined and non-negative: sigma >= exp^[q-1](1).
-    floor = 0.0 if q == 0 else to_real(exp_iter(from_real(1.0), q - 1))
-    src = SyntheticSource("tower", {"k": k, "rho": rho, "q": q}, rule, sigma_floor=floor,
-                          inverse=inverse)
+    # log^[q]sigma must be defined and non-negative: sigma >= exp^[q-1](1), 0 at q = 0.
+    src = SyntheticSource("tower", {"k": k, "rho": rho, "q": q}, rule,
+                          sigma_floor=log_chain(1.0, 1 - q), inverse=inverse)
 
     note = f"rule log^[{k}]M = {rho} * log^[{q}]sigma is its own derivation"
     note_type = "exp(rho*log^[q]sigma) equals (log^[q-1]sigma)^rho exactly"
@@ -144,13 +142,11 @@ def _osc_entry(rho: float, lam: float, p: int, q: int) -> CorpusEntry:
         raise SpecFormatError("oscillating rule needs p >= 1, q >= 0")
 
     def rule(sigma: float):
-        lq = to_real(log_iter(from_real(sigma), q))
-        v = (m0 + m1 * math.sin(math.log(sigma))) * lq
-        return exp_iter(from_real(v), p - 1)
+        lq = log_chain(sigma, q)  # first: it refuses a sigma that is not finite
+        return exp_iter(from_real((m0 + m1 * math.sin(math.log(sigma))) * lq), p - 1)
 
-    floor = 1e-6 if q == 0 else to_real(exp_iter(from_real(1.0), q - 1))
     src = SyntheticSource("osc_profile", {"rho": rho, "lam": lam, "p": p, "q": q},
-                          rule, sigma_floor=floor)
+                          rule, sigma_floor=1e-6 if q == 0 else log_chain(1.0, 1 - q))
 
     note = "sup/inf of m0 + m1 sin(log sigma) on a log-uniform grid over whole periods"
     analytic = {

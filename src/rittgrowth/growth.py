@@ -36,10 +36,11 @@ from .levelindex import ExtReal, compare, log_iter, to_real
 from . import series as series_mod
 from .series import SeriesSpec
 
-# Relative sigma width at which an inversion bracket stops shrinking, and
-# the expansion budget.
+# Relative sigma width at which an inversion bracket stops shrinking, the
+# expansion budget, and the ceiling of the expansion: the largest float.
 INVERT_REL_TOL = 1e-12
 BRACKET_DOUBLINGS = 120
+_FLOAT_MAX = math.nextafter(math.inf, 0.0)
 # ITP constants: truncation delta = _ITP_K1 * width**2 / max(1, |hi|)
 # (kappa2 = 2) and n0 = 1 step of slack over bisection.
 _ITP_K1 = 0.2
@@ -213,7 +214,7 @@ def _itp_probe(lo: float, hi: float, f_lo: float, f_hi: float,
     closes the bracket from both sides.  Non-finite residuals or a
     degenerate secant give the midpoint.
     """
-    mid = 0.5 * (lo + hi)
+    mid = 0.5 * lo + 0.5 * hi  # 0.5 * (lo + hi) would overflow near the float maximum
     if not (math.isfinite(f_lo) and math.isfinite(f_hi) and f_lo < f_hi):
         return mid
     width = hi - lo
@@ -230,8 +231,8 @@ def _guess(source: GrowthSource, y: ExtReal, floor: float):
     """The source's guess x at the root as (x - h, log M(x - h), x + h, log M(x + h)).
 
     h is half a stopping width at x.  None, and nothing is evaluated, when
-    the source has no inverse or the guess raises, is not finite or puts
-    x - h below the floor; None, after all, when either end raises.
+    the source has no inverse or the guess raises, leaves x + h not finite
+    or puts x - h below the floor; None, after all, when either end raises.
     """
     inverse = getattr(source, "inverse", None)
     if inverse is None:
@@ -239,7 +240,7 @@ def _guess(source: GrowthSource, y: ExtReal, floor: float):
     try:
         x = inverse(y)
         h = 0.5 * INVERT_REL_TOL * max(1.0, abs(x))
-        if not (math.isfinite(x) and x - h >= floor):
+        if not (math.isfinite(x + h) and x - h >= floor):
             return None
         return x - h, source.log_m(x - h), x + h, source.log_m(x + h)
     except (NumericError, ArithmeticError):
@@ -262,8 +263,9 @@ def invert_modulus(source: GrowthSource, y: ExtReal,
     Without a bracket the search starts from (floor, floor + 1), floor
     being max(source floor, 0).  A bracket that misses y grows by
     doubling its width away from where it started: upward from its lower
-    end until log M(hi) >= y, or downward from its upper end until
-    log M(lo) <= y, never below the floor.  The bracket then shrinks by
+    end until log M(hi) >= y, never past the largest float (a nan or
+    infinite end, or no room left, is a BracketError), or downward from its
+    upper end until log M(lo) <= y, never below the floor.  It then shrinks by
     ITP steps, whose probes interpolate the curve reduced into machine
     range, log^[k] M with k = max(y.level - 1, 0).  Each update is decided
     by the exact compare() against y, so the invariant
@@ -302,12 +304,14 @@ def invert_modulus(source: GrowthSource, y: ExtReal,
     # Grow upward until log M(hi) >= y.
     anchor = lo
     for _ in range(BRACKET_DOUBLINGS):
+        if not lo < hi <= _FLOAT_MAX:  # a nan or infinite end, or none left to grow into
+            raise BracketError("inversion bracket cannot grow within the float range")
         if v_hi is None:
             v_hi = source.log_m(hi)
         if compare(v_hi, y) >= 0:
             break
         lo, v_lo = hi, v_hi
-        hi, v_hi = anchor + 2.0 * (hi - anchor), None
+        hi, v_hi = min(anchor + 2.0 * (hi - anchor), _FLOAT_MAX), None
     else:
         raise BracketError("inversion target above the achievable range after expansion")
 
@@ -342,7 +346,7 @@ def invert_modulus(source: GrowthSource, y: ExtReal,
 
 
 def _bracket_end(lo: float, hi: float, end: str) -> float:
-    return {"low": lo, "mid": 0.5 * (lo + hi), "high": hi}[end]
+    return {"low": lo, "mid": 0.5 * lo + 0.5 * hi, "high": hi}[end]
 
 
 def _extrapolate(ts: Sequence[float], xs: Sequence[float], t: float) -> float:

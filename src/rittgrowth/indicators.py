@@ -48,7 +48,7 @@ import numpy as np
 
 from .errors import DetectionFailedError, DomainError, IndicatorUndefinedError
 from .growth import DEFAULT_GRID, GridSpec, SourceBundle, compose_samples, sample_profile
-from .levelindex import EXP_LIMIT, ExtReal, exp_iter, from_real, log_iter, ratio_to_float, to_real
+from .levelindex import EXP_LIMIT, ExtReal, exp_iter, from_real, log_chain, log_iter, ratio_to_float
 
 LIMSUP = "limsup"
 LIMINF = "liminf"
@@ -153,10 +153,6 @@ class IndicatorEstimate:
         return doc
 
 
-def _apply_log_depth(value: ExtReal, extra: int) -> ExtReal:
-    return log_iter(value, extra) if extra >= 0 else exp_iter(value, -extra)
-
-
 def ratio_sequence(samples: Sequence[tuple[float, ExtReal]], kind: str, p: int, q: int,
                    aux_exponent: Optional[float] = None, value_depth: int = 1) -> RatioSequence:
     """Defining ratio of an indicator along sampled curve values.
@@ -177,33 +173,23 @@ def _denominator(sigma: float, kind: str, depth: int,
                  aux_exponent: Optional[float]) -> Optional[tuple[ExtReal, float]]:
     """(denominator, regressor 1/den or 0.0 beyond machine range), None off the log domain.
 
-    Built in floats.  The iterated logs of sigma are the chain of float logs
-    that from_real and log_iter take, so the domain is theirs.  A type's
-    denominator (log^[depth] sigma)^aux is exp(aux * log(log^[depth] sigma)),
-    or exp(aux * sigma) at depth -1; that log is a machine float even where
-    the denominator is not.  At depth -1, sigma is read as level-index values
-    carry it (to_real(from_real(sigma))), as the curves' rules read it: the
-    ratio exp(log num - aux * sigma) scales any rounding of sigma by |aux * sigma|.
+    Built in floats from log_chain, which reads sigma as the curves' rules do.
+    An order's denominator is log^[depth] sigma; a type's, (log^[depth] sigma)^aux,
+    is exp(aux * log^[depth+1] sigma), whose exponent is a machine float even
+    where the denominator is not (depth -1 gives exp(aux * sigma)).
     """
-    v = sigma
-    for _ in range(depth):
-        if v <= 0.0:
-            return None
-        v = math.log(v)
+    try:
+        v = log_chain(sigma, depth if kind == "order" else depth + 1)
+    except DomainError:
+        return None
     if kind == "order":
         return None if v <= 0.0 else (from_real(v), 1.0 / v)
-    if depth < 0:
-        if sigma < 1.0 and math.exp(sigma) == 0.0:
-            return None  # e^sigma underflows: no positive base
-        log_base = to_real(from_real(sigma))
-    elif v <= 0.0:
-        return None
-    else:
-        log_base = math.log(v)
-    log_den = aux_exponent * log_base
+    if depth < 0 and sigma < 1.0 and math.exp(sigma) == 0.0:
+        return None  # e^sigma underflows: no positive base
+    log_den = aux_exponent * v
     if math.isinf(log_den):  # a tower two levels up, or no positive denominator at all
         return None if log_den < 0 else (
-            exp_iter(from_real(math.log(aux_exponent) + math.log(log_base)), 2), 0.0)
+            exp_iter(from_real(math.log(aux_exponent) + math.log(v)), 2), 0.0)
     if log_den > EXP_LIMIT:
         return exp_iter(from_real(log_den), 1), 0.0
     den = math.exp(log_den)
@@ -238,7 +224,7 @@ def _ratio_sequences(samples: Samples, kind: str, p: int, q: int, aux_exponent: 
     def ratio(value: ExtReal, den) -> Optional[float]:
         try:
             return None if den is None else ratio_to_float(
-                _apply_log_depth(value, num_shift), den[0])
+                log_iter(value, num_shift), den[0])
         except DomainError:
             return None
 

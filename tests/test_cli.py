@@ -326,6 +326,24 @@ class TestRelative:
         assert code == 3
         assert "grid starts at sigma=0.5 below the source floor 1.0" in err
 
+    def test_root_past_the_float_range_is_a_bracket_error(self, capsys):
+        # g's root is 2 sigma, past the largest float from sigma ~ 9e307 on: the
+        # inversion stops at the float range, and no nan reaches a rule
+        code, out, err = run(["relative", "--f-spec", "tower:k=3,rho=1,q=0",
+                              "--g-spec", "tower:k=3,rho=0.5,q=0", "--p", "0", "--q", "0",
+                              "--sigma", "1e307:1.7e308:16"], capsys)
+        assert (code, out) == (3, "")
+        assert err == "error: inversion bracket cannot grow within the float range\n"
+
+    @pytest.mark.parametrize("spec", ["tower:k=2,rho=1,q=5", "osc:rho=2,lam=1,p=2,q=5"])
+    def test_floor_past_the_float_range_fails_when_the_entry_is_built(self, spec, capsys):
+        # the floor of q = 5, exp^[4](1), is past the float range
+        code, out, err = run(["indicator", "--spec", spec, "--p", "2", "--q", "5",
+                              "--sigma", "5:30:64"], capsys)
+        assert (code, out) == (3, "")
+        assert err == ("error: value exp^[4](1.0) exceeds the machine range; "
+                       "keep it in the ExtReal domain\n")
+
 
 class TestDetect:
     def test_absolute(self, capsys):
@@ -410,13 +428,17 @@ class TestWindow:
     # profiles and relative curves were sampled at index 0 and the tail only.
     # The reports were recorded again when the window fits became closed-form
     # and the denominators floats; every report float stayed within 1e-13.
+    # They were recorded again when sigma came to be read by one float chain
+    # (log_chain), with no level-index round trip: expexp's report moved through
+    # its q = 0 type denominators; the tower and osc reports, plot data and
+    # profiles moved through their rules.  Every other output is unchanged.
     WHOLE_GRID = {
-        ("expexp:a=2,c=1", "5:30:64"): ("1ab8227c8e23420a", "7ae328ad7edf6878",
+        ("expexp:a=2,c=1", "5:30:64"): ("4c03e8b62dbc3499", "7ae328ad7edf6878",
                                         "0f4aaca6a8c61646", "37eb8cde29950b90"),
-        ("tower:k=2,rho=1.5,q=0", "5:3e4:200:log"): ("cb4b81a114dfbb28", "e4748c07c743be80",
-                                                     "d20bd4d5e3389477", "6eb9e34b4b3fe66d"),
+        ("tower:k=2,rho=1.5,q=0", "5:3e4:200:log"): ("8c790d931693b3b5", "f7e1fcd080949589",
+                                                     "b3cd00c122d35af7", "d7de10a3c8ad4516"),
         ("osc:rho=2,lam=1,p=2,q=0", "3:460658806.18633974:480:log"): (
-            "290ae58e247b20f6", "e6a95d7685db71d5", "7cb84dfe6e2a502f", "3f13534ba886810c"),
+            "4701a6075241924c", "148c4622a4fa3f55", "f98de3725e1f264e", "09d4850ada0509a6"),
     }
 
     @pytest.mark.parametrize("spec,sigma", list(WHOLE_GRID))

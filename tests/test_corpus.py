@@ -2,13 +2,17 @@
 
 import math
 
+import mpmath
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from rittgrowth import corpus as corpus_mod
 from rittgrowth.corpus import (analytic_relative, default_entries, instantiate,
                                parse_shorthand, resolve_source, series_spec)
 from rittgrowth.errors import SpecFormatError
 from rittgrowth.growth import GridSpec
 from rittgrowth.indicators import order_pair, profile_samples, relative_indicators, type_pair
+from rittgrowth.levelindex import from_real
 
 
 def entry_grid(entry, shifted=False, periods=3.0):
@@ -153,3 +157,99 @@ class TestEstimatorAgreement:
                                               abs=1e-2)
         assert rel.delta.value == pytest.approx(analytic_relative(f, g, "relative_type", 0, 0),
                                                 abs=1e-2)
+
+
+# Two ulps (four units of roundoff) for each float operation: libm's log, exp
+# and sin are within one.
+ROUNDING = 4 * 2.0 ** -53
+
+
+def float_chain(v, steps):
+    """The exact value of float steps on v, from 50-digit mpmath, and the relative
+    error a float evaluation may carry.  A step is "log", "exp" or ("div", c); each
+    rounds by ROUNDING, and a relative error r of x becomes r / |log x| after log,
+    r * |x| after exp and stays r after the quotient."""
+    x, r = mpmath.mpf(v), mpmath.mpf(0)
+    for step in steps:
+        if step == "log":
+            x = mpmath.log(x)
+            r = r / abs(x) if r else r
+        elif step == "exp":
+            r, x = r * abs(x), mpmath.exp(x)
+        else:
+            x = x / step[1]
+        r += ROUNDING
+    return x, r
+
+
+def reduced_value(entry, sigma):
+    """The float a synthetic rule hands to level-index arithmetic at sigma, its
+    reduced value log^[k] M: the argument of the rule's last from_real call."""
+    seen = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(corpus_mod, "from_real", lambda v: seen.append(v) or from_real(v))
+        entry.bundle().upper.log_m(sigma)
+    return seen[-1]
+
+
+def log_uniform(lo, hi, share):
+    return math.exp(math.log(lo) + share * (math.log(hi) - math.log(lo)))
+
+
+SHARES = st.floats(min_value=0.0, max_value=1.0)
+
+
+class TestRuleOracle:
+    """The synthetic rules' reduced values and the tower inverse against mpmath,
+    within ROUNDING per float operation carried through the chain's conditioning."""
+
+    @given(st.integers(1, 4), st.integers(0, 2), st.floats(0.1, 10.0), SHARES)
+    @example(1, 0, 1.0, 0.9)
+    @example(3, 2, 2.0, 1.0)
+    @settings(max_examples=300, deadline=None)
+    def test_tower_reduced_value(self, k, q, rho, share):
+        # log^[k] M = rho * log^[q] sigma
+        entry = parse_shorthand(f"tower:k={k},rho={rho!r},q={q}")
+        sigma = log_uniform(max(entry.bundle().upper.sigma_floor, 1e-3), 1e300, share)
+        with mpmath.workdps(50):
+            log_q, rel = float_chain(sigma, ["log"] * q)
+            want = rho * log_q
+            assert abs(reduced_value(entry, sigma) - want) <= (rel + ROUNDING) * abs(want)
+
+    @given(st.integers(1, 4), st.integers(0, 2), st.floats(0.2, 3.0), st.floats(1.05, 5.5),
+           SHARES)
+    @example(2, 0, 1.0, 2.0, 1.0)
+    @settings(max_examples=300, deadline=None)
+    def test_osc_reduced_value(self, p, q, lam, ratio, share):
+        # log^[p] M = (m0 + m1 sin log sigma) * log^[q] sigma
+        rho = lam * ratio
+        entry = parse_shorthand(f"osc:rho={rho!r},lam={lam!r},p={p},q={q}")
+        sigma = log_uniform(max(entry.bundle().upper.sigma_floor, 1e-3), 1e300, share)
+        m0, m1 = 0.5 * (rho + lam), 0.5 * (rho - lam)
+        with mpmath.workdps(50):
+            log_q, rel = float_chain(sigma, ["log"] * q)
+            log_sigma = mpmath.log(sigma)
+            sine = mpmath.sin(log_sigma)
+            factor = m0 + m1 * sine
+            # log sigma carries ROUNDING * |log sigma| into the sine, whose own
+            # rounding, the product's and the sum's follow
+            factor_err = (m1 * ROUNDING * (abs(log_sigma) + 1) + ROUNDING * abs(m1 * sine)
+                          + ROUNDING * abs(factor))
+            want = factor * log_q
+            bound = rel + factor_err / factor + ROUNDING
+            assert abs(reduced_value(entry, sigma) - want) <= bound * abs(want)
+
+    @given(st.integers(1, 4), st.integers(0, 2), st.floats(0.1, 10.0), SHARES)
+    @example(1, 0, 1.0, 1.0)
+    @example(2, 1, 0.5, 0.7)
+    @settings(max_examples=300, deadline=None)
+    def test_tower_inverse(self, k, q, rho, share):
+        # sigma = exp^[q](log^[k-1](y) / rho), from the exact value of y = log M's
+        # level and mantissa: y's level-index value is the input, not sigma
+        source = parse_shorthand(f"tower:k={k},rho={rho!r},q={q}").bundle().upper
+        y = source.log_m(log_uniform(max(source.sigma_floor, 1e-3), 1e300, share))
+        down = y.level - (k - 1)
+        with mpmath.workdps(50):
+            want, rel = float_chain(y.mantissa, ["exp"] * down + ["log"] * -down
+                                    + [("div", rho)] + ["exp"] * q)
+            assert abs(source.inverse(y) - want) <= rel * abs(want)

@@ -10,12 +10,12 @@ import numpy as np
 import pytest
 
 from rittgrowth.corpus import parse_shorthand
-from rittgrowth.errors import BracketError, NumericError
+from rittgrowth.errors import BracketError, DomainError, NumericError
 from rittgrowth import growth as growth_mod
 from rittgrowth.growth import (INVERT_REL_TOL, GridSpec, SeriesUpperSource, SyntheticSource, _itp_probe,
                                _reduced, compose_samples, invert_modulus, sample_profile)
 from rittgrowth.indicators import profile_samples, relative_samples
-from rittgrowth.levelindex import ExtReal, compare, from_real, to_real
+from rittgrowth.levelindex import ExtReal, compare, from_real, log_chain, to_real
 from rittgrowth.series import expexp_spec
 from rittgrowth.theorems import load_batch
 
@@ -120,6 +120,39 @@ class TestInvert:
         assert any(not (math.isfinite(f_lo) and math.isfinite(f_hi)) for f_lo, f_hi in probes)
         assert compare(src.log_m(x * (1 - 2e-12)), y) < 0 < compare(src.log_m(x * (1 + 2e-12)), y)
 
+    def test_top_of_the_float_range(self):
+        # the bracket path (no inverse) finds a root near the largest float, from
+        # a bracket whose doubling would pass it, and returns a finite midpoint
+        source = parse_shorthand("tower:k=3,rho=0.5,q=0").bundle().upper
+        for root, bracket in ((1.5e308, (1e307, 1e307)), (1.79e308, (1.7e308, 1.75e308))):
+            counted = RecordingSource(source)
+            x = invert_modulus(counted, source.log_m(root), bracket)
+            assert abs(x - root) <= 2 * INVERT_REL_TOL * root
+            assert all(math.isfinite(s) for s in counted.sigmas)
+
+    @pytest.mark.parametrize("bracket", [(1e307, 1e307), (math.nan, math.nan),
+                                         (1e307, math.inf), (math.nan, 5.0)])
+    def test_root_past_the_float_range_is_a_bracket_error(self, bracket):
+        # the root, 2e308, is past the largest float; a nan or infinite bracket
+        # end is an error before the curve is evaluated there
+        source = parse_shorthand("tower:k=3,rho=0.5,q=0").bundle().upper
+        y = parse_shorthand("tower:k=3,rho=1,q=0").bundle().upper.log_m(1e308)
+        recorded = RecordingSource(source)
+        for counted in (recorded, GuessingSource(source)):  # its guess, 2e308, overflows
+            with pytest.raises(BracketError, match="cannot grow within the float range"):
+                invert_modulus(counted, y, bracket)
+        assert all(math.isfinite(s) for s in recorded.sigmas)
+
+    def test_composition_past_the_float_range(self):
+        # the composition's roots 2 sigma leave the float range along the grid;
+        # its polynomial prediction overflows to a nan bracket first
+        f = parse_shorthand("tower:k=3,rho=1,q=0").bundle().upper
+        g = RecordingSource(parse_shorthand("tower:k=3,rho=0.5,q=0").bundle().upper)
+        sigmas = GridSpec(1e307, 1.7e308, 16).sigmas()
+        with pytest.raises(BracketError):
+            compose_samples(g, sigmas, [f.log_m(s) for s in sigmas])
+        assert g.sigmas and all(math.isfinite(s) for s in g.sigmas)
+
 
 class CountingSource:
     """Wraps a source and counts its log_m calls."""
@@ -132,6 +165,18 @@ class CountingSource:
     def log_m(self, sigma):
         self.calls += 1
         return self.source.log_m(sigma)
+
+
+class RecordingSource(CountingSource):
+    """A CountingSource that also records each sigma it is handed."""
+
+    def __init__(self, source):
+        super().__init__(source)
+        self.sigmas = []
+
+    def log_m(self, sigma):
+        self.sigmas.append(sigma)
+        return super().log_m(sigma)
 
 
 def bisection_calls(source, y):
@@ -446,8 +491,9 @@ class TestGuess:
     def _raises(y):
         raise NumericError("no guess here")
 
-    @pytest.mark.parametrize("inverse", [_raises, lambda y: math.nan, lambda y: -3.0, lambda y: 0.0],
-                             ids=["raises", "nan", "below-floor", "at-floor"])
+    @pytest.mark.parametrize("inverse", [_raises, lambda y: math.nan, lambda y: -3.0, lambda y: 0.0,
+                                         lambda y: log_chain(1e3, -1)],
+                             ids=["raises", "nan", "below-floor", "at-floor", "overflows"])
     @pytest.mark.parametrize("shorthand,surrogate", GUESS_SOURCES)
     def test_unusable_guess_takes_the_bracket_path(self, inverse, shorthand, surrogate):
         # x - h below the floor, like a guess that raises or is not finite,
@@ -527,6 +573,11 @@ class TestOscRule:
         from rittgrowth.errors import SpecFormatError
         with pytest.raises(SpecFormatError, match="too large for a monotone oscillating rule"):
             parse_shorthand("osc:rho=6,lam=1,p=2,q=0")  # ratio 6 > 3 + 2 sqrt(2)
+
+    @pytest.mark.parametrize("sigma", [math.inf, math.nan])
+    def test_sigma_not_finite_is_a_domain_error(self, sigma):
+        with pytest.raises(DomainError):
+            parse_shorthand("osc:rho=2,lam=1,p=2,q=0").bundle().upper.log_m(sigma)
 
     def test_rule_values(self):
         src = parse_shorthand("osc:rho=2,lam=1,p=2,q=0").bundle().upper

@@ -2,14 +2,15 @@
 
 import functools
 import math
+import re
 
 import mpmath
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from rittgrowth.errors import DomainError, ExtRangeError
-from rittgrowth.levelindex import (ExtReal, compare, exp_iter, from_real, log_iter,
-                                   lse_accumulate, pow_scale, ratio_to_float, to_real,
+from rittgrowth.levelindex import (EXP_LIMIT, ExtReal, compare, exp_iter, from_real, log_chain,
+                                   log_iter, lse_accumulate, pow_scale, ratio_to_float, to_real,
                                    to_real_or_none)
 
 E = math.e
@@ -52,6 +53,10 @@ class TestToReal:
     def test_overflow(self):
         with pytest.raises(ExtRangeError):
             to_real(ExtReal(9, 1.4))
+
+
+    def test_minus_infinity_stays_itself(self):
+        assert to_real(ExtReal(0, -math.inf)) == -math.inf
 
 
 class TestBands:
@@ -359,3 +364,93 @@ def test_ratio_to_float_matches_logs_through_log_iter(num, den):
         except DomainError:
             return "DomainError"
     assert outcome(ratio_to_float) == outcome(_ratio_through_log_iter)
+
+
+# Two ulps (four units of roundoff) for each float log: libm's are within one.
+ROUNDING = 4 * 2.0 ** -53
+
+
+FINITE_OR_NOT = st.one_of(st.floats(allow_nan=True, allow_infinity=True),
+                          st.floats(min_value=-5.0, max_value=20.0))
+
+
+@given(FINITE_OR_NOT, st.integers(min_value=-3, max_value=5))
+@example(math.nan, 0)
+@example(-math.inf, 0)
+@example(0.0, 1)
+@example(1.0, 2)  # log 1 = 0, and log 0 is off the domain
+@settings(max_examples=1000)
+def test_log_chain_domain_is_log_iters(v, k):
+    # DomainError exactly where the level-index chain raises; for k <= 0 that
+    # is a non-finite v alone, and only an overflowing exp may raise besides
+    def raises(f):
+        try:
+            f()
+        except DomainError:
+            return True
+        except ExtRangeError:
+            assert k < 0
+        return False
+    assert raises(lambda: log_chain(v, k)) == raises(lambda: log_iter(from_real(v), k))
+
+
+@given(st.floats(min_value=1e-300, max_value=1e300), st.integers(min_value=0, max_value=4))
+@example(4.6e8, 0)
+@example(4.6e8, 2)
+@example(1e300, 3)
+@settings(max_examples=500, deadline=None)
+def test_log_chain_against_mpmath(v, k):
+    try:
+        got = log_chain(v, k)
+    except DomainError:
+        assume(k >= 1)  # a log of a value <= 0 on the way
+        return
+    with mpmath.workdps(50):
+        want, rel = mpmath.mpf(v), 0
+        for _ in range(k):
+            # each log rounds, and turns a relative error r of its argument into r / |log|
+            want = mpmath.log(want)
+            rel = (rel / abs(want) if rel else 0) + ROUNDING
+        assert abs(got - want) <= rel * abs(want)
+    level_index = log_iter(from_real(v), k)
+    if level_index.level == 0:  # no round trip left: the same float logs, bit for bit
+        assert got == level_index.mantissa
+
+
+@pytest.mark.parametrize("v,k", [(1.0, -3), (1.0, -4), (2.5, -3), (700.0, -1), (710.0, -1),
+                                 (-3.0, -2)])
+def test_log_chain_below_zero_is_an_exp_chain(v, k):
+    want = v
+    for _ in range(-k):
+        want = math.exp(want) if want <= EXP_LIMIT else math.inf
+    if want == math.inf:  # the message to_real gives for ExtReal(-k, v)
+        with pytest.raises(ExtRangeError, match=re.escape(f"value exp^[{-k}]({v}) exceeds")):
+            log_chain(v, k)
+    else:
+        assert log_chain(v, k) == want
+
+
+def _log_iter_by_levels(x, k):
+    """log_iter's reference for k >= 1: one level or one float log at a time."""
+    level, mant = x.level, x.mantissa
+    for _ in range(k):
+        if level >= 1:
+            level -= 1
+        elif mant <= 0.0:
+            raise DomainError(f"log of non-positive value {mant}")
+        else:
+            level, mant = 0, math.log(mant)
+    return ExtReal(level, mant)
+
+
+@given(EXT_REALS, st.integers(min_value=1, max_value=7))
+@example(ExtReal(0, 0.0), 1)
+@example(ExtReal(2, 1.0), 4)  # log 1 = 0, then log 0 is off the domain
+@settings(max_examples=500)
+def test_log_iter_matches_level_by_level(x, k):
+    def outcome(f):
+        try:
+            return repr(f(x, k))  # bit for bit
+        except DomainError:
+            return "DomainError"
+    assert outcome(log_iter) == outcome(_log_iter_by_levels)
