@@ -8,12 +8,14 @@ Three families cover the estimator test surface:
 * tower(k, rho, q): synthetic rule log^[k]M = rho * log^[q]sigma, the
   canonical regular curve at any index-pair; its type at (k, q) is
   exactly 1.
-* osc_profile(rho, lam, p, q): log^[p]M = (m0 + m1 sin log sigma) *
-  log^[q]sigma with m0, m1 the mean and half-spread of (rho, lam);
+* osc_profile(rho, lam, p, q): log^[p]M = (m0 + m1 sin log sigma) * sigma
+  with m0, m1 the mean and half-spread of (rho, lam), at q = 0 only;
   irregular with order rho and lower order lam when sampled on a
   log-uniform grid covering whole periods.
 
-A fourth, table(name, lam, log_norm), is a user's finite prefix (JSON only).
+Each of the three inverts in closed form, the root of its rule guessed
+for growth.invert_modulus to confirm.  A fourth, table(name, lam,
+log_norm), is a user's finite prefix (JSON only), with no inverse.
 
 One rule, read_fields, reads every outside document against a schema given
 as data: sources (``expexp:a=2,c=1`` or ``{"family": "expexp", "a": 2, ...}``)
@@ -138,15 +140,31 @@ def _osc_entry(rho: float, lam: float, p: int, q: int) -> CorpusEntry:
         raise SpecFormatError(
             f"rho/lam = {rho/lam} too large for a monotone oscillating rule (needs < 3 + 2*sqrt(2))"
         )
-    if p < 1 or q < 0:
-        raise SpecFormatError("oscillating rule needs p >= 1, q >= 0")
+    if p < 1 or q != 0:
+        # at q >= 1 the rule's derivative in u = log sigma holds m1 cos(u) log^[q]sigma,
+        # which outgrows the rest: the rule falls somewhere for every rho > lam
+        raise SpecFormatError("oscillating rule needs p >= 1 and q = 0")
 
     def rule(sigma: float):
-        lq = log_chain(sigma, q)  # first: it refuses a sigma that is not finite
-        return exp_iter(from_real((m0 + m1 * math.sin(math.log(sigma))) * lq), p - 1)
+        return exp_iter(from_real((m0 + m1 * math.sin(log_chain(sigma, 1))) * sigma), p - 1)
+
+    def inverse(y) -> float:
+        # log^[p-1] y = (m0 + m1 sin u) e^u at u = log sigma, so its log equals
+        # u + log(m0 + m1 sin u), increasing in u; lam <= m0 + m1 sin u <= rho
+        # brackets the root
+        target = log_chain(to_real(log_iter(y, p - 1)), 1)
+        lo, hi = target - math.log(rho), target - math.log(lam)
+        mid = 0.5 * lo + 0.5 * hi
+        while lo < mid < hi:
+            if mid + math.log(m0 + m1 * math.sin(mid)) < target:
+                lo = mid
+            else:
+                hi = mid
+            mid = 0.5 * lo + 0.5 * hi
+        return math.exp(mid)
 
     src = SyntheticSource("osc_profile", {"rho": rho, "lam": lam, "p": p, "q": q},
-                          rule, sigma_floor=1e-6 if q == 0 else log_chain(1.0, 1 - q))
+                          rule, sigma_floor=1e-6, inverse=inverse)
 
     note = "sup/inf of m0 + m1 sin(log sigma) on a log-uniform grid over whole periods"
     analytic = {

@@ -13,14 +13,14 @@ more.
 The composition M_g^{-1}(M_f(sigma)) at the heart of every relative
 indicator is one inversion per point, carried out entirely on (level,
 mantissa) pairs; the curve value M_f(sigma) is never materialized.
-A source may carry its own inverse, a closed-form guess at the root (the
-tower rules and the expexp surrogates do).  Two curve evaluations a
-stopping width apart confirm a guess by exact comparison, and then they
-are the whole inversion.  A guess that misses, and a source without one,
-fall back to a tight bracket around the polynomial extrapolation of the
-points already solved along the grid (``compose_samples``), which ITP
-closes in a few probes because its truncation scales with the root's
-magnitude rather than the initial width.
+Every built-in infinite curve carries its own inverse, a closed-form guess
+at the root (the tower and osc rules and both expexp surrogates).  Two
+curve evaluations a stopping width apart confirm a guess by exact
+comparison, and then they are the whole inversion.  A guess that misses,
+and a source without one (a finite table, a test double), fall back to a
+bracket that follows from the composition being increasing: above the
+last root along the grid, one step of the last root's advance wide
+(``compose_samples``).
 """
 
 from __future__ import annotations
@@ -36,20 +36,14 @@ from .levelindex import ExtReal, compare, log_iter, to_real
 from . import series as series_mod
 from .series import SeriesSpec
 
-# Relative sigma width at which an inversion bracket stops shrinking, the
-# expansion budget, and the ceiling of the expansion: the largest float.
+# Relative sigma width at which an inversion bracket stops shrinking, and the
+# ceiling of its expansion: the largest float.
 INVERT_REL_TOL = 1e-12
-BRACKET_DOUBLINGS = 120
 _FLOAT_MAX = math.nextafter(math.inf, 0.0)
 # ITP constants: truncation delta = _ITP_K1 * width**2 / max(1, |hi|)
 # (kappa2 = 2) and n0 = 1 step of slack over bisection.
 _ITP_K1 = 0.2
 _ITP_N0 = 1
-# Warm starts: bracket half-width as a multiple of the last prediction's
-# error, and its floor in units of INVERT_REL_TOL * max(1, |prediction|).
-_WARM_ERR_FACTOR = 2.0
-_WARM_MIN_HALF = 4.0
-_WARM_POINTS = 5
 
 
 @dataclass(frozen=True)
@@ -208,8 +202,8 @@ def _itp_probe(lo: float, hi: float, f_lo: float, f_hi: float,
     _ITP_K1 * width**2 / max(1, |hi|), then project into the ball that
     keeps the bracket after step+1 steps no wider than bisection's
     (from the initial width width0) after step+1-_ITP_N0.  Scaling the
-    truncation by the root's magnitude rather than by width0 lets a tight
-    warm bracket close in two or three probes.  The truncation is at
+    truncation by the root's magnitude rather than by width0 lets a narrow
+    bracket close in a few probes.  The truncation is at
     least a quarter of the stopping width, so a converged interpolant
     closes the bracket from both sides.  Non-finite residuals or a
     degenerate secant give the midpoint.
@@ -301,9 +295,9 @@ def invert_modulus(source: GrowthSource, y: ExtReal,
             if lo >= hi:
                 lo = max(hi - width, floor)
 
-    # Grow upward until log M(hi) >= y.
+    # Grow upward until log M(hi) >= y; the float range bounds the doublings.
     anchor = lo
-    for _ in range(BRACKET_DOUBLINGS):
+    while True:
         if not lo < hi <= _FLOAT_MAX:  # a nan or infinite end, or none left to grow into
             raise BracketError("inversion bracket cannot grow within the float range")
         if v_hi is None:
@@ -312,12 +306,10 @@ def invert_modulus(source: GrowthSource, y: ExtReal,
             break
         lo, v_lo = hi, v_hi
         hi, v_hi = min(anchor + 2.0 * (hi - anchor), _FLOAT_MAX), None
-    else:
-        raise BracketError("inversion target above the achievable range after expansion")
 
-    # Grow downward until log M(lo) <= y, flooring at the source floor.
+    # Grow downward until log M(lo) <= y; the floor bounds the doublings.
     anchor = hi
-    for _ in range(BRACKET_DOUBLINGS):
+    while True:
         if v_lo is None:
             v_lo = source.log_m(lo)
         if compare(v_lo, y) <= 0:
@@ -326,8 +318,6 @@ def invert_modulus(source: GrowthSource, y: ExtReal,
             raise BracketError("inversion target below the achievable range at the floor")
         hi, v_hi = lo, v_lo
         lo, v_lo = max(anchor - 2.0 * (anchor - lo), floor), None
-    else:
-        raise BracketError("bracket contraction exhausted its budget")
 
     k = max(y.level - 1, 0)
     target = _reduced(y, k)
@@ -349,55 +339,28 @@ def _bracket_end(lo: float, hi: float, end: str) -> float:
     return {"low": lo, "mid": 0.5 * lo + 0.5 * hi, "high": hi}[end]
 
 
-def _extrapolate(ts: Sequence[float], xs: Sequence[float], t: float) -> float:
-    """Value at t of the polynomial through the points (ts[j], xs[j])."""
-    total = 0.0
-    for j, (t_j, x_j) in enumerate(zip(ts, xs)):
-        weight = 1.0
-        for m, t_m in enumerate(ts):
-            if m != j:
-                weight *= (t - t_m) / (t_j - t_m)
-        total += weight * x_j
-    return total
-
-
 def compose_samples(g_source: GrowthSource, sigmas: Sequence[float],
                     f_values: Sequence[ExtReal], end: str = "mid") -> list[tuple[float, float]]:
     """(sigma, M_g^{-1}(M_f(sigma))) at each sigma, from f's values log M_f there.
 
     Each point is invert_modulus(g_source, y, bracket, end); end picks the
-    bracket end each point returns, and the warm start reads those returned
-    points.  The first point is solved from a cold bracket.  The rest form
-    one warm chain along the strictly increasing sigmas, which may begin
-    far from the first (a sampled profile holds grid index 0 and its tail,
-    see ``indicators.Samples``).  The chain's first bracket is cold but
-    starts from the first point's root, the composition being increasing:
-    (x_0, x_0 + 1), grown upward.  Every later bracket is centred on the
-    polynomial through the chain's last (up to _WARM_POINTS) solutions,
-    extrapolated to the new sigma.  Its half-width is twice the error of
-    the previous prediction, floored at a few INVERT_REL_TOL; the chain's
-    second point, with no error known yet, takes max(|x|/4, 1).  A source
-    whose own guess is confirmed never reads the bracket.  A bracket that
-    misses grows as invert_modulus describes, so a wrong prediction costs
-    calls, never accuracy: each result meets the same bracket invariant and
-    stopping rule as a cold call.
+    bracket end each point returns, and the brackets read those returned
+    points.  A source whose own guess is confirmed never reads its bracket.
+    The sigmas increase, though not evenly (a sampled profile holds grid
+    index 0 and its tail, see ``indicators.Samples``), and so does the
+    composition: each root lies above the last.  The first point is solved
+    from a cold bracket, the second from (x_0, x_0 + 1), and every later one
+    from (x_{i-1}, x_{i-1} + (x_{i-1} - x_{i-2})), the last step's width
+    above the last root and no higher than the largest float.  A bracket
+    that misses grows as invert_modulus describes, so it costs calls, never
+    accuracy: each result meets the same bracket invariant and stopping
+    rule as a cold call.
     """
     xs: list[float] = []
-    pred = err = None
-    for i, (t, y) in enumerate(zip(sigmas, f_values)):
-        if i < 2:
-            bracket = (xs[0], xs[0] + 1.0) if xs else None
-        else:
-            first = max(i - _WARM_POINTS, 1)
-            pred = _extrapolate(sigmas[first:i], xs[first:], t)
-            if err is None:
-                half = max(0.25 * abs(pred), 1.0)
-            else:
-                half = max(_WARM_ERR_FACTOR * err,
-                           _WARM_MIN_HALF * INVERT_REL_TOL * max(1.0, abs(pred)))
-            bracket = (pred - half, pred + half)
-        x = invert_modulus(g_source, y, bracket, end)
-        if pred is not None:
-            err = abs(x - pred)
-        xs.append(x)
+    for y in f_values:
+        bracket = None
+        if xs:
+            step = xs[-1] - xs[-2] if len(xs) > 1 else 1.0
+            bracket = (xs[-1], min(xs[-1] + step, _FLOAT_MAX))
+        xs.append(invert_modulus(g_source, y, bracket, end))
     return list(zip(sigmas, xs))

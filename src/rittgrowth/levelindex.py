@@ -132,7 +132,9 @@ def exp_iter(x: ExtReal, k: int) -> ExtReal:
         if level >= 1 or mant >= 1.0:
             level += 1
         else:
-            mant = math.exp(mant)  # mant < 1, stays below e
+            mant = math.exp(mant)  # mant < 1; rounds to e only just below 1
+            if mant >= _E:
+                level, mant = level + 1, 1.0
     return ExtReal(level, mant)
 
 

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from rittgrowth import growth as growth_mod
 from rittgrowth.cli import main
 
 
@@ -106,6 +107,14 @@ class TestProfile:
                             "--surrogate", "lower"], capsys)
         assert code == 0
         assert json.loads(out)["source"] == source
+
+    def test_exp_rounding_to_e_stays_in_band(self, capsys):
+        # exp of the double just below 1 rounds to e: the level-index value is (1, 1.0)
+        code, out, _ = run(["profile", "--spec", "tower:k=2,rho=1,q=0",
+                            "--sigma", "0.9999999999999999:2:2"], capsys)
+        assert code == 0
+        first = json.loads(out)["samples"][0]
+        assert (first["level"], first["mantissa"]) == (1, 1.0)
 
     def test_non_finite_input_is_a_usage_error(self, capsys):
         for args in (["profile", "--spec", "expexp:a=1,c=1", "--sigma", "5:inf:8"],
@@ -335,7 +344,7 @@ class TestRelative:
         assert (code, out) == (3, "")
         assert err == "error: inversion bracket cannot grow within the float range\n"
 
-    @pytest.mark.parametrize("spec", ["tower:k=2,rho=1,q=5", "osc:rho=2,lam=1,p=2,q=5"])
+    @pytest.mark.parametrize("spec", ["tower:k=2,rho=1,q=5"])
     def test_floor_past_the_float_range_fails_when_the_entry_is_built(self, spec, capsys):
         # the floor of q = 5, exp^[4](1), is past the float range
         code, out, err = run(["indicator", "--spec", spec, "--p", "2", "--q", "5",
@@ -343,6 +352,34 @@ class TestRelative:
         assert (code, out) == (3, "")
         assert err == ("error: value exp^[4](1.0) exceeds the machine range; "
                        "keep it in the ExtReal domain\n")
+
+    @pytest.mark.parametrize("args", [
+        ["indicator", "--spec", "osc:rho=2,lam=1,p=2,q=5", "--p", "2", "--q", "5",
+         "--sigma", "5:30:64"],
+        ["profile", "--spec", "osc:rho=2,lam=1,p=1,q=1", "--sigma", "20:30:50"],
+        ["relative", "--f-spec", "tower:k=1,rho=1,q=1", "--g-spec", "osc:rho=2,lam=1,p=1,q=1",
+         "--p", "0", "--q", "0", "--sigma", "5:60:64"],
+    ])
+    def test_osc_rule_past_q_zero_is_refused(self, args, capsys):
+        # at q >= 1 the rule falls somewhere (near sigma = 21.6 at rho=2, lam=1,
+        # q=1): no estimate may read it, and no relative estimate invert it
+        code, out, err = run(args, capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: oscillating rule needs p >= 1 and q = 0\n"
+
+    def test_cold_search_reaches_the_float_range(self, capsys, monkeypatch):
+        # g's first root, ~1e37, lies past 120 doublings of (floor, floor + 1);
+        # without the guesses every point takes the bracket path to the same roots
+        args = ["relative", "--f-spec", "tower:k=2,rho=1,q=0", "--g-spec", "osc:rho=2,lam=1,p=2,q=0",
+                "--p", "0", "--q", "0", "--sigma", "1e37:1e38:16"]
+        orders = []
+        for guess in (True, False):
+            if not guess:
+                monkeypatch.setattr(growth_mod, "_guess", lambda *args: None)
+            code, out, err = run(args, capsys)
+            assert (code, err) == (0, "")
+            orders.append(json.loads(out)["estimates"]["relative_order"]["value"])
+        assert orders[1] == pytest.approx(orders[0], rel=1e-6)
 
 
 class TestDetect:

@@ -216,7 +216,7 @@ class TestRuleOracle:
             want = rho * log_q
             assert abs(reduced_value(entry, sigma) - want) <= (rel + ROUNDING) * abs(want)
 
-    @given(st.integers(1, 4), st.integers(0, 2), st.floats(0.2, 3.0), st.floats(1.05, 5.5),
+    @given(st.integers(1, 4), st.just(0), st.floats(0.2, 3.0), st.floats(1.05, 5.5),
            SHARES)
     @example(2, 0, 1.0, 2.0, 1.0)
     @settings(max_examples=300, deadline=None)
@@ -253,3 +253,37 @@ class TestRuleOracle:
             want, rel = float_chain(y.mantissa, ["exp"] * down + ["log"] * -down
                                     + [("div", rho)] + ["exp"] * q)
             assert abs(source.inverse(y) - want) <= rel * abs(want)
+
+    @given(st.integers(1, 4), st.floats(0.2, 3.0), st.floats(1.05, 5.5), SHARES)
+    @example(1, 1.0, 2.0, 1.0)
+    @example(2, 1.0, 5.5, 0.5)
+    @settings(max_examples=300, deadline=None)
+    def test_osc_inverse(self, p, lam, ratio, share):
+        # sigma = exp(u) with u + log(m0 + m1 sin u) = log z, z = log^[p-1](y) from
+        # the exact value of y's level and mantissa, solved by 50-digit bisection.
+        # The float root misses by the errors of log z and of the float left side,
+        # over the least slope 1 - m1 / sqrt(m0^2 - m1^2), and by an ulp of u
+        rho = lam * ratio
+        source = parse_shorthand(f"osc:rho={rho!r},lam={lam!r},p={p},q=0").bundle().upper
+        y = source.log_m(log_uniform(2 * source.sigma_floor, 1e300, share))
+        down = y.level - (p - 1)
+        m0, m1 = mpmath.mpf(0.5 * (rho + lam)), mpmath.mpf(0.5 * (rho - lam))
+        with mpmath.workdps(50):
+            z, rel = float_chain(y.mantissa, ["exp"] * down + ["log"] * -down)
+            log_z = mpmath.log(z)
+            lo, hi = log_z - mpmath.log(rho), log_z - mpmath.log(lam)
+            for _ in range(200):
+                u = (lo + hi) / 2
+                if u + mpmath.log(m0 + m1 * mpmath.sin(u)) < log_z:
+                    lo = u
+                else:
+                    hi = u
+            factor = m0 + m1 * mpmath.sin(u)
+            factor_err = (m1 * ROUNDING * abs(mpmath.sin(u)) + ROUNDING * abs(factor - m0)
+                          + ROUNDING * factor)
+            side_err = (factor_err / factor + ROUNDING * abs(mpmath.log(factor))
+                        + ROUNDING * (abs(u) + abs(log_z)))
+            slope = 1 - m1 / mpmath.sqrt(m0 * m0 - m1 * m1)
+            bound = (rel + ROUNDING * abs(log_z) + side_err) / slope + ROUNDING * abs(u) + ROUNDING
+            want = mpmath.exp(u)
+            assert abs(source.inverse(y) - want) <= bound * want

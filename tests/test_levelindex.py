@@ -98,6 +98,13 @@ class TestExpIter:
     def test_band_check(self):
         assert exp_iter(ExtReal(0, 2.0), 1) == ExtReal(1, 2.0)
 
+    def test_exp_rounding_to_e_moves_up_a_level(self):
+        # only the double just below 1 has an exp that rounds to e
+        below = math.nextafter(1.0, 0.0)
+        assert exp_iter(ExtReal(0, below), 1) == ExtReal(1, 1.0)
+        assert exp_iter(ExtReal(0, below), 3) == ExtReal(3, 1.0)
+        assert exp_iter(ExtReal(0, math.nextafter(below, 0.0)), 1).level == 0
+
     def test_negative_k_is_log(self):
         assert exp_iter(ExtReal(2, 1.3), -1) == ExtReal(1, 1.3)
 
@@ -379,6 +386,7 @@ FINITE_OR_NOT = st.one_of(st.floats(allow_nan=True, allow_infinity=True),
 @example(-math.inf, 0)
 @example(0.0, 1)
 @example(1.0, 2)  # log 1 = 0, and log 0 is off the domain
+@example(-1.4113244633046319e-16, -2)  # exp(exp(v)) rounds to e
 @settings(max_examples=1000)
 def test_log_chain_domain_is_log_iters(v, k):
     # DomainError exactly where the level-index chain raises; for k <= 0 that
