@@ -15,7 +15,8 @@ Three families cover the estimator test surface:
 
 Each of the three inverts in closed form, the root of its rule guessed
 for growth.invert_modulus to confirm.  A fourth, table(name, lam,
-log_norm), is a user's finite prefix (JSON only), with no inverse.
+log_norm), is a user's finite prefix (JSON only); its two surrogates
+invert themselves too (series.table_spec).
 
 One rule, read_fields, reads every outside document against a schema given
 as data: sources (``expexp:a=2,c=1`` or ``{"family": "expexp", "a": 2, ...}``)

@@ -13,14 +13,15 @@ more.
 The composition M_g^{-1}(M_f(sigma)) at the heart of every relative
 indicator is one inversion per point, carried out entirely on (level,
 mantissa) pairs; the curve value M_f(sigma) is never materialized.
-Every built-in infinite curve carries its own inverse, a closed-form guess
-at the root (the tower and osc rules and both expexp surrogates).  Two
-curve evaluations a stopping width apart confirm a guess by exact
-comparison, and then they are the whole inversion.  A guess that misses,
-and a source without one (a finite table, a test double), fall back to a
-bracket that follows from the composition being increasing: above the
-last root along the grid, one step of the last root's advance wide
-(``compose_samples``).
+Every built-in curve carries its own inverse, a guess at the root: in
+closed form for the tower and osc rules and both expexp surrogates, and
+for a finite table exact on its maximum term and by Newton steps on its
+sum.  Two curve evaluations a stopping width apart confirm a guess by
+exact comparison, and then they are the whole inversion.  A guess that
+misses starts its bracket from those two evaluations, one secant step
+wide; a source without an inverse (a test double) searches up from its
+floor.  No inversion reads another, so each composed point
+(``compose_samples``) is a function of the source and its target alone.
 """
 
 from __future__ import annotations
@@ -241,30 +242,30 @@ def _guess(source: GrowthSource, y: ExtReal, floor: float):
         return None
 
 
-def invert_modulus(source: GrowthSource, y: ExtReal,
-                   bracket: Optional[tuple[float, float]] = None, end: str = "mid") -> float:
+def invert_modulus(source: GrowthSource, y: ExtReal, *, end: str = "mid") -> float:
     """sigma with log M(sigma) = y, resolved to 1e-12 relative in sigma.
 
     A source with an inverse is first asked for a guess x, and log M is
-    evaluated at x -+ h, half a stopping width either side.  If
-    log M(x - h) <= y <= log M(x + h) by exact compare(), that bracket
-    already meets the stopping rule and is final: two evaluations, and a
-    result that depends on (source, y) alone.  Otherwise, or without a
-    usable guess (see _guess), the bracket is found and shrunk as follows,
-    starting with the end of a missed guess that lies nearest the root
-    wherever it tightens the bracket; no end is evaluated twice.
+    evaluated at a, b = x -+ h, half a stopping width either side.  If
+    log M(a) <= y <= log M(b) by exact compare(), that bracket already
+    meets the stopping rule and is final: two evaluations.  A missed guess
+    keeps the end nearer the root and puts the other one step further out:
+    twice the distance to the root of the secant through (a, b), on the
+    reduced residuals below, clamped to [b - a, max(1, |b|)], and b - a
+    when those residuals are not finite or not increasing.  Without a
+    usable guess (see _guess) the search starts from (floor, floor + 1),
+    floor being max(source floor, 0).
 
-    Without a bracket the search starts from (floor, floor + 1), floor
-    being max(source floor, 0).  A bracket that misses y grows by
-    doubling its width away from where it started: upward from its lower
-    end until log M(hi) >= y, never past the largest float (a nan or
-    infinite end, or no room left, is a BracketError), or downward from its
-    upper end until log M(lo) <= y, never below the floor.  It then shrinks by
-    ITP steps, whose probes interpolate the curve reduced into machine
-    range, log^[k] M with k = max(y.level - 1, 0).  Each update is decided
-    by the exact compare() against y, so the invariant
-    log M(lo) <= y <= log M(hi) and the stopping rule are bisection's,
-    and at most one step is spent beyond bisection's count.
+    A bracket that misses y grows by doubling its width away from where it
+    started: upward from its lower end until log M(hi) >= y, never past the
+    largest float (no room left is a BracketError), or downward from its
+    upper end until log M(lo) <= y, never below the floor.  It then shrinks
+    by ITP steps, whose probes interpolate the curve reduced into machine
+    range, log^[k] M - log^[k] y with k = max(y.level - 1, 0).  Each update
+    is decided by the exact compare() against y, so the invariant
+    log M(lo) <= y <= log M(hi) and the stopping rule are bisection's, and
+    at most one step is spent beyond bisection's count.  Nothing but
+    (source, y, end) enters, so the result is a function of them alone.
 
     Returns the final bracket's lower end for end="low", its upper end for
     "high" and its midpoint for "mid": a root of a lower curve read as
@@ -276,31 +277,28 @@ def invert_modulus(source: GrowthSource, y: ExtReal,
         a, v_a, b, v_b = guess
         if compare(v_a, y) <= 0 <= compare(v_b, y):
             return _bracket_end(a, b, end)
-    if bracket is None:
-        lo, hi = floor, max(1.0, floor + 1.0)
+    k = max(y.level - 1, 0)
+    target = _reduced(y, k)
+    if guess is None:
+        lo, v_lo, hi, v_hi = floor, None, max(1.0, floor + 1.0), None
     else:
-        lo, hi = bracket
-        lo = max(lo, floor)
-        hi = max(hi, lo + INVERT_REL_TOL * max(1.0, abs(lo)))
-    v_lo = v_hi = None
-    if guess is not None:  # the root lies above b or below a
-        width = hi - lo
+        # a and b lie on one side of the root, and the nearer has the smaller residual
+        f_a, f_b = _reduced(v_a, k) - target, _reduced(v_b, k) - target
+        reach = b - a
+        if 0.0 < f_b - f_a < math.inf:
+            secant = min(abs(f_a), abs(f_b)) * (reach / (f_b - f_a))
+            reach = min(max(2.0 * secant, reach), max(1.0, abs(b)))
         if compare(v_b, y) < 0:
-            if b > lo:
-                lo, v_lo = b, v_b
-                if hi <= lo:
-                    hi = lo + width
-        elif a < hi:
-            hi, v_hi = a, v_a
-            if lo >= hi:
-                lo = max(hi - width, floor)
+            lo, v_lo, hi, v_hi = b, v_b, min(b + reach, _FLOAT_MAX), None
+        else:
+            lo, v_lo, hi, v_hi = max(a - reach, floor), None, a, v_a
 
     # Grow upward until log M(hi) >= y; the float range bounds the doublings.
     anchor = lo
     while True:
-        if not lo < hi <= _FLOAT_MAX:  # a nan or infinite end, or none left to grow into
-            raise BracketError("inversion bracket cannot grow within the float range")
         if v_hi is None:
+            if not lo < hi:  # no room left below the largest float
+                raise BracketError("inversion bracket cannot grow within the float range")
             v_hi = source.log_m(hi)
         if compare(v_hi, y) >= 0:
             break
@@ -319,8 +317,6 @@ def invert_modulus(source: GrowthSource, y: ExtReal,
         hi, v_hi = lo, v_lo
         lo, v_lo = max(anchor - 2.0 * (anchor - lo), floor), None
 
-    k = max(y.level - 1, 0)
-    target = _reduced(y, k)
     f_lo, f_hi = _reduced(v_lo, k) - target, _reduced(v_hi, k) - target
     width0 = hi - lo
     step = 0
@@ -343,24 +339,9 @@ def compose_samples(g_source: GrowthSource, sigmas: Sequence[float],
                     f_values: Sequence[ExtReal], end: str = "mid") -> list[tuple[float, float]]:
     """(sigma, M_g^{-1}(M_f(sigma))) at each sigma, from f's values log M_f there.
 
-    Each point is invert_modulus(g_source, y, bracket, end); end picks the
-    bracket end each point returns, and the brackets read those returned
-    points.  A source whose own guess is confirmed never reads its bracket.
-    The sigmas increase, though not evenly (a sampled profile holds grid
-    index 0 and its tail, see ``indicators.Samples``), and so does the
-    composition: each root lies above the last.  The first point is solved
-    from a cold bracket, the second from (x_0, x_0 + 1), and every later one
-    from (x_{i-1}, x_{i-1} + (x_{i-1} - x_{i-2})), the last step's width
-    above the last root and no higher than the largest float.  A bracket
-    that misses grows as invert_modulus describes, so it costs calls, never
-    accuracy: each result meets the same bracket invariant and stopping
-    rule as a cold call.
+    Each point is its own invert_modulus(g_source, y, end=end), and end picks
+    the bracket end it returns.  Nothing passes from one point to the next,
+    so a composed value is the same whatever other points are composed with
+    it and in whatever order.
     """
-    xs: list[float] = []
-    for y in f_values:
-        bracket = None
-        if xs:
-            step = xs[-1] - xs[-2] if len(xs) > 1 else 1.0
-            bracket = (xs[-1], min(xs[-1] + step, _FLOAT_MAX))
-        xs.append(invert_modulus(g_source, y, bracket, end))
-    return list(zip(sigmas, xs))
+    return [(s, invert_modulus(g_source, y, end=end)) for s, y in zip(sigmas, f_values)]

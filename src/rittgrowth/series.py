@@ -52,6 +52,8 @@ _EXACT_INDEX = 2 ** 53
 _RANGE_HINT = "series evaluation needs roughly a*sigma < 700 for the expexp family"
 _PEAK_CLIMB = 4  # neighbour steps from a peak candidate before it is refused
 _INVERSE_ROUNDS = 4  # Newton steps, and index re-roundings, of expexp's lower inverse
+_TABLE_NEWTON_STEPS = 32  # at most, for a table's upper inverse
+_TABLE_NEWTON_TOL = 1e-13  # relative Newton step at which it stops
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 _LOG_FACTORIALS = np.array([math.log(math.factorial(n)) for n in range(256)])
 
@@ -71,8 +73,9 @@ class SeriesSpec:
     Its terms t(n) must be strictly log-concave with a step t(n+1) - t(n)
     convex in n; log_sum_upper refuses a step its edges show is not.
     Any series may supply upper_inverse / lower_inverse: y -> a guess at
-    the sigma where log_sum_upper / max_term_log equals y.  A guess only
-    places an inversion's bracket, which the surrogate itself confirms.
+    the sigma where log_sum_upper / max_term_log equals y (expexp_spec and
+    table_spec supply both).  The surrogate itself confirms a guess; a
+    missed one only starts the inversion's bracket.
     """
 
     name: str
@@ -176,7 +179,11 @@ def expexp_spec(a: float, c: float) -> SeriesSpec:
 
 
 def table_spec(name: str, lam_values: Sequence[float], log_norm_values: Sequence[float]) -> SeriesSpec:
-    """Finite explicit prefix; evaluation beyond the table is an error."""
+    """Finite explicit prefix; evaluation beyond the table is an error.
+
+    Both surrogates invert themselves: the maximum term exactly, and the
+    log-sum by Newton steps from the maximum term's root.
+    """
     lam_t = [float(v) for v in lam_values]
     ln_t = [float(v) for v in log_norm_values]
     if len(lam_t) != len(ln_t) or not lam_t:
@@ -195,8 +202,27 @@ def table_spec(name: str, lam_values: Sequence[float], log_norm_values: Sequence
             raise DomainError(f"index {i} beyond the {limit}-entry table for series '{name}'")
         return ln_t[i - 1]
 
-    return SeriesSpec(name, lam, log_norm,
-                      {"lambda": lam_t, "log_norm": ln_t}, n_limit=limit)
+    def lower_inverse(y: ExtReal) -> float:
+        # the maximum of increasing lines ln + sigma*lam first reaches y on one of them; a
+        # vanishing term's line never does (inf), and a table whose terms all vanish guesses inf
+        v = to_real(y)
+        return min((v - ln) / lam_n for lam_n, ln in zip(lam_t, ln_t))
+
+    def upper_inverse(y: ExtReal) -> float:
+        # Newton on the convex log-sum from the maximum term's root, which lies above its own:
+        # sigma falls, so no term exceeds e^y, until a step is below _TABLE_NEWTON_TOL
+        v, sigma = to_real(y), lower_inverse(y)
+        for _ in range(_TABLE_NEWTON_STEPS):
+            ws = [(lam_n, math.exp(ln + sigma * lam_n - v)) for lam_n, ln in zip(lam_t, ln_t)]
+            total = sum(w for _lam_n, w in ws)
+            step = math.log(total) * total / sum(lam_n * w for lam_n, w in ws)
+            sigma -= step
+            if not abs(step) > _TABLE_NEWTON_TOL * max(1.0, abs(sigma)):
+                break
+        return sigma
+
+    return SeriesSpec(name, lam, log_norm, {"lambda": lam_t, "log_norm": ln_t}, n_limit=limit,
+                      upper_inverse=upper_inverse, lower_inverse=lower_inverse)
 
 
 def validate(spec: SeriesSpec, n_max: int = 128) -> ValidationReport:

@@ -9,7 +9,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from rittgrowth.corpus import parse_shorthand
+from rittgrowth.corpus import parse_shorthand, resolve_source
 from rittgrowth.errors import BracketError, DomainError, NumericError
 from rittgrowth import growth as growth_mod
 from rittgrowth.growth import (INVERT_REL_TOL, GridSpec, SeriesUpperSource, SyntheticSource, _itp_probe,
@@ -95,12 +95,14 @@ class TestInvert:
             got = invert_modulus(bundle.upper, bundle.upper.log_m(sigma))
             assert abs(got - sigma) <= 1e-9
 
-    @pytest.mark.parametrize("shorthand,sigma,branch", [("expexp:a=1,c=1", 20.0, -math.inf),
-                                                        ("tower:k=4,rho=1,q=0", 0.1, math.inf)])
-    def test_residuals_out_of_machine_range(self, monkeypatch, shorthand, sigma, branch):
-        # from the bracket (0, 30) a level-3 target reduces log M(0) = 0.54
-        # below the machine range (-inf), and a level-2 tower target
-        # reduces log M(30) above it (+inf); the probe then takes midpoints
+    @pytest.mark.parametrize("shorthand,sigma,guess,branch", [
+        pytest.param("expexp:a=1,c=1", 20.0, 40.0, -math.inf, id="expexp:a=1,c=1-20.0--inf"),
+        pytest.param("tower:k=4,rho=1,q=0", 0.1, 30.0, math.inf, id="tower:k=4,rho=1,q=0-0.1-inf")])
+    def test_residuals_out_of_machine_range(self, monkeypatch, shorthand, sigma, guess, branch):
+        # a guess of 40 for the root 20 steps down to the floor, where a level-3
+        # target reduces log M(0) = 0.54 below the machine range (-inf); a guess
+        # of 30 for a level-2 tower target reduces log M(30) above it (+inf)
+        # and grows down from there; the probe then takes midpoints
         reduced, probes = [], []
 
         def record_reduced(v, k):
@@ -115,18 +117,18 @@ class TestInvert:
         monkeypatch.setattr(growth_mod, "_itp_probe", record_probe)
         src = parse_shorthand(shorthand).bundle().upper
         y = src.log_m(sigma)
-        x = invert_modulus(CountingSource(src), y, bracket=(0.0, 30.0))  # no inverse: the bracket path
+        x = invert_modulus(GuessingSource(src, lambda y: guess), y)
         assert branch in reduced
         assert any(not (math.isfinite(f_lo) and math.isfinite(f_hi)) for f_lo, f_hi in probes)
         assert compare(src.log_m(x * (1 - 2e-12)), y) < 0 < compare(src.log_m(x * (1 + 2e-12)), y)
 
     def test_top_of_the_float_range(self):
-        # the bracket path (no inverse) finds a root near the largest float, from
-        # a bracket whose doubling would pass it, and returns a finite midpoint
+        # a guess below a root near the largest float, whose doublings would pass
+        # it, stops there and returns a finite midpoint; so does the cold search
         source = parse_shorthand("tower:k=3,rho=0.5,q=0").bundle().upper
-        for root, bracket in ((1.5e308, (1e307, 1e307)), (1.79e308, (1.7e308, 1.75e308))):
-            counted = RecordingSource(source)
-            x = invert_modulus(counted, source.log_m(root), bracket)
+        for root, guess in ((1.5e308, 1e307), (1.79e308, 1.7e308), (1.79e308, None)):
+            counted = GuessingSource(source, lambda y: guess) if guess else RecordingSource(source)
+            x = invert_modulus(counted, source.log_m(root))
             assert abs(x - root) <= 2 * INVERT_REL_TOL * root
             assert all(math.isfinite(s) for s in counted.sigmas)
 
@@ -139,22 +141,22 @@ class TestInvert:
         assert abs(x - sigma) <= INVERT_REL_TOL * sigma
         assert counted.calls > 120
 
-    @pytest.mark.parametrize("bracket", [(1e307, 1e307), (math.nan, math.nan),
-                                         (1e307, math.inf), (math.nan, 5.0)])
-    def test_root_past_the_float_range_is_a_bracket_error(self, bracket):
-        # the root, 2e308, is past the largest float; a nan or infinite bracket
-        # end is an error before the curve is evaluated there
+    @pytest.mark.parametrize("guess", [None, 1e307, 1.7e308, 1.79e308])
+    def test_root_past_the_float_range_is_a_bracket_error(self, guess):
+        # the root, 2e308, is past the largest float: the cold search, the
+        # source's own guess (2e308, which overflows) and a guess below the
+        # root all grow up to the largest float and stop there, never handing
+        # the curve a sigma that is not finite
         source = parse_shorthand("tower:k=3,rho=0.5,q=0").bundle().upper
         y = parse_shorthand("tower:k=3,rho=1,q=0").bundle().upper.log_m(1e308)
-        recorded = RecordingSource(source)
-        for counted in (recorded, GuessingSource(source)):  # its guess, 2e308, overflows
+        for counted in (RecordingSource(source), GuessingSource(source, (lambda y: guess) if guess else None)):
             with pytest.raises(BracketError, match="cannot grow within the float range"):
-                invert_modulus(counted, y, bracket)
-        assert all(math.isfinite(s) for s in recorded.sigmas)
+                invert_modulus(counted, y)
+            assert all(math.isfinite(s) for s in counted.sigmas)
 
     def test_composition_up_to_the_float_range(self):
-        # roots 2 sigma up to 1.78e308: the last step's width above 1.5e308 would
-        # pass the largest float, and the bracket stops there instead
+        # roots 2 sigma up to 1.78e308, past 2**1023: the cold search's next
+        # doubling would pass the largest float, and the bracket stops there instead
         f = parse_shorthand("tower:k=3,rho=1,q=0").bundle().upper
         g = RecordingSource(parse_shorthand("tower:k=3,rho=0.5,q=0").bundle().upper)
         sigmas = [6e307, 7.5e307, 8.9e307]
@@ -166,8 +168,8 @@ class TestInvert:
 
     def test_composition_past_the_float_range(self):
         # the composition's roots 2 sigma leave the float range along the grid;
-        # once the guess overflows, the bracket above the last root grows up to
-        # the largest float and stops there
+        # once the guess overflows, the cold search grows up to the largest
+        # float and stops there
         f = parse_shorthand("tower:k=3,rho=1,q=0").bundle().upper
         g = RecordingSource(parse_shorthand("tower:k=3,rho=0.5,q=0").bundle().upper)
         sigmas = GridSpec(1e307, 1.7e308, 16).sigmas()
@@ -317,7 +319,7 @@ class TestComposedCurveOracle:
     short of it, even at large a*sigma, where the surrogates differ by less
     than one stopping width.  The oracle reads every grid point (window
     share 1); the default share composes grid index 0 and the tail, and
-    must agree with the whole grid's composition there.
+    must equal the whole grid's composition there bit for bit.
     """
 
     @staticmethod
@@ -337,31 +339,16 @@ class TestComposedCurveOracle:
 
     @staticmethod
     def tail_against_whole(f_id, g_id, grid):
-        """Compare the default-window composition with the whole grid's at the points it
-        holds: bit-identical where g's own guess is confirmed (a result of (source, y)
-        alone), else within a stopping width.  Returns (confirmed, missed) counts."""
+        """Assert that the default-window composition equals the whole grid's, bit for bit,
+        at every point it holds; returns the number of points compared."""
         f, g = parse_shorthand(f_id).bundle(), parse_shorthand(g_id).bundle()
-        f_tail = profile_samples(f, grid)
-        tail, whole = (dict(relative_samples(fs, g).sets)
-                       for fs in (f_tail, profile_samples(f, grid, 1.0)))
-        f_upper, *f_lower = (points for _name, points in f_tail.sets)
-        inputs = {"center": (g.upper, f_upper), "low": (g.upper, (f_lower or [f_upper])[0]),
-                  "high": (g.lower or g.upper, f_upper)}
+        tail, whole = (dict(relative_samples(profile_samples(f, grid, *share), g).sets)
+                       for share in ((), (1.0,)))
         at = {sigma: i for i, (sigma, _x) in enumerate(whole["center"])}
-        counts = [0, 0]
         for name, points in tail.items():
-            source, f_points = inputs[name]
-            for (sigma, x), (_sigma, y) in zip(points, f_points):
-                want = whole[name][at[sigma]][1]
-                guess = growth_mod._guess(source, y, max(source.sigma_floor, 0.0))
-                hit = guess is not None and compare(guess[1], y) <= 0 <= compare(guess[3], y)
-                if hit:
-                    assert x == want, (f_id, g_id, name, sigma)
-                else:
-                    tol = INVERT_REL_TOL * max(1.0, abs(to_real(want)))
-                    assert abs(to_real(x) - to_real(want)) <= tol, (f_id, g_id, name, sigma)
-                counts[not hit] += 1
-        return counts
+            for sigma, x in points:
+                assert x == whole[name][at[sigma]][1], (f_id, g_id, name, sigma)
+        return sum(len(points) for points in tail.values())
 
     def test_acceptance_batch_expexp_pairs(self):
         # every expexp-expexp (f, g, grid) set that the batch's theorems compose
@@ -376,8 +363,7 @@ class TestComposedCurveOracle:
         points = sum(self.check(x, y, grid, expexp_composition) for x, y, grid in expexp)
         assert (len(expexp), points) == (22, 1408)
         # every set the batch composes, against its whole-grid composition
-        confirmed, missed = np.sum([self.tail_against_whole(*s) for s in sets], axis=0)
-        assert confirmed > 0 and missed == 0
+        assert (len(sets), sum(self.tail_against_whole(*s) for s in sets)) == (42, 3202)
 
     @pytest.mark.parametrize("k", [3, 4])
     def test_tower_pairs(self, k):
@@ -405,15 +391,14 @@ def warm_bundles(f_id, g_id):
 
 
 class TestWarmStart:
-    """Inversion along a grid: cold results in fewer curve evaluations."""
+    """Inversion along a grid: each point a single call, in few curve evaluations."""
 
     @pytest.mark.parametrize("f_id,g_id,grid", WARM_PAIRS)
     def test_compose_matches_cold(self, f_id, g_id, grid):
         f, g = warm_bundles(f_id, g_id)
         sigmas = grid.sigmas()
         for s, psi in compose_samples(g, sigmas, [f.log_m(s) for s in sigmas]):
-            cold = invert_modulus(g, f.log_m(s))
-            assert abs(psi - cold) <= INVERT_REL_TOL * max(1.0, abs(psi))
+            assert psi == invert_modulus(g, f.log_m(s))
 
     @pytest.mark.parametrize("f_id,g_id,grid", WARM_PAIRS)
     def test_few_curve_evaluations_per_inversion(self, f_id, g_id, grid):
@@ -431,56 +416,29 @@ class TestWarmStart:
             else:
                 assert counted.calls == 2 * len(sigmas)
 
-    def test_brackets_follow_the_last_roots(self, monkeypatch):
-        # a source without an inverse: cold, then (x0, x0 + 1), then one step
-        # of the last root's advance above the last root
-        source = CountingSource(parse_shorthand("tower:k=2,rho=2,q=0").bundle().upper)
-        sigmas = [1.0, 2.0, 2.5, 4.0, 7.0]
-        f = parse_shorthand("tower:k=2,rho=3,q=0").bundle().upper
-        brackets = []
-        invert = growth_mod.invert_modulus
-
-        def recording(src, y, bracket=None, end="mid"):
-            brackets.append(bracket)
-            return invert(src, y, bracket, end)
-
-        monkeypatch.setattr(growth_mod, "invert_modulus", recording)
-        xs = [x for _s, x in compose_samples(source, sigmas, [f.log_m(s) for s in sigmas])]
-        assert brackets == [None, (xs[0], xs[0] + 1.0)] + [
-            (xs[i - 1], xs[i - 1] + (xs[i - 1] - xs[i - 2])) for i in range(2, len(xs))]
-        for s, x in zip(sigmas, xs):
-            assert abs(x - 1.5 * s) <= INVERT_REL_TOL * max(1.0, x)
-
     @pytest.mark.parametrize("slope_after", [50.0, 0.02])
-    def test_missed_prediction_still_lands_on_the_root(self, slope_after, monkeypatch):
+    def test_missed_prediction_still_lands_on_the_root(self, slope_after):
         # log M has a slope kink at sigma = 10, so the curve inverted at
-        # y = t has one too, and the last step misjudges the next after it
+        # y = t has one too, and an inverse that extends the line below the
+        # kink misses every root after it
         def rule(sigma):
             return from_real(sigma if sigma < 10.0 else 10.0 + slope_after * (sigma - 10.0))
 
         def exact(t):
             return t if t < 10.0 else 10.0 + (t - 10.0) / slope_after
 
-        source = SyntheticSource("kink", {}, rule)
+        source = SyntheticSource("kink", {}, rule, inverse=to_real)
         ts = [float(t) for t in np.linspace(2.0, 30.0, 57)]
-        brackets = []
-        invert = growth_mod.invert_modulus
-
-        def recording(src, y, bracket=None, end="mid"):
-            x = invert(src, y, bracket, end)
-            brackets.append((bracket, x))
-            return x
-
-        monkeypatch.setattr(growth_mod, "invert_modulus", recording)
-        xs = [x for _t, x in compose_samples(source, ts, [from_real(t) for t in ts])]
-        assert any(b is not None and not b[0] <= x <= b[1] for b, x in brackets)
+        counted = GuessingSource(source)
+        xs = [x for _t, x in compose_samples(counted, ts, [from_real(t) for t in ts])]
+        assert counted.calls > 2 * len(ts)
         for t, x in zip(ts, xs):
             assert abs(x - exact(t)) <= INVERT_REL_TOL * max(1.0, abs(x))
-            assert abs(x - invert(source, from_real(t))) <= INVERT_REL_TOL * max(1.0, abs(x))
+            assert x == invert_modulus(source, from_real(t))
 
 
-class GuessingSource(CountingSource):
-    """Counts log_m calls and forwards an inverse: the source's own, or the one given."""
+class GuessingSource(RecordingSource):
+    """Records log_m calls and forwards an inverse: the source's own, or the one given."""
 
     def __init__(self, source, inverse=None):
         super().__init__(source)
@@ -489,40 +447,46 @@ class GuessingSource(CountingSource):
 
 GUESS_SOURCES = [("tower:k=3,rho=2,q=0", "upper"), ("tower:k=2,rho=1.5,q=1", "upper"),
                  ("expexp:a=2,c=3", "upper"), ("expexp:a=2,c=3", "lower")]
+# a 64-term table: the expexp(1, 1) series cut after n = 64
+TABLE = {"family": "table", "lam": [float(n) for n in range(1, 65)],
+         "log_norm": [-math.lgamma(n + 1) for n in range(1, 65)]}
+TABLE_SOURCES = [pytest.param(TABLE, surrogate, id=f"table-{surrogate}") for surrogate in ("upper", "lower")]
 
 
 class TestGuess:
     """A source's own inverse places the bracket; the curve still decides it."""
 
     @staticmethod
-    def bracket_path(source, y, bracket=None):
+    def cold_path(source, y):
         """invert_modulus without the guess (CountingSource hides the inverse): (result, calls)."""
         counted = CountingSource(source)
-        return invert_modulus(counted, y, bracket), counted.calls
+        return invert_modulus(counted, y), counted.calls
 
-    @pytest.mark.parametrize("shorthand,surrogate", GUESS_SOURCES)
-    def test_confirmed_guess_costs_two_calls(self, shorthand, surrogate):
-        source = dict(parse_shorthand(shorthand).bundle().surrogates())[surrogate]
+    @pytest.mark.parametrize("ref,surrogate", GUESS_SOURCES + TABLE_SOURCES)
+    def test_confirmed_guess_costs_two_calls(self, ref, surrogate):
+        source = dict(resolve_source(ref).bundle().surrogates())[surrogate]
         for sigma in SOLVER_SIGMAS:
             y = source.log_m(sigma)
             counted = GuessingSource(source)
             x = invert_modulus(counted, y)
             assert counted.calls == 2
-            root, _calls = self.bracket_path(source, y)
+            root, _calls = self.cold_path(source, y)
             assert abs(x - root) <= INVERT_REL_TOL * max(1.0, abs(x))
 
     @pytest.mark.parametrize("shorthand,surrogate", GUESS_SOURCES)
     @pytest.mark.parametrize("rel", [1e-6, -1e-6])
     def test_wrong_guess_still_finds_the_root(self, shorthand, surrogate, rel):
+        # a guess off by 1e-6 costs at most two calls more than the cold search;
+        # one off by at most 1e-9 starts from its own secant and costs at most five
         source = dict(parse_shorthand(shorthand).bundle().surrogates())[surrogate]
         for sigma in SOLVER_SIGMAS:
             y = source.log_m(sigma)
-            for bracket in (None, (sigma * (1 - 1e-11), sigma * (1 + 1e-11))):
-                counted = GuessingSource(source, lambda y: source.inverse(y) * (1.0 + rel))
-                x = invert_modulus(counted, y, bracket)
-                root, calls = self.bracket_path(source, y, bracket)
+            root, calls = self.cold_path(source, y)
+            for off, most in ((rel, calls + 2), (rel * 1e-3, 5), (rel * 1e-5, 5)):
+                counted = GuessingSource(source, lambda y: source.inverse(y) * (1.0 + off))
+                x = invert_modulus(counted, y)
                 assert abs(x - root) <= INVERT_REL_TOL * max(1.0, abs(x))
-                assert counted.calls <= calls + 2
+                assert counted.calls <= most
 
     def test_guess_ends_keep_their_side(self):
         # low and high return the confirmed bracket's ends, mid its midpoint
@@ -546,10 +510,9 @@ class TestGuess:
         source = dict(parse_shorthand(shorthand).bundle().surrogates())[surrogate]
         for sigma in SOLVER_SIGMAS:
             y = source.log_m(sigma + source.sigma_floor)
-            for bracket in (None, (sigma, sigma + 1.0)):
-                counted = GuessingSource(source, inverse)
-                x = invert_modulus(counted, y, bracket)
-                assert (x, counted.calls) == self.bracket_path(source, y, bracket)
+            counted = GuessingSource(source, inverse)
+            x = invert_modulus(counted, y)
+            assert (x, counted.calls) == self.cold_path(source, y)
 
     def test_guess_out_of_the_curve_range_falls_back(self):
         # a guess where the surrogate cannot be evaluated (a*sigma > 700)
@@ -557,7 +520,7 @@ class TestGuess:
         y = source.log_m(12.0)
         counted = GuessingSource(source, lambda y: 1e4)
         x = invert_modulus(counted, y)
-        root, calls = self.bracket_path(source, y)
+        root, calls = self.cold_path(source, y)
         assert x == root and counted.calls <= calls + 1
 
     @pytest.mark.parametrize("f_id,g_id,grid", WARM_PAIRS)
@@ -571,6 +534,15 @@ class TestGuess:
             assert counted.calls == 2 * len(sigmas)
         else:
             assert counted.calls <= 2.7 * len(sigmas)
+
+    @pytest.mark.parametrize("surrogate", ["upper", "lower"])
+    def test_table_composition_costs_two_calls_a_point(self, surrogate):
+        # both of a table's surrogates invert themselves: every point is a confirmed guess
+        f = parse_shorthand("tower:k=1,rho=2,q=1").bundle().upper
+        g = GuessingSource(dict(resolve_source(TABLE).bundle().surrogates())[surrogate])
+        sigmas = GridSpec(5.0, 30.0, 64).sigmas()
+        compose_samples(g, sigmas, [f.log_m(s) for s in sigmas])
+        assert g.calls == 2 * len(sigmas)
 
 
 from hypothesis import example, given, settings, strategies as st
@@ -631,6 +603,40 @@ def test_expexp_guess_hits_property(a, c, share, surrogate):
     got = invert_modulus(counted, src.log_m(sigma))
     assert counted.calls == 2
     assert abs(got - sigma) <= INVERT_REL_TOL * max(1.0, sigma)
+
+
+_NEAR_POWERS = st.builds(lambda j, ulps: 2.0 ** j * (1.0 + ulps * 2.0 ** -52),
+                         st.integers(1, 19), st.integers(-2, 2))
+
+
+@given(st.sampled_from(["tower:k=3,rho=2,q=0", "tower:k=2,rho=1.5,q=1", "osc:rho=2,lam=1,p=2,q=0"]),
+       st.sampled_from(["own", "hidden", "wrong"]),
+       st.lists(st.one_of(st.floats(2.0, 1e6), _NEAR_POWERS), min_size=1, max_size=6, unique=True),
+       st.floats(-11.0, math.log10(0.5)), st.sampled_from([1.0, -1.0]), st.randoms(use_true_random=False))
+@settings(max_examples=40, deadline=None)
+def test_composition_is_history_free(shorthand, inverse, roots, log_rel, sign, rng):
+    # composing increasing targets in sorted, reversed or shuffled order gives
+    # each point's own invert_modulus call bit for bit: with the source's own
+    # inverse, with it hidden (the cold search), and with one off by a relative
+    # 1e-11 to 0.5 (a miss); roots include neighbours of powers of two
+    source = parse_shorthand(shorthand).bundle().upper
+    if inverse == "hidden":
+        source = CountingSource(source)
+    elif inverse == "wrong":
+        rel = sign * 10.0 ** log_rel
+        source = GuessingSource(source, lambda y, own=source.inverse: own(y) * (1.0 + rel))
+    ys = []
+    for root in sorted(roots):
+        y = source.log_m(root)
+        if not ys or compare(ys[-1], y) < 0:
+            ys.append(y)
+    shuffled = list(range(len(ys)))
+    rng.shuffle(shuffled)
+    for end in ("low", "mid", "high"):
+        each = [invert_modulus(source, y, end=end) for y in ys]
+        for order in (range(len(ys)), range(len(ys))[::-1], shuffled):
+            composed = compose_samples(source, [float(i) for i in order], [ys[i] for i in order], end)
+            assert {int(i): x for i, x in composed} == dict(enumerate(each))
 
 
 class TestOscRule:

@@ -10,7 +10,7 @@ import pytest
 
 from rittgrowth.corpus import series_spec
 from rittgrowth.errors import DomainError, NumericError, SpecFormatError
-from rittgrowth.growth import GridSpec
+from rittgrowth.growth import GridSpec, SeriesLowerSource, SeriesUpperSource, invert_modulus
 from rittgrowth.levelindex import compare, to_real
 from rittgrowth.series import (_ROUND_ULPS, SeriesSpec, _log_block, expexp_spec, log_sum_upper,
                                max_term_log, table_spec, term_log, validate)
@@ -471,6 +471,25 @@ class TestTableSpec:
         lam = [float(n) for n in range(1, 33)]
         ln = [-0.5 * n * math.log(n + 1) for n in range(1, 33)]
         assert validate(table_spec("t", lam, ln), 32).verdict in ("pass", "warn")
+
+    def test_inverses_find_each_surrogate_root(self):
+        # the maximum term's root is exact; Newton on the sum lands within a stopping
+        # width, 1e-12 relative; a vanishing term (log_norm -inf) takes no part
+        spec = table_spec("t", [1.0, 2.0, 3.0, 4.0], [0.0, -1.0, -math.inf, -3.0])
+        for sigma in (0.05, 0.7, 2.0, 9.5, 40.0):
+            assert spec.lower_inverse(max_term_log(spec, sigma)[1]) == pytest.approx(sigma, rel=1e-14)
+            assert spec.upper_inverse(log_sum_upper(spec, sigma)) == pytest.approx(sigma, rel=1e-12)
+
+    def test_inverses_of_a_table_whose_terms_all_vanish(self):
+        # no line reaches y: the guesses are not finite, which an inversion refuses,
+        # and nothing raises but the package's own errors
+        spec = table_spec("t", [1.0, 2.0], [-math.inf, -math.inf])
+        y = max_term_log(table_spec("u", [1.0], [0.0]), 1.0)[1]
+        assert spec.lower_inverse(y) == math.inf
+        assert math.isnan(spec.upper_inverse(y))
+        for source in (SeriesLowerSource(spec), SeriesUpperSource(spec)):
+            with pytest.raises(DomainError):  # the curve itself, as without an inverse
+                invert_modulus(source, y)
 
 
 class TestSpecFromJson:
