@@ -190,17 +190,13 @@ def table_spec(name: str, lam_values: Sequence[float], log_norm_values: Sequence
         raise SpecFormatError("table spec needs equal-length non-empty lambda/log_norm tables")
     limit = len(lam_t)
 
-    def lam(n: float) -> float:
+    def entry(table: list, n: float) -> float:
         i = int(n)
         if not 1 <= i <= limit:
             raise DomainError(f"index {i} beyond the {limit}-entry table for series '{name}'")
-        return lam_t[i - 1]
+        return table[i - 1]
 
-    def log_norm(n: float) -> float:
-        i = int(n)
-        if not 1 <= i <= limit:
-            raise DomainError(f"index {i} beyond the {limit}-entry table for series '{name}'")
-        return ln_t[i - 1]
+    lam, log_norm = functools.partial(entry, lam_t), functools.partial(entry, ln_t)
 
     def lower_inverse(y: ExtReal) -> float:
         # the maximum of increasing lines ln + sigma*lam first reaches y on one of them; a
@@ -209,13 +205,17 @@ def table_spec(name: str, lam_values: Sequence[float], log_norm_values: Sequence
         return min((v - ln) / lam_n for lam_n, ln in zip(lam_t, ln_t))
 
     def upper_inverse(y: ExtReal) -> float:
-        # Newton on the convex log-sum from the maximum term's root, which lies above its own:
-        # sigma falls, so no term exceeds e^y, until a step is below _TABLE_NEWTON_TOL
+        # Newton on the convex log-sum from the maximum term's root, which lies above its own,
+        # until a step is below _TABLE_NEWTON_TOL; each term is weighed against the largest,
+        # so the total is at least 1 whatever the rounding of the target (an infinite start
+        # makes every weight nan, and the guess nan)
         v, sigma = to_real(y), lower_inverse(y)
         for _ in range(_TABLE_NEWTON_STEPS):
-            ws = [(lam_n, math.exp(ln + sigma * lam_n - v)) for lam_n, ln in zip(lam_t, ln_t)]
+            ts = [ln + sigma * lam_n for lam_n, ln in zip(lam_t, ln_t)]
+            top = max(ts)
+            ws = [(lam_n, math.exp(t - top)) for lam_n, t in zip(lam_t, ts)]
             total = sum(w for _lam_n, w in ws)
-            step = math.log(total) * total / sum(lam_n * w for lam_n, w in ws)
+            step = (top - v + math.log(total)) * total / sum(lam_n * w for lam_n, w in ws)
             sigma -= step
             if not abs(step) > _TABLE_NEWTON_TOL * max(1.0, abs(sigma)):
                 break

@@ -480,6 +480,24 @@ class TestTableSpec:
             assert spec.lower_inverse(max_term_log(spec, sigma)[1]) == pytest.approx(sigma, rel=1e-14)
             assert spec.upper_inverse(log_sum_upper(spec, sigma)) == pytest.approx(sigma, rel=1e-12)
 
+    def test_inverses_of_targets_past_2_to_the_62(self):
+        # lambda = 1.7n is not a power of two, so (y - ln)/lambda * lambda misses y by
+        # thousands of units up there; the sum's weights are taken against its largest term
+        lam = [1.7 * n for n in range(1, 65)]
+        spec = table_spec("t", lam, [-0.5 * n * math.log(n + 1) for n in range(1, 65)])
+        for sigma in (1e17, 1e25, 1e300):
+            y = log_sum_upper(spec, sigma)
+            assert to_real(y) >= 1e19  # held as a level-index number: ~1e-14 relative
+            assert spec.lower_inverse(max_term_log(spec, sigma)[1]) == pytest.approx(sigma, rel=1e-12)
+            assert spec.upper_inverse(y) == pytest.approx(sigma, rel=1e-12)
+        f = SeriesUpperSource(expexp_spec(1.0, 1.0))
+        for sigma in (46.0, 50.0):
+            y = f.log_m(sigma)
+            assert to_real(y) >= 1e19
+            for source in (SeriesLowerSource(spec), SeriesUpperSource(spec)):
+                x = invert_modulus(source, y)
+                assert compare(source.log_m(x * (1 - 1e-12)), y) <= 0 <= compare(source.log_m(x * (1 + 1e-12)), y)
+
     def test_inverses_of_a_table_whose_terms_all_vanish(self):
         # no line reaches y: the guesses are not finite, which an inversion refuses,
         # and nothing raises but the package's own errors
