@@ -15,6 +15,7 @@ exits 3 if any instance got the verdict "error" (a numeric error).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -193,7 +194,10 @@ def cmd_corpus(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built on first use and shared by every later call
+    (so no caller may change it)."""
     parser = argparse.ArgumentParser(
         prog="rittgrowth",
         description="Growth indicators of entire Dirichlet series and their inequality checks",

@@ -294,7 +294,7 @@ def _fit_window(win: Sequence[RatioPoint]) -> WindowFit:
 
     balance = 0.0
     if n >= 3:
-        up = np.count_nonzero(rf[1:] > rf[:-1]) / (n - 1)  # rising steps
+        up = float(np.count_nonzero(rf[1:] > rf[:-1]) / (n - 1))  # rising steps
         balance = min(up, 1.0 - up)
     return WindowFit(trend, intercept, resid_rms, float(rs.max()), float(rs.min()), balance)
 

@@ -232,7 +232,9 @@ def validate(spec: SeriesSpec, n_max: int = 128) -> ValidationReport:
     witness for the exponent-density constant.  The decay trend is the
     least-squares slope of log||a_n||/lambda_n over the last half of the
     window; entirety demands it keep falling, so a non-negative slope is
-    a failure and a barely-negative one only warrants a warning.
+    a failure and a barely-negative one only warrants a warning.  A table
+    whose coefficient norms all vanish, past the window too, is a failure:
+    it has no term to grow.
     """
     if n_max < 16:
         raise ValueError("validate needs n_max >= 16")
@@ -259,6 +261,10 @@ def validate(spec: SeriesSpec, n_max: int = 128) -> ValidationReport:
     if not monotone_ok:
         return ValidationReport(n_max, False, d_estimate, trend, "fail",
                                 "exponents not strictly increasing from a positive start")
+    if spec.n_limit is not None and all(spec.log_norm(n) == -math.inf
+                                        for n in range(1, spec.n_limit + 1)):
+        return ValidationReport(n_max, True, d_estimate, trend, "fail",
+                                "every coefficient norm of the table vanishes")
     if trend >= 0.0:
         return ValidationReport(n_max, True, d_estimate, trend, "fail",
                                 "log-norm/exponent ratio is not decaying")

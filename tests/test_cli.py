@@ -11,8 +11,9 @@ from pathlib import Path
 
 import pytest
 
+from rittgrowth import cli as cli_mod
 from rittgrowth import growth as growth_mod
-from rittgrowth.cli import main
+from rittgrowth.cli import build_parser, main
 
 
 def run(args, capsys):
@@ -159,6 +160,41 @@ class TestSourceContract:
         batch = self._batch(tmp_path / "batch.json", self.FAILING_TABLE)
         assert run(["check", "--batch", batch, "--quiet"], capsys)[0] == 2
 
+    VANISHING_TABLE = {"family": "table", "lambda": [1, 2, 3],
+                       "log_norm": [-math.inf, -math.inf, -math.inf]}
+
+    def test_table_whose_norms_all_vanish_fails_validate(self, tmp_path, capsys):
+        path = tmp_path / "vanishing.json"
+        path.write_text(json.dumps(self.VANISHING_TABLE))
+        code, out, _ = run(["validate", "--spec", str(path)], capsys)
+        assert code == 3
+        doc = json.loads(out)
+        assert doc["verdict"] == "fail"
+        assert doc["cause"] == "every coefficient norm of the table vanishes"
+
+    def test_table_whose_norms_all_vanish_is_refused_elsewhere(self, tmp_path, capsys):
+        path = tmp_path / "vanishing.json"
+        path.write_text(json.dumps(self.VANISHING_TABLE))
+        code, out, err = run(["profile", "--spec", str(path), "--sigma", "1:2:4"], capsys)
+        assert (code, out) == (2, "")
+        assert err == ("error: table series fails validation: "
+                       "every coefficient norm of the table vanishes\n")
+        batch = self._batch(tmp_path / "batch.json", self.VANISHING_TABLE)
+        assert run(["check", "--batch", batch, "--quiet"], capsys)[0] == 2
+
+    # a source's table is validated on its first 64 terms; here only the six past them live
+    LATE_TABLE = {"family": "table", "lambda": list(range(1, 71)),
+                  "log_norm": [-math.inf] * 64 + [-n * math.log(n) for n in range(65, 71)]}
+
+    def test_table_whose_norms_vanish_only_in_the_window_still_profiles(self, tmp_path, capsys):
+        path = tmp_path / "late.json"
+        path.write_text(json.dumps(self.LATE_TABLE))
+        code, out, _ = run(["validate", "--spec", str(path)], capsys)
+        assert (code, json.loads(out)["verdict"]) == (0, "pass")
+        code, out, _ = run(["profile", "--spec", str(path), "--sigma", "1:2:4"], capsys)
+        assert code == 0
+        assert len(json.loads(out)["samples"]) == 4
+
     def test_unknown_field_is_a_usage_error_everywhere(self, tmp_path, capsys):
         doc = {"family": "expexp", "a": 1, "c": 1, "bogus": 2}
         path = tmp_path / "bogus.json"
@@ -222,7 +258,6 @@ class TestIndicator:
 
     def test_all_kinds_sample_each_surrogate_once(self, tmp_path, capsys, monkeypatch):
         # six indicators and the plot data all read one sampled set
-        import rittgrowth.cli as cli_mod
         import rittgrowth.indicators as indicators_mod
         from rittgrowth.growth import sample_profile
         calls = []
@@ -662,6 +697,58 @@ class TestDeterminism:
             assert code == 0
             outs.append(out_path.read_bytes())
         assert outs[0] == outs[1]
+
+
+class TestRepeatedCalls:
+    # main may be called many times in one process; the parser is built once and
+    # no call leaves anything behind for the next
+    RELATIVE = ["relative", "--f-spec", "tower:k=2,rho=2,q=0", "--g-spec", "tower:k=2,rho=1,q=0",
+                "--p", "0", "--q", "0", "--sigma", "5:12:32:log"]
+
+    def test_output_file_does_not_carry_over(self, tmp_path, capsys):
+        out_path = tmp_path / "report.json"
+        assert main(self.RELATIVE + ["--output", str(out_path)]) == 0
+        assert capsys.readouterr().out == ""
+        code, out, _ = run(self.RELATIVE, capsys)
+        assert code == 0
+        assert out == out_path.read_text()
+
+    def test_usage_error_does_not_carry_over(self, capsys):
+        build_parser.cache_clear()  # the next call is the process's first
+        first = run(self.RELATIVE, capsys)
+        assert first[0] == 0
+        with pytest.raises(SystemExit) as exc:
+            main(["relative", "--f-spec", "tower:k=2,rho=2,q=0", "--p", "x"])
+        assert exc.value.code == 2
+        assert run(["relative"] + self.RELATIVE[1:-1] + ["5-12"], capsys)[0] == 2
+        assert run(self.RELATIVE, capsys) == first
+        assert build_parser.cache_info().misses == 1
+
+    def test_parser_is_built_on_first_use_only(self):
+        # a fresh interpreter: importing the CLI builds no parser, the first main call
+        # builds it (with its subcommand parsers) and later calls build none
+        code = (
+            "import argparse, contextlib, io\n"
+            "built = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "def counting(self, *args, **kwargs):\n"
+            "    built.append(1)\n"
+            "    init(self, *args, **kwargs)\n"
+            "argparse.ArgumentParser.__init__ = counting\n"
+            "import rittgrowth.cli as cli\n"
+            "counts = [len(built)]\n"
+            "for _ in range(3):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert cli.main(['corpus', 'list']) == 0\n"
+            "    counts.append(len(built))\n"
+            "print(counts)\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                             check=True)
+        counts = json.loads(out.stdout)
+        assert counts[0] == 0
+        assert counts[1] > 1
+        assert counts[1:] == [counts[1]] * 3
 
 
 def test_cli_imports_numpy_alone():

@@ -91,6 +91,18 @@ class TestTailEstimate:
         assert up.method == "window-extremum"
         assert up.direction_balance >= 0.2
 
+    def test_direction_balance_is_a_float(self):
+        # a plain float, never a numpy scalar; the oscillation above has rising and
+        # falling steps, the drift below only rising ones
+        sigmas = np.geomspace(3.0, 3.0 * math.exp(2.5 * 2 * math.pi), 500)
+        for ratios in ([1.5 + 0.5 * math.sin(math.log(s)) for s in sigmas],
+                       [s / math.log(s) for s in sigmas]):
+            seq = _make_seq(sigmas, ratios)
+            for mode in (LIMSUP, LIMINF):
+                est = tail_estimate(seq, mode)
+                assert type(est.direction_balance) is float
+                assert type(seq.fit(len(seq.points)).balance) is float
+
     def test_bias_removal(self):
         # r = 2 + 5/sigma has limsup 2; the window extremum alone would not
         # reach 1e-3 accuracy on this range, the regression intercept does

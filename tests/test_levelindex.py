@@ -2,6 +2,7 @@
 
 import functools
 import math
+import pickle
 import re
 
 import mpmath
@@ -69,6 +70,31 @@ class TestBands:
             ExtReal(1, 0.5)
         with pytest.raises(ValueError):
             ExtReal(2, E)
+
+
+class TestValue:
+    # an ExtReal is an immutable value: hashable, equal by value, picklable
+    def test_fields_cannot_be_assigned(self):
+        x = ExtReal(1, 1.5)
+        with pytest.raises(AttributeError):
+            x.level = 2
+        with pytest.raises(AttributeError):
+            x.mantissa = 2.0
+        assert x == ExtReal(1, 1.5)
+
+    def test_equal_values_have_equal_hashes(self):
+        for a, b in ((from_real(100.0), from_real(100.0)), (ExtReal(0, -0.0), ExtReal(0, 0.0)),
+                     (exp_iter(ExtReal(0, 2.0), 3), exp_iter(ExtReal(0, 2.0), 3))):
+            assert a == b
+            assert hash(a) == hash(b)
+        assert len({ExtReal(0, -0.0), ExtReal(0, 0.0), ExtReal(1, 1.0)}) == 2
+        assert compare(ExtReal(0, -0.0), ExtReal(0, 0.0)) == 0
+
+    def test_pickle_round_trip(self):
+        for x in (ExtReal(0, -3.5), ExtReal(3, 1.0), from_real(1e300)):
+            y = pickle.loads(pickle.dumps(x))
+            assert type(y) is ExtReal
+            assert (y, repr(y)) == (x, repr(x))
 
 
 class TestLogIter:
