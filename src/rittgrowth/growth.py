@@ -22,6 +22,9 @@ misses starts its bracket from those two evaluations, one secant step
 wide; a source without an inverse (a test double) searches up from its
 floor.  No inversion reads another, so each composed point
 (``compose_samples``) is a function of the source and its target alone.
+
+Grids, profiles and inversions are plain floats and level-index values;
+only a series' term-by-term windows use numpy (``series._Edges``).
 """
 
 from __future__ import annotations
@@ -29,8 +32,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
-
-import numpy as np
 
 from .errors import BracketError, DomainError, ExtRangeError, NumericError
 from .levelindex import ExtReal, compare, log_iter, to_real
@@ -67,9 +68,22 @@ class GridSpec:
             raise ValueError("log spacing needs sigma_min > 0")
 
     def sigmas(self) -> list[float]:
-        if self.spacing == "linear":
-            return [float(s) for s in np.linspace(self.sigma_min, self.sigma_max, self.count)]
-        return [float(s) for s in np.geomspace(self.sigma_min, self.sigma_max, self.count)]
+        """The grid's points, both ends exact.
+
+        A linear grid is np.linspace's, bit for bit: i * step + sigma_min, or
+        i / (count - 1) * span + sigma_min where the step underflows to 0.  A
+        log grid is exp(i * step + log sigma_min); it differs from
+        np.geomspace's power of 10 in the last bits.
+        """
+        lo, hi, div = self.sigma_min, self.sigma_max, self.count - 1
+        if self.spacing == "log":
+            start = math.log(lo)
+            step = (math.log(hi) - start) / div
+            return [lo] + [math.exp(i * step + start) for i in range(1, div)] + [hi]
+        step = (hi - lo) / div
+        if step:
+            return [i * step + lo for i in range(div)] + [hi]
+        return [i / div * (hi - lo) + lo for i in range(div)] + [hi]
 
     def describe(self) -> dict:
         return {"sigma_min": self.sigma_min, "sigma_max": self.sigma_max,

@@ -23,7 +23,8 @@ checks.  An indicator pair builds one ratio sequence per
 pairing, read by its limsup and liminf alike (a type and a weak type of equal
 exponents share it), and each grid point's denominator once for all pairings,
 in floats.  A sequence fits each tail window once (RatioSequence.fit), in
-closed form: every mode and label reads that fit.
+closed form over plain lists with every sum an fsum: every mode and label
+reads that fit.
 
 An estimate reads only the tail of its ratio sequence, so a curve is
 sampled at grid index 0 and the last W = max(_MIN_POINTS, ceil(window * n))
@@ -41,10 +42,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from itertools import chain
+from itertools import chain, islice
+from operator import lt, mul
 from typing import Callable, Iterator, Optional, Sequence
-
-import numpy as np
 
 from .errors import DetectionFailedError, DomainError, IndicatorUndefinedError
 from .growth import DEFAULT_GRID, GridSpec, SourceBundle, compose_samples, sample_profile
@@ -256,47 +256,59 @@ def _unscale(v: float, e: int) -> float:
         return math.copysign(math.inf, v)
 
 
+def _centred(vs: list[float], e: int) -> tuple[list[float], float]:
+    """vs scaled by 2**-e, less their mean, and that mean; fsum makes both
+    independent of the order of vs."""
+    scaled = [math.ldexp(v, -e) for v in vs]
+    mean = math.fsum(scaled) / len(scaled)
+    return [v - mean for v in scaled], mean
+
+
 def _fit_window(win: Sequence[RatioPoint]) -> WindowFit:
     """WindowFit of a window, each least-squares line in closed form from centred sums.
 
     The finite ratios are scaled by an exact power of two to at most 1 in
     magnitude, so their squares and sums stay finite, and so are the
-    regressors (subnormal xs would otherwise square to 0).
+    regressors (subnormal xs would otherwise square to 0).  Every sum is
+    an fsum, so the intercept and its residual do not depend on the
+    order of the window's points.  A ratio is finite or infinite, never
+    nan (ratio_to_float), so the window's extremes tell whether all are
+    finite.
     """
-    rs = np.array([p.ratio for p in win])
-    finite = np.isfinite(rs)
-    every = bool(finite.all())
-    rf = rs if every else rs[finite]
-    n = rf.size
-    e = math.frexp(float(np.abs(rf).max()))[1] if n else 0
-    scaled = np.ldexp(rf, -e)
-    mean = float(scaled.sum()) / n if n else 0.0
-    resid = scaled - mean
+    rs = [p.ratio for p in win]
+    high, low = max(rs), min(rs)
+    every = math.isfinite(high) and math.isfinite(low)
+    rf = rs if every else [r for r in rs if math.isfinite(r)]
+    n = len(rf)
+    if not n:
+        return WindowFit(0.0, None, None, high, low, 0.0)
+    e = math.frexp(max(high, -low) if every else max(map(abs, rf)))[1]
+    resid, mean = _centred(rf, e)
     trend = 0.0
     if n >= 2:
-        t = np.arange(n, dtype=float) if every else np.flatnonzero(finite).astype(float)
-        t -= float(t.sum()) / n
-        trend = _unscale(float(t @ resid) / float(t @ t), e)
+        t = range(n) if every else [i for i, r in enumerate(rs) if math.isfinite(r)]
+        t_mean = sum(t) / n  # exact over every position
+        t = [i - t_mean for i in t]
+        trend = _unscale(math.fsum(map(mul, t, resid)) / math.fsum(map(mul, t, t)), e)
 
     intercept = resid_rms = None
     if every:
-        xs = np.array([p.regressor for p in win])
-        x_max = float(np.abs(xs).max())
-        if float(xs.max() - xs.min()) > 1e-13 * max(x_max, 1e-300):
-            xs = np.ldexp(xs, -math.frexp(x_max)[1])
-            x_mean = float(xs.sum()) / n
-            xs -= x_mean
-            slope = float(xs @ resid) / float(xs @ xs)
-            resid -= slope * xs
+        xs = [p.regressor for p in win]
+        x_hi, x_lo = max(xs), min(xs)
+        x_max = max(x_hi, -x_lo)
+        if x_hi - x_lo > 1e-13 * max(x_max, 1e-300):
+            xs, x_mean = _centred(xs, math.frexp(x_max)[1])
+            slope = math.fsum(map(mul, xs, resid)) / math.fsum(map(mul, xs, xs))
+            resid = [r - slope * x for r, x in zip(resid, xs)]
             mean -= slope * x_mean
         intercept = _unscale(mean, e)
-        resid_rms = _unscale(math.sqrt(float(resid @ resid) / n), e)
+        resid_rms = _unscale(math.sqrt(math.fsum(map(mul, resid, resid)) / n), e)
 
     balance = 0.0
     if n >= 3:
-        up = float(np.count_nonzero(rf[1:] > rf[:-1]) / (n - 1))  # rising steps
+        up = float(sum(map(lt, rf, islice(rf, 1, None)))) / (n - 1)  # rising steps
         balance = min(up, 1.0 - up)
-    return WindowFit(trend, intercept, resid_rms, float(rs.max()), float(rs.min()), balance)
+    return WindowFit(trend, intercept, resid_rms, high, low, balance)
 
 
 def tail_estimate(seq: RatioSequence, mode: str, window: float = WINDOW,

@@ -30,12 +30,22 @@ _E = math.e
 EXP_LIMIT = 709.782712893384
 
 
-@dataclass(frozen=True, slots=True, order=True)
+@dataclass(frozen=True, order=True)
 class ExtReal:
-    """Immutable level-index number: value = exp^[level](mantissa)."""
+    """Immutable level-index number: value = exp^[level](mantissa).
 
+    The slots are declared here, not by the dataclass (slots=True), so the
+    frozen __setattr__ refers to this class itself and refuses any name with
+    an AttributeError.  Pickling rebuilds through the constructor, which
+    also checks the bands.
+    """
+
+    __slots__ = ("level", "mantissa")
     level: int
     mantissa: float
+
+    def __reduce__(self):
+        return ExtReal, (self.level, self.mantissa)
 
     def __post_init__(self):
         if self.level < 0:

@@ -19,6 +19,11 @@ generator places within a few steps and its neighbours confirm.  The sum
 is a walk from there: term by term on narrow windows, in blocks under
 concave quadratics on wide ones, laid out by the local Gaussian model
 (Hayman, Canad. Math. Bull. 17, 1974); see log_sum_upper.
+
+Everything here is plain floats except the term-by-term windows, which
+an infinite series' array generators evaluate in one numpy call each.
+numpy is imported there, on first use, so a process that sums no such
+window (tables, validate, the synthetic rules) never loads it.
 """
 
 from __future__ import annotations
@@ -27,12 +32,13 @@ import functools
 import math
 import sys
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from .errors import DomainError, NumericError, SpecFormatError, TailBoundError
 from .levelindex import ExtReal, from_real, lse_accumulate, to_real
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Hard cap for the walk's widening reach; 2000 doublings cover every index
 # reachable before term magnitudes overflow the double range.
@@ -55,7 +61,7 @@ _INVERSE_ROUNDS = 4  # Newton steps, and index re-roundings, of expexp's lower i
 _TABLE_NEWTON_STEPS = 32  # at most, for a table's upper inverse
 _TABLE_NEWTON_TOL = 1e-13  # relative Newton step at which it stops
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
-_LOG_FACTORIALS = np.array([math.log(math.factorial(n)) for n in range(256)])
+_LOG_FACTORIALS = [math.log(math.factorial(n)) for n in range(256)]
 
 
 @dataclass(frozen=True)
@@ -66,7 +72,8 @@ class SeriesSpec:
     n_limit and needs nothing else.  An infinite series (n_limit None)
     must also supply:
       * lam_array / log_norm_array: the same generators on a float ndarray
-        of indices, which evaluate a term-by-term window in one call;
+        of indices, which evaluate a term-by-term window in one call (the
+        only numpy in the package: _Edges imports it for them);
       * peak: sigma -> a real whose rounding lies within _PEAK_CLIMB steps
         of the maximum term's index, the central index; max_term_log climbs
         from it to that index, and log_sum_upper starts there.
@@ -129,6 +136,8 @@ def expexp_spec(a: float, c: float) -> SeriesSpec:
 
     def log_norm_arr(ns: np.ndarray) -> np.ndarray:
         # log n!: Stirling's series (A&S 6.1.41) to 1/(360n^3), a table below 256
+        import numpy as np
+
         small = ns < 256.0
         x = np.maximum(ns, 256.0) if small.any() else ns
         log_x, r = np.log(x), 1.0 / x
@@ -138,7 +147,7 @@ def expexp_spec(a: float, c: float) -> SeriesSpec:
         log_x += r + 0.5 * math.log(2.0 * math.pi)
         out += log_x
         if x is not ns:
-            out[small] = _LOG_FACTORIALS[ns[small].astype(np.intp)]
+            out[small] = np.array(_LOG_FACTORIALS)[ns[small].astype(np.intp)]
         return np.subtract(ns * log_c, out, out=out)
 
     def peak(sigma: float) -> float:
@@ -252,9 +261,12 @@ def validate(spec: SeriesSpec, n_max: int = 128) -> ValidationReport:
     ratios = [(n, lns[n - 1] / lams[n - 1]) for n in range(n_max // 2, n_max + 1)
               if lams[n - 1] > 0 and lns[n - 1] != -math.inf]
     if len(ratios) >= 2:
-        xs = np.array([n for n, _ in ratios], dtype=float)
-        ys = np.array([r for _, r in ratios], dtype=float)
-        trend = float(np.polyfit(xs, ys, 1)[0])
+        # the least-squares slope sum((n - mean n)(y - mean y)) / sum((n - mean n)**2), both
+        # sums times k, the index factors exact in integers
+        k, s_n = len(ratios), sum(n for n, _ in ratios)
+        y_mean = math.fsum(y for _, y in ratios) / k
+        trend = (math.fsum((k * n - s_n) * (y - y_mean) for n, y in ratios)
+                 / (k * sum(n * n for n, _ in ratios) - s_n * s_n))
     else:
         trend = -math.inf  # all-vanishing tail decays trivially
 
@@ -335,7 +347,13 @@ def max_term_log(spec: SeriesSpec, sigma: float) -> tuple[int, ExtReal]:
     Beyond 2**53 the index is tracked as a float; the flat peak makes the
     sub-integer placement irrelevant there.
     """
-    t = functools.lru_cache(maxsize=None)(lambda n: term_log(spec, n, sigma))  # the climb re-reads terms
+    memo = {}  # the climb re-reads terms
+
+    def t(n):
+        if n not in memo:
+            memo[n] = term_log(spec, n, sigma)
+        return memo[n]
+
     if spec.n_limit is not None:
         best = max(range(1, spec.n_limit + 1), key=t)
     else:
@@ -359,9 +377,15 @@ def _tails(ns, f, err):
 
 
 class _Edges:
-    """Every term of a window, from the array generators; logs relative to t(n*)."""
+    """Every term of the window first..last, from the array generators; logs relative to t(n*).
 
-    def __init__(self, spec: SeriesSpec, sigma: float, ns: np.ndarray, t_star: float):
+    The one step that needs numpy, imported here on first use.
+    """
+
+    def __init__(self, spec: SeriesSpec, sigma: float, first: float, last: float, t_star: float):
+        import numpy as np
+
+        ns = np.arange(first, last + 1.0)
         try:
             ln = spec.log_norm_array(ns)
             s_lam = sigma * spec.lam_array(ns)
@@ -533,7 +557,7 @@ def log_sum_upper(spec: SeriesSpec, sigma: float) -> ExtReal:
         if not blocked and span[0] + span[1] > _EXACT_TERMS:  # blocks weigh tails against their slack
             blocked, span = True, reach(_BLOCK_TAIL)
         walk = (_Blocks(spec, sigma, n_star, t_star, dev, span, noise) if blocked else
-                _Edges(spec, sigma, np.arange(n_star - span[0], n_star + span[1] + 1.0), t_star))
+                _Edges(spec, sigma, n_star - span[0], n_star + span[1], t_star))
         if max(walk.tails) <= walk.cut:
             break
         span = [min(2.0 * span[0], n_star - 1.0) if walk.tails[0] > walk.cut else span[0],

@@ -504,13 +504,17 @@ class TestWindow:
     # (log_chain), with no level-index round trip: expexp's report moved through
     # its q = 0 type denominators; the tower and osc reports, plot data and
     # profiles moved through their rules.  Every other output is unchanged.
+    # They were recorded again when grids, window fits and validate left numpy: the log
+    # grids' last bits moved every output of the two log-grid cases, and the fsum fits
+    # moved expexp's report by 1 ulp; no field but a float changed, and the largest
+    # drift is the tower's extrapolated types, 1 - 9.3e-12 -> 1 + 6.9e-13 (exactly 1).
     WHOLE_GRID = {
-        ("expexp:a=2,c=1", "5:30:64"): ("4c03e8b62dbc3499", "7ae328ad7edf6878",
+        ("expexp:a=2,c=1", "5:30:64"): ("7786f65f9d4c1b92", "7ae328ad7edf6878",
                                         "0f4aaca6a8c61646", "37eb8cde29950b90"),
-        ("tower:k=2,rho=1.5,q=0", "5:3e4:200:log"): ("8c790d931693b3b5", "f7e1fcd080949589",
-                                                     "b3cd00c122d35af7", "d7de10a3c8ad4516"),
+        ("tower:k=2,rho=1.5,q=0", "5:3e4:200:log"): ("2e2aca2376698395", "d97701f9dc49025f",
+                                                     "fdc1aec6b8e725e8", "251a5b7b0c06c5d7"),
         ("osc:rho=2,lam=1,p=2,q=0", "3:460658806.18633974:480:log"): (
-            "4701a6075241924c", "148c4622a4fa3f55", "f98de3725e1f264e", "09d4850ada0509a6"),
+            "db639b20b403674a", "e210ed5d9db3bf66", "fdbdb06bb69da2a6", "3f5cc7122e6bc25b"),
     }
 
     @pytest.mark.parametrize("spec,sigma", list(WHOLE_GRID))
@@ -751,8 +755,41 @@ class TestRepeatedCalls:
         assert counts[1:] == [counts[1]] * 3
 
 
+def test_numpy_loads_only_to_sum_a_term_by_term_window(tmp_path):
+    # a fresh interpreter: the CLI, the tower and osc rules, relative compositions and a
+    # table's validation run on the standard library alone; an expexp upper sum, which
+    # evaluates its window through the array generators, is what brings numpy in
+    table = tmp_path / "t.json"
+    table.write_text(json.dumps({"family": "table", "lambda": list(range(1, 20)),
+                                 "log_norm": [-math.lgamma(n + 1.0) for n in range(1, 20)]}))
+    grid = ["--sigma", "3:460658806.18633974:96:log"]
+    towers = ["tower:k=3,rho=2.5,q=0", "--g-spec", "tower:k=3,rho=1.1,q=0"]
+    calls = [[],
+             ["relative", "--f-spec", "osc:rho=3,lam=1.5,p=2,q=0", "--g-spec",
+              "tower:k=2,rho=1.2,q=0", "--p", "0", "--q", "0", *grid],
+             ["relative", "--f-spec", *towers, "--p", "0", "--q", "0", *grid],
+             ["detect", "--spec", *towers, *grid],
+             ["validate", "--spec", str(table)],
+             ["profile", "--spec", "expexp:a=1,c=1", "--sigma", "1:2:4"]]
+    script = tmp_path / "loads.py"
+    script.write_text(
+        "import contextlib, io, json, sys\n"
+        "import rittgrowth.cli as cli\n"
+        "loaded = []\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    if argv:\n"
+        "        with contextlib.redirect_stdout(io.StringIO()):\n"
+        "            assert cli.main(argv) == 0, argv\n"
+        "    loaded.append('numpy' in sys.modules)\n"
+        "print(json.dumps(loaded))\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    out = subprocess.run([sys.executable, str(script), json.dumps(calls)], env=env,
+                         capture_output=True, text=True, check=True)
+    assert json.loads(out.stdout) == [False] * 5 + [True]
+
+
 def test_cli_imports_numpy_alone():
-    # a fresh interpreter: rittgrowth depends on numpy and no other package
+    # a fresh interpreter: rittgrowth depends on no package but numpy
     code = "import sys, rittgrowth.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)

@@ -8,6 +8,7 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from rittgrowth.corpus import parse_shorthand, resolve_source
 from rittgrowth.errors import BracketError, DomainError, NumericError
@@ -34,6 +35,28 @@ class TestGridSpec:
     def test_log_spacing(self):
         g = GridSpec(1.0, 100.0, 3, "log")
         assert g.sigmas() == pytest.approx([1.0, 10.0, 100.0])
+
+    @given(st.floats(allow_nan=False, allow_infinity=False),
+           st.floats(allow_nan=False, allow_infinity=False), st.integers(2, 600))
+    @example(0.0, 1e-323, 6)  # the step underflows to 0
+    @example(-1e308, 1e308, 3)  # the span overflows
+    @settings(max_examples=300, deadline=None)
+    def test_linear_is_np_linspace_bit_for_bit(self, lo, hi, count):
+        lo, hi = min(lo, hi), max(lo, hi)
+        if lo == hi:
+            return
+        with np.errstate(all="ignore"):
+            want = np.linspace(lo, hi, count).tolist()
+        assert [s.hex() for s in GridSpec(lo, hi, count).sigmas()] == [s.hex() for s in want]
+
+    @given(st.floats(1e-6, 1e6), st.floats(1e-9, 60.0), st.integers(2, 2000))
+    @settings(max_examples=300, deadline=None)
+    def test_log_is_np_geomspace_within_1e_13(self, lo, log_ratio, count):
+        hi = lo * math.exp(log_ratio)
+        got = GridSpec(lo, hi, count, "log").sigmas()
+        assert (got[0], got[-1], len(got)) == (lo, hi, count)
+        want = np.geomspace(lo, hi, count)
+        assert float(np.max(np.abs(np.array(got) - want) / want)) <= 1e-13
 
     def test_bad_grids(self):
         with pytest.raises(ValueError):
@@ -543,9 +566,6 @@ class TestGuess:
         sigmas = GridSpec(5.0, 30.0, 64).sigmas()
         compose_samples(g, sigmas, [f.log_m(s) for s in sigmas])
         assert g.calls == 2 * len(sigmas)
-
-
-from hypothesis import example, given, settings, strategies as st
 
 
 @given(st.floats(min_value=0.5, max_value=2.5), st.floats(min_value=0.5, max_value=4.0),

@@ -683,6 +683,62 @@ def test_window_fit_matches_polyfit(window):
             assert est.converged == (drift <= bound)
 
 
+def _lstsq_window(rs, xs):
+    """(trend, intercept, resid_rms) by np.linalg.lstsq on the columns [1, t] and [1, x],
+    x scaled by a power of two; the last two None unless every ratio is finite."""
+    def line(cols, ys):
+        a = np.column_stack([np.ones(ys.size), cols])
+        return np.linalg.lstsq(a, ys, rcond=None)[0], a
+
+    finite = np.isfinite(rs)
+    trend = (float(line(np.flatnonzero(finite).astype(float), rs[finite])[0][1])
+             if finite.sum() >= 2 else 0.0)
+    if not finite.all():
+        return trend, None, None
+    if float(xs.max() - xs.min()) > 1e-13 * max(abs(float(xs.max())), 1e-300):
+        coef, a = line(np.ldexp(xs, -math.frexp(float(np.abs(xs).max()))[1]), rs)
+    else:
+        coef, a = line(np.zeros(rs.size), rs)
+    resid = rs - a @ coef
+    scale = float(np.abs(resid).max()) or 1.0
+    return trend, float(coef[0]), scale * math.sqrt(float(np.mean((resid / scale) ** 2)))
+
+
+@given(_windows())
+@settings(max_examples=300, deadline=None)
+def test_window_fit_matches_lstsq(window):
+    # the lists' fit agrees with an SVD least-squares solve within 1e-9 of the window's
+    # scale, as with np.polyfit above
+    rs, xs = window
+    seq = RatioSequence("order", 2, 0, None, tuple(RatioPoint(float(i), float(r), float(x))
+                                                   for i, (r, x) in enumerate(zip(rs, xs))), ())
+    with np.errstate(all="ignore"):
+        trend, intercept, resid_rms = _lstsq_window(rs, xs)
+    fit = seq.fit(rs.size)
+    finite = rs[np.isfinite(rs)]
+    scale = float(np.abs(finite).max()) if finite.size else 0.0
+    assert _near(fit.trend, trend, scale / rs.size)
+    assert (fit.intercept is None) == (intercept is None)
+    if intercept is not None:
+        assert _near(fit.intercept, intercept, scale)
+        assert _near(fit.resid_rms, resid_rms, scale)
+
+
+@given(_windows(), st.randoms(use_true_random=False))
+@settings(max_examples=300, deadline=None)
+def test_window_intercept_does_not_depend_on_point_order(window, rnd):
+    # every sum is an fsum: the same points in any order give the same line, bit for bit
+    rs, xs = window
+    points = [RatioPoint(float(i), float(r), float(x)) for i, (r, x) in enumerate(zip(rs, xs))]
+    shuffled = rnd.sample(points, len(points))
+
+    def bits(fit):
+        return [None if v is None else v.hex()
+                for v in (fit.intercept, fit.resid_rms, fit.high, fit.low)]
+
+    assert bits(indicators_mod._fit_window(shuffled)) == bits(indicators_mod._fit_window(points))
+
+
 def _level_index_denominator(sigma, kind, q, rho):
     """A denominator as level-index arithmetic builds it, None off its domain."""
     try:

@@ -82,6 +82,12 @@ class TestValue:
             x.mantissa = 2.0
         assert x == ExtReal(1, 1.5)
 
+    def test_other_names_cannot_be_assigned(self):
+        x = ExtReal(1, 1.5)
+        with pytest.raises(AttributeError):
+            x.other = 0
+        assert not hasattr(x, "__dict__")
+
     def test_equal_values_have_equal_hashes(self):
         for a, b in ((from_real(100.0), from_real(100.0)), (ExtReal(0, -0.0), ExtReal(0, 0.0)),
                      (exp_iter(ExtReal(0, 2.0), 3), exp_iter(ExtReal(0, 2.0), 3))):
@@ -92,9 +98,10 @@ class TestValue:
 
     def test_pickle_round_trip(self):
         for x in (ExtReal(0, -3.5), ExtReal(3, 1.0), from_real(1e300)):
-            y = pickle.loads(pickle.dumps(x))
-            assert type(y) is ExtReal
-            assert (y, repr(y)) == (x, repr(x))
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+                y = pickle.loads(pickle.dumps(x, protocol))
+                assert type(y) is ExtReal
+                assert (y, repr(y)) == (x, repr(x))
 
 
 class TestLogIter:

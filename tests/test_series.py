@@ -7,6 +7,7 @@ import sys
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rittgrowth.corpus import series_spec
 from rittgrowth.errors import DomainError, NumericError, SpecFormatError
@@ -51,6 +52,30 @@ class TestValidate:
         report = validate(bad, 32)
         assert report.verdict == "fail"
         assert report.coeff_decay_trend >= 0
+
+    @given(st.lists(st.floats(0.01, 10.0), min_size=16, max_size=200), st.floats(-3.0, 1.0),
+           st.floats(0.0, 1e3), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_trend_is_the_polyfit_slope(self, steps, power, noise, seed):
+        # a table whose log-norm falls like -n**(1 + power), plus noise and vanishing terms:
+        # the closed-form slope matches np.polyfit's within 1e-9 of the ratios' scale, and
+        # the verdict is the one polyfit's slope gives wherever that slope clears the
+        # thresholds by more
+        rng = np.random.default_rng(seed)
+        n = np.arange(1, len(steps) + 1)
+        lam = np.cumsum(steps)
+        ln = -n ** (1.0 + power) + noise * rng.standard_normal(n.size)
+        ln[rng.random(n.size) < 0.1] = -math.inf
+        report = validate(table_spec("t", lam.tolist(), ln.tolist()), 256)
+        keep = (n >= n.size // 2) & np.isfinite(ln)
+        if keep.sum() < 2:
+            return
+        xs, ys = n[keep].astype(float), ln[keep] / lam[keep]
+        want = float(np.polyfit(xs, ys, 1)[0])
+        tol = 1e-9 * float(np.abs(ys).max()) / n.size
+        assert abs(report.coeff_decay_trend - want) <= tol
+        if all(abs(want - edge) > tol for edge in (0.0, -1e-4)):
+            assert report.verdict == ("fail" if want >= 0 else "warn" if want > -1e-4 else "pass")
 
     def test_generator_failure_is_fail_verdict(self):
         def boom(n):
@@ -418,9 +443,6 @@ def test_block_tangent_fallback(fa, fb, w, d):
                                            for u in us)))
     got = _log_block(fa, fb, w, d)
     assert ref - 4 * sys.float_info.epsilon * abs(ref) <= got <= ref + 1.0
-
-
-from hypothesis import given, settings, strategies as st
 
 
 @given(st.floats(min_value=0.5, max_value=3.0), st.floats(min_value=0.5, max_value=5.0),
