@@ -2,7 +2,7 @@
 
 Each statement relates the indicators of f and g measured through a third
 function h.  Statements are data: a row of STATEMENTS lists hypotheses
-and clauses (``_clause``), compiled once, at import, into a function.
+and clauses (``_clause``) that ``check_instance`` walks per instance.
 Hypotheses are reported under their own text; once a group is not met by
 the estimates the verdict is "vacuous", never "fail" - a conditional
 claim cannot be falsified by a failed premise.  Operands are evaluated
@@ -28,6 +28,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property, partial
+from operator import attrgetter
 from typing import Optional
 
 from .corpus import CorpusEntry, grid_spec, integer, number, read_fields, resolve_source
@@ -66,7 +67,7 @@ class TheoremInstance:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Quantity:
     """A chain entry: point value plus the surrogate-pairing interval."""
 
@@ -85,7 +86,9 @@ class Quantity:
 def _q_ratio(a: Quantity, b: Quantity, label: str) -> Quantity:
     if b.lo <= 0:
         raise IncompleteInstanceError(f"ratio {label} needs a positive denominator interval")
-    return Quantity(label, a.value / b.value, a.lo / b.hi, a.hi / b.lo)
+    # a numerator end below zero is extreme over the denominator's near end
+    return Quantity(label, a.value / b.value, a.lo / (b.lo if a.lo < 0 else b.hi),
+                    a.hi / (b.hi if a.hi < 0 else b.lo))
 
 
 def _q_mul(a: Quantity, b: Quantity, label: str) -> Quantity:
@@ -118,7 +121,7 @@ def _quantity(est: Optional[IndicatorEstimate], label: str) -> Quantity:
     return Quantity(label, est.value, est.lo, est.hi)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Link:
     relation: str  # "le" | "ge" | "eq"
     left: Quantity
@@ -209,110 +212,107 @@ def _regular(rho: IndicatorEstimate, lam: IndicatorEstimate, tol: float) -> bool
     return gap <= tol + 0.5 * abs(rho.hi - rho.lo) + 0.5 * abs(lam.hi - lam.lo)
 
 
-# The table compiler.  Generated code reads the run ``c``: "rho_h(f)" is c.fh.rho.
-_NAMES = {f"{sym}_{of}": f"c.{pair}.{'lam' if sym == 'lambda' else sym.lower()}"
+# The table evaluator.  "rho_h(f)" is run.fh.rho.
+_NAMES = {f"{sym}_{of}": attrgetter(f"{pair}.{'lam' if sym == 'lambda' else sym.lower()}")
           for sym in ("rho", "lambda", "Delta", "Delta_bar", "tau", "tau_bar")
           for of, pair in (("h(f)", "fh"), ("h(g)", "gh"), ("g(f)", "fg"), ("f(g)", "gf"))}
 
+_CLAIMS = {"finite nonzero": lambda est: est is not None and finite_nonzero(est.value),
+           "available": lambda est: est is not None,
+           "~ 0": lambda est: est.value < FINITE_EPS,
+           "~ inf": lambda est: est.value > 1.0 / FINITE_EPS}
 
-def _src(e, local: dict) -> str:
-    """Python source of an expression: a named quantity, a let name, "a/b",
-    "a * b", ("pow_inv", base, exponent, label), ("min" | "max", label,
-    *operands), ("const", value, label), ("as", name, label), ("point",
-    operand, label) or ("threshold", "ge" | "le").  ``local`` maps let
-    names, and named quantities and constants once used, to variables."""
+
+def _eval(e, run, local: dict) -> Quantity:
+    """An expression's quantity: a named quantity, a let name, "a/b", "a * b",
+    ("pow_inv", base, exponent, label), ("min" | "max", label, *operands),
+    ("const", value, label), ("as", name, label), ("point", operand, label)
+    or ("threshold", "ge" | "le").  ``local`` holds let names, and named
+    quantities and constants from their first use on."""
     if e in local:
         return local[e]
     if e in _NAMES or e[0] == "const":  # built at first use, then reused
-        local[e] = var = f"v{len(local)}"
-        value = f"_point({e[2]!r}, {e[1]!r})" if e[0] == "const" else f"_quantity({_NAMES[e]}, {e!r})"
-        return f"({var} := {value})"
+        return local.setdefault(e, _point(e[2], e[1]) if e[0] == "const" else _quantity(_NAMES[e](run), e))
     if isinstance(e, str):  # labelled by its text, so both operands are named
-        sep, op = ("/", "_q_ratio") if "/" in e else (" * ", "_q_mul")
+        sep, op = ("/", _q_ratio) if "/" in e else (" * ", _q_mul)
         a, b = e.split(sep)
-        return f"{op}({_src(a, local)}, {_src(b, local)}, {e!r})"
+        return op(_eval(a, run, local), _eval(b, run, local), e)
     op, x, *rest = e
     if op == "pow_inv":
-        return f"_q_pow_inv({_src(x, local)}, {_src(rest[0], local)}, {rest[1]!r})"
+        return _q_pow_inv(_eval(x, run, local), _eval(rest[0], run, local), rest[1])
     if op in ("min", "max"):
-        return f"_q_fold({op}, {x!r}, {', '.join(_src(y, local) for y in rest)})"
+        return _q_fold(min if op == "min" else max, x, *(_eval(y, run, local) for y in rest))
     if op == "threshold":
-        return f"_point('threshold', {'1.0 / ' if x == 'ge' else ''}FINITE_EPS)"
+        return _point("threshold", 1.0 / FINITE_EPS if x == "ge" else FINITE_EPS)
     if op == "as":
-        return f"_quantity({_NAMES[x]}, {rest[0]!r})"
+        return _quantity(_NAMES[x](run), rest[0])
     if op == "point":
-        return f"_point({rest[0]!r}, {_src(x, local)}.value)"
+        return _point(rest[0], _eval(x, run, local).value)
     raise ValueError(f"unknown operation '{op}'")
 
 
-def _cond_src(text: str, local: dict) -> str:
-    """Python source of a hypothesis or guard, from the text it is reported under."""
+def _holds(text: str, run, local: dict) -> bool:
+    """A hypothesis or guard, evaluated from the text it is reported under."""
     if text.endswith(" wrt h regular"):
-        return f"_regular(c.{text[0]}h.rho, c.{text[0]}h.lam, c.inst.tolerance)"
+        pair = getattr(run, f"{text[0]}h")
+        return _regular(pair.rho, pair.lam, run.inst.tolerance)
     name, _, claim = text.partition(" ")
     if claim.startswith("= "):  # equal within the instance tolerance and half-widths
-        return f"_link('eq', {_src(name, local)}, {_src(claim[2:], local)}, c.inst.tolerance).ok"
-    est = _NAMES[name]
-    return {"finite nonzero": f"({est} is not None and finite_nonzero({est}.value))",
-            "available": f"{est} is not None",
-            "~ 0": f"{est}.value < FINITE_EPS",
-            "~ inf": f"{est}.value > 1.0 / FINITE_EPS"}[claim]
+        return _link("eq", _eval(name, run, local), _eval(claim[2:], run, local), run.inst.tolerance).ok
+    return _CLAIMS[claim](_NAMES[name](run))
 
 
-def _clause(rel, *entries, let=(), when=(), otherwise=(), note="", tol=None) -> list:
-    """Source of a chain, its consecutive entries linked by ``rel`` ("le" or
-    "ge"), or with ``rel=None`` of (left, relation, right) claims reporting
-    their left sides.  ``let`` binds (name, expression) pairs first.  It
-    runs when its guards ``when`` hold, else ``otherwise`` does; ``note``
-    follows it; ``tol`` replaces the instance tolerance."""
+def _clause(rel, *entries, let=(), when=(), otherwise=None, note="", tol=None):
+    """A chain, its consecutive entries linked by ``rel`` ("le" or "ge"), or
+    with ``rel=None`` (left, relation, right) claims reporting their left
+    sides, as data that extends (run, chain, links).  ``let`` binds (name,
+    expression) pairs first.  It runs when its guards ``when`` hold, else
+    ``otherwise`` does; ``note`` follows it; ``tol`` replaces the tolerance."""
+    return partial(_apply_clause, rel, entries, let, when, otherwise, note, tol)
+
+
+def _apply_clause(rel, entries, let, when, otherwise, note, tol, run, chain, links):
     local: dict = {}
-    guard = " and ".join(_cond_src(text, local) for text in when)
-    lines = []
+    if not all(_holds(text, run, local) for text in when):
+        return otherwise(run, chain, links) if otherwise else None
     for name, e in let:
-        value = _src(e, local)
-        local[name] = f"v{len(local)}"
-        lines.append(f"{local[name]} = {value}")
-    tol = "c.inst.tolerance" if tol is None else repr(tol)
+        local[name] = _eval(e, run, local)
+    tol = run.inst.tolerance if tol is None else tol
     if rel is None:
-        for i, (left, r, right) in enumerate(entries):
-            lines += [f"l{i} = _link({r!r}, {_src(left, local)}, {_src(right, local)}, {tol})",
-                      f"chain.append(l{i}.left)", f"links.append(l{i})"]
+        for left, r, right in entries:
+            links.append(_link(r, _eval(left, run, local), _eval(right, run, local), tol))
+            chain.append(links[-1].left)
     else:
-        lines += [f"q{i} = {_src(e, local)}" for i, e in enumerate(entries)]
-        lines.append(f"chain += [{', '.join(f'q{i}' for i in range(len(entries)))}]")
-        lines += [f"links.append(_link({rel!r}, q{i - 1}, q{i}, {tol}))"
-                  for i in range(1, len(entries))]
-    lines += [f"c.notes.append({note!r})"] if note else []
-    if not when:
-        return lines
-    return [f"if {guard}:"] + _indent(lines) + (["else:"] + _indent(otherwise) if otherwise else [])
+        qs = [_eval(e, run, local) for e in entries]
+        chain += qs
+        links += [_link(rel, a, b, tol) for a, b in zip(qs, qs[1:])]
+    run.notes += [note] if note else []
 
 
 _claims = partial(_clause, None)  # (left, relation, right) claims
 
 
-def _indent(lines: list) -> list:
-    return ["    " + line for line in lines]
-
-
 def _statement(hyp, *clauses, note="", none_fired=None):
-    """A function of the run giving the reported entries and links, or None if
+    """As data, applied to a run: the reported entries and links, or None if
     vacuous: a hypothesis group failed, or no clause ran (``none_fired``)."""
-    lines = ["chain, links = [], []"]
+    return partial(_apply_statement, hyp, clauses, note, none_fired)
+
+
+def _apply_statement(hyp, clauses, note, none_fired, run):
+    chain, links = [], []
     for group in hyp:
-        lines += [f"c.hyp[{text!r}] = {_cond_src(text, {})}" for text in group]
-        lines.append("if not all(c.hyp.values()): return None")
-    lines += [f"c.notes.append({note!r})"] if note else []
+        run.hyp.update((text, _holds(text, run, {})) for text in group)
+        if not all(run.hyp.values()):
+            return None
+    run.notes += [note] if note else []
     for clause in clauses:
-        lines += clause
-    if none_fired:
+        clause(run, chain, links)
+    if none_fired and not links:
         text, missing = none_fired
-        lines += ["if not links:", f"    c.hyp[{text!r}] = False",
-                  f"    c.notes.append({missing!r})" if missing else "    pass", "    return None"]
-    code: dict = {}
-    exec("\n".join(["def statement(c):"] + _indent(lines + ["return chain, links"])),
-         globals(), code)
-    return code["statement"]
+        run.hyp[text] = False
+        run.notes += [missing] if missing else []
+        return None
+    return chain, links
 
 
 # The statements.

@@ -5,6 +5,7 @@ import math
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from rittgrowth.corpus import resolve_source
 from rittgrowth.errors import SpecFormatError
@@ -12,7 +13,8 @@ from rittgrowth.growth import GridSpec
 from rittgrowth.indicators import (IndicatorEstimate, RelativeIndicators, profile_samples,
                                    relative_indicators)
 from rittgrowth.theorems import (THEOREM_IDS, IndicatorWorkspace, Quantity, TheoremInstance,
-                                 _link, check_instance, load_batch, run_batch)
+                                 _link, _q_fold, _q_mul, _q_pow_inv, _q_ratio, check_instance,
+                                 load_batch, run_batch)
 
 OSC_GRID = GridSpec(3.0, 3.0 * math.exp(6 * math.pi), 480, "log")
 GOLDEN = Path(__file__).resolve().parent / "golden" / "theorem_paths.json"
@@ -201,6 +203,51 @@ class TestLink:
         assert not link.ok and math.isnan(link.slack)
 
 
+def _intervals(lo, hi, n=1):
+    """n intervals within [lo, hi], each as (lo, point inside, hi)."""
+    ends = st.lists(st.floats(lo, hi), min_size=3, max_size=3).map(sorted)
+    return st.lists(ends, min_size=n, max_size=n)
+
+
+def _enclosed(q, exact, ulps=0):
+    return q.lo - ulps * math.ulp(q.lo) <= exact <= q.hi + ulps * math.ulp(q.hi)
+
+
+class TestIntervalOps:
+    """The exact result at points inside the operand intervals lies in the
+    result's interval."""
+
+    @given(_intervals(-1e6, 1e6), _intervals(1e-3, 1e3))
+    @example([[-1.0, -1.0, 1.0]], [[1.0, 1.0, 2.0]])  # numerator reaching below zero
+    @settings(max_examples=300, deadline=None)
+    def test_ratio(self, a, b):
+        (a_lo, x, a_hi), (b_lo, y, b_hi) = a[0], b[0]
+        q = _q_ratio(Quantity("a", x, a_lo, a_hi), Quantity("b", y, b_lo, b_hi), "a/b")
+        assert _enclosed(q, x / y)
+
+    @given(_intervals(0.0, 1e6, 2))
+    @settings(max_examples=300, deadline=None)
+    def test_product(self, ab):
+        (a_lo, x, a_hi), (b_lo, y, b_hi) = ab
+        q = _q_mul(Quantity("a", x, a_lo, a_hi), Quantity("b", y, b_lo, b_hi), "a * b")
+        assert _enclosed(q, x * y)
+
+    @given(_intervals(1e-3, 1e3), _intervals(0.1, 10.0))
+    @settings(max_examples=300, deadline=None)
+    def test_root(self, base, expo):
+        (b_lo, x, b_hi), (e_lo, y, e_hi) = base[0], expo[0]
+        q = _q_pow_inv(Quantity("b", x, b_lo, b_hi), Quantity("e", y, e_lo, e_hi), "root")
+        # pow is faithful, not correctly rounded, so monotone only to an ulp
+        assert _enclosed(q, x ** (1.0 / y), ulps=2)
+
+    @pytest.mark.parametrize("fold", [min, max])
+    @given(n=st.integers(1, 4), data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_fold(self, fold, n, data):
+        qs = [Quantity("q", x, lo, hi) for lo, x, hi in data.draw(_intervals(-1e6, 1e6, n))]
+        assert _enclosed(_q_fold(fold, "fold", *qs), fold(q.value for q in qs))
+
+
 class TestBatch:
     def test_load_rejects_unknown_fields(self):
         # instances and their grids are read by the corpus schema rule and
@@ -386,3 +433,66 @@ class TestEveryPath:
         # this pins the order in which operands are evaluated
         for kind in KINDS:
             assert _degraded_reports(pair, kind) == golden["degraded"][pair][kind], kind
+
+
+def _point_sets(**values):
+    """Relative sets of point estimates: 1, or values["fh_rho"] for rho of fh."""
+    def est(v):
+        return IndicatorEstimate("stub", 0, 0, v, v, v, 0.0, 0.5, True, "stub", 8)
+    return {pair: RelativeIndicators(**{k: est(values.get(f"{pair}_{k}", 1.0)) for k in KINDS})
+            for pair in PAIRS}
+
+
+def _branch_reports(**values):
+    ws = _StubWorkspace(_point_sets(**values))
+    reports = {tid: check_instance(TheoremInstance(tid, "f", "g", "h"), ws) for tid in THEOREM_IDS}
+    assert [tid for tid, r in reports.items() if r.verdict == "error"] == []
+    return reports
+
+
+_SKIPPED = ["equal-orders clause skipped: rho_h(f) != rho_h(g)"]
+_BOTH = ["branch: g regular wrt h", "branch: f regular wrt h"]
+
+
+class TestEveryBranch:
+    """Each guard of the statement table taken both ways: the table is read
+    per instance, so a branch that never runs is never checked."""
+
+    def test_regular_pair_with_equal_orders(self):
+        reports = _branch_reports()
+        for tid in set(THEOREM_IDS) - {"C7", "C8"}:
+            assert reports[tid].verdict == "pass", tid
+        assert reports["C1"].notes == ["equal-orders clause: both orientations checked separately"]
+        assert reports["C2"].notes == []
+        assert reports["C5"].notes == reports["C6"].notes == ["both regular: equality"]
+        assert reports["R1"].notes == _BOTH
+        for tid in ("C7", "C8"):
+            assert reports[tid].verdict == "vacuous"
+            assert reports[tid].notes == ["no degenerate hypothesis triggered"]
+
+    def test_unequal_orders(self):
+        reports = _branch_reports(fh_rho=2.0, fh_lam=2.0)
+        assert reports["C1"].notes == reports["C2"].notes == _SKIPPED
+        assert reports["C4"].verdict == "vacuous"
+        assert reports["R1"].notes == _BOTH
+
+    @pytest.mark.parametrize("irregular, branch", [("f", "g"), ("g", "f")])
+    def test_one_irregular_side(self, irregular, branch):
+        reports = _branch_reports(**{f"{irregular}h_rho": 2.0})
+        assert reports["C5"].notes == reports["C6"].notes == ["irregular pair: one-sided bound"]
+        assert reports["R1"].notes == [f"branch: {branch} regular wrt h"]
+        assert reports["R1"].verdict != "vacuous"
+
+    def test_neither_side_regular(self):
+        r1 = _branch_reports(fh_rho=2.0, gh_rho=2.0)["R1"]
+        assert r1.verdict == "vacuous" and r1.hypothesis_status["one side regular"] is False
+        assert r1.notes == [] and r1.links == []
+
+    @pytest.mark.parametrize("tid, x", [("C7", "g"), ("C8", "f")])
+    @pytest.mark.parametrize("sym, kind", [("rho", "rho"), ("lambda", "lam")])
+    @pytest.mark.parametrize("end, value", [("0", 1e-6), ("inf", 1e6)])
+    def test_degenerate_trigger(self, tid, x, sym, kind, end, value):
+        report = _branch_reports(**{f"{x}h_{kind}": value})[tid]
+        trigger = f"{sym}_h({x}) ~ {end}"
+        assert [label.split(" => ")[0] for label, _ in report.chain] == [trigger]
+        assert report.verdict in ("pass", "fail") and report.notes == []
