@@ -36,7 +36,7 @@ from typing import Optional
 
 from .errors import SpecFormatError
 from .growth import GridSpec, SeriesLowerSource, SeriesUpperSource, SourceBundle, SyntheticSource
-from .levelindex import exp_iter, from_real, log_chain, log_iter, to_real
+from .levelindex import lift, log_chain, log_real
 from .series import SeriesSpec, expexp_spec, table_spec, validate
 
 
@@ -104,10 +104,10 @@ def _tower_entry(k: int, rho: float, q: int) -> CorpusEntry:
         raise SpecFormatError("tower rule needs k >= 1, q >= 0, finite rho > 0")
 
     def rule(sigma: float):
-        return exp_iter(from_real(rho * log_chain(sigma, q)), k - 1)
+        return lift(rho * log_chain(sigma, q), k - 1)
 
     def inverse(y) -> float:
-        return log_chain(to_real(log_iter(y, k - 1)) / rho, -q)
+        return log_chain(log_real(y, k - 1) / rho, -q)
 
     # log^[q]sigma must be defined and non-negative: sigma >= exp^[q-1](1), 0 at q = 0.
     src = SyntheticSource("tower", {"k": k, "rho": rho, "q": q}, rule,
@@ -147,13 +147,13 @@ def _osc_entry(rho: float, lam: float, p: int, q: int) -> CorpusEntry:
         raise SpecFormatError("oscillating rule needs p >= 1 and q = 0")
 
     def rule(sigma: float):
-        return exp_iter(from_real((m0 + m1 * math.sin(log_chain(sigma, 1))) * sigma), p - 1)
+        return lift((m0 + m1 * math.sin(log_chain(sigma, 1))) * sigma, p - 1)
 
     def inverse(y) -> float:
         # log^[p-1] y = (m0 + m1 sin u) e^u at u = log sigma, so its log equals
         # u + log(m0 + m1 sin u), increasing in u; lam <= m0 + m1 sin u <= rho
         # brackets the root
-        target = log_chain(to_real(log_iter(y, p - 1)), 1)
+        target = log_chain(log_real(y, p - 1), 1)
         lo, hi = target - math.log(rho), target - math.log(lam)
         mid = 0.5 * lo + 0.5 * hi
         while lo < mid < hi:

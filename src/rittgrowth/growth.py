@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from .errors import BracketError, DomainError, ExtRangeError, NumericError
-from .levelindex import ExtReal, compare, log_iter, to_real
+from .levelindex import ExtReal, compare, log_real
 from . import series as series_mod
 from .series import SeriesSpec
 
@@ -202,7 +202,7 @@ def sample_profile(source: GrowthSource, grid: GridSpec,
 def _reduced(v: ExtReal, k: int) -> float:
     """log^[k] v as a machine real; -inf/+inf where it leaves the machine range."""
     try:
-        return to_real(log_iter(v, k))
+        return log_real(v, k)
     except DomainError:
         return -math.inf
     except ExtRangeError:

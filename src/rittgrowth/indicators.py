@@ -48,7 +48,7 @@ from typing import Callable, Iterator, Optional, Sequence
 
 from .errors import DetectionFailedError, DomainError, IndicatorUndefinedError
 from .growth import DEFAULT_GRID, GridSpec, SourceBundle, compose_samples, sample_profile
-from .levelindex import EXP_LIMIT, ExtReal, exp_iter, from_real, log_chain, log_iter, ratio_to_float
+from .levelindex import EXP_LIMIT, ExtReal, from_real, lift, log_chain, log_iter, ratio_to_float
 
 LIMSUP = "limsup"
 LIMINF = "liminf"
@@ -189,9 +189,9 @@ def _denominator(sigma: float, kind: str, depth: int,
     log_den = aux_exponent * v
     if math.isinf(log_den):  # a tower two levels up, or no positive denominator at all
         return None if log_den < 0 else (
-            exp_iter(from_real(math.log(aux_exponent) + math.log(v)), 2), 0.0)
+            lift(math.log(aux_exponent) + math.log(v), 2), 0.0)
     if log_den > EXP_LIMIT:
-        return exp_iter(from_real(log_den), 1), 0.0
+        return lift(log_den, 1), 0.0
     den = math.exp(log_den)
     return from_real(den), (1.0 / den if den > 0.0 else 0.0)
 

@@ -60,18 +60,34 @@ class ExtReal:
                 raise ValueError(f"level-{self.level} mantissa must lie in [1, e), got {self.mantissa}")
 
 
+_SET_LEVEL = ExtReal.__dict__["level"].__set__
+_SET_MANTISSA = ExtReal.__dict__["mantissa"].__set__
+
+
+def _banded(level: int, mantissa: float) -> ExtReal:
+    """ExtReal(level, mantissa) without __post_init__, for pairs in the bands by construction."""
+    x = object.__new__(ExtReal)
+    _SET_LEVEL(x, level)
+    _SET_MANTISSA(x, mantissa)
+    return x
+
+
 def from_real(v: float) -> ExtReal:
     """Normalize a finite machine real into the unique banded representation."""
+    return lift(v, 0)
+
+
+def lift(v: float, k: int) -> ExtReal:
+    """exp_iter(from_real(v), k) for k >= 0, built as one ExtReal."""
     v = float(v)
-    if math.isnan(v):
-        raise DomainError("cannot build an ExtReal from NaN")
-    if math.isinf(v):
-        raise DomainError("cannot build an ExtReal from an infinity; stay in the extended domain")
+    if not math.isfinite(v):
+        raise DomainError("cannot build an ExtReal from NaN" if v != v else
+                          "cannot build an ExtReal from an infinity; stay in the extended domain")
     level = 0
     while v >= _E:
         v = math.log(v)
         level += 1
-    return ExtReal(level, v)
+    return _exp_steps(level, v, k) if k else _banded(level, v)
 
 
 def _exp_chain(v: float, k: int) -> float | None:
@@ -129,15 +145,24 @@ def log_iter(x: ExtReal, k: int) -> ExtReal:
     if k <= 0:
         return exp_iter(x, -k) if k else x
     if k <= x.level:
-        return ExtReal(x.level - k, x.mantissa)
-    return ExtReal(0, log_chain(x.mantissa, k - x.level))  # below e: the float chain
+        return _banded(x.level - k, x.mantissa)
+    return _banded(0, log_chain(x.mantissa, k - x.level))  # below e: the float chain
+
+
+def log_real(x: ExtReal, k: int) -> float:
+    """to_real(log_iter(x, k)) for k >= 0, with no ExtReal built in between."""
+    return log_chain(x.mantissa, k - x.level) if k or x.level else x.mantissa
 
 
 def exp_iter(x: ExtReal, k: int) -> ExtReal:
     """Apply exp k times.  Never overflows: the level just grows."""
     if k <= 0:
         return log_iter(x, -k) if k else x
-    level, mant = x.level, x.mantissa
+    return _exp_steps(x.level, x.mantissa, k)
+
+
+def _exp_steps(level: int, mant: float, k: int) -> ExtReal:
+    """exp applied k >= 0 times to the banded pair (level, mant)."""
     for _ in range(k):
         if level >= 1 or mant >= 1.0:
             level += 1
@@ -145,7 +170,7 @@ def exp_iter(x: ExtReal, k: int) -> ExtReal:
             mant = math.exp(mant)  # mant < 1; rounds to e only just below 1
             if mant >= _E:
                 level, mant = level + 1, 1.0
-    return ExtReal(level, mant)
+    return _banded(level, mant)
 
 
 def add_scalar(x: ExtReal, d: float) -> ExtReal:
@@ -184,7 +209,7 @@ def pow_scale(x: ExtReal, alpha: float) -> ExtReal:
     w = log_iter(x, 1)
     wv = to_real_or_none(w)
     if wv is not None and math.isfinite(alpha * wv):
-        return exp_iter(from_real(alpha * wv), 1)
+        return lift(alpha * wv, 1)
     # alpha * log x is beyond machine range (always so when x is at level >= 3).
     if alpha < 0.0:
         raise ExtRangeError("negative power of a tower-sized value underflows the representation")

@@ -12,7 +12,7 @@ from rittgrowth.corpus import (analytic_relative, default_entries, instantiate,
 from rittgrowth.errors import SpecFormatError
 from rittgrowth.growth import GridSpec
 from rittgrowth.indicators import order_pair, profile_samples, relative_indicators, type_pair
-from rittgrowth.levelindex import from_real
+from rittgrowth.levelindex import lift
 
 
 def entry_grid(entry, shifted=False, periods=3.0):
@@ -184,10 +184,10 @@ def float_chain(v, steps):
 
 def reduced_value(entry, sigma):
     """The float a synthetic rule hands to level-index arithmetic at sigma, its
-    reduced value log^[k] M: the argument of the rule's last from_real call."""
+    reduced value log^[k] M: the first argument of the rule's last lift call."""
     seen = []
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(corpus_mod, "from_real", lambda v: seen.append(v) or from_real(v))
+        patch.setattr(corpus_mod, "lift", lambda v, k: seen.append(v) or lift(v, k))
         entry.bundle().upper.log_m(sigma)
     return seen[-1]
 

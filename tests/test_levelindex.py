@@ -10,9 +10,9 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from rittgrowth.errors import DomainError, ExtRangeError
-from rittgrowth.levelindex import (EXP_LIMIT, ExtReal, compare, exp_iter, from_real, log_chain,
-                                   log_iter, lse_accumulate, pow_scale, ratio_to_float, to_real,
-                                   to_real_or_none)
+from rittgrowth.levelindex import (EXP_LIMIT, ExtReal, compare, exp_iter, from_real, lift,
+                                   log_chain, log_iter, log_real, lse_accumulate, pow_scale,
+                                   ratio_to_float, to_real, to_real_or_none)
 
 E = math.e
 
@@ -495,3 +495,86 @@ def test_log_iter_matches_level_by_level(x, k):
         except DomainError:
             return "DomainError"
     assert outcome(log_iter) == outcome(_log_iter_by_levels)
+
+
+def same_float(a, b):
+    """Bit for bit: equal, and -0.0 is not 0.0."""
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+def outcome(f, *args):
+    """f's result, or the class of the package error it raised."""
+    try:
+        return f(*args)
+    except (DomainError, ExtRangeError) as exc:
+        return type(exc)
+
+
+# negative, subnormal, just below 1 and up to the largest double, nan and +-inf
+LIFT_INPUTS = st.one_of(st.floats(allow_nan=True, allow_infinity=True),
+                        st.floats(min_value=-5e-324, max_value=5e-323),
+                        st.floats(min_value=0.999, max_value=1.0),
+                        st.floats(min_value=1e300))
+
+
+@given(LIFT_INPUTS, st.integers(min_value=0, max_value=5))
+@example(math.nextafter(1.0, 0.0), 1)  # exp rounds to e: the value is (1, 1.0)
+@example(math.nextafter(1.0, 0.0), 3)
+@example(-0.0, 2)
+@example(-0.0, 0)
+@example(5e-324, 1)
+@example(1.7976931348623157e308, 5)
+@example(math.nan, 0)
+@example(math.inf, 2)
+@example(-math.inf, 1)
+@settings(max_examples=1000)
+def test_lift_is_exp_iter_of_from_real(v, k):
+    got = outcome(lift, v, k)
+    want = outcome(lambda: exp_iter(from_real(v), k))
+    if isinstance(want, type):
+        assert got is want is DomainError  # only nan and the infinities
+        return
+    assert got.level == want.level and same_float(got.mantissa, want.mantissa)
+
+
+def with_log_counts(x):
+    return st.tuples(st.just(x), st.integers(min_value=0, max_value=x.level + 2))
+
+
+@given(EXT_REALS.flatmap(with_log_counts))
+@example((ExtReal(0, -math.inf), 0))  # to_real reads a level-0 mantissa as it is
+@example((ExtReal(0, -math.inf), 1))
+@example((ExtReal(0, -0.0), 0))
+@example((ExtReal(0, 0.0), 1))  # log 0 is off the domain
+@example((ExtReal(4, 2.7), 0))  # overflows the machine range
+@example((ExtReal(3, 1.8818), 1))
+@settings(max_examples=1000)
+def test_log_real_is_to_real_of_log_iter(pair):
+    x, k = pair
+    got = outcome(log_real, x, k)
+    want = outcome(lambda: to_real(log_iter(x, k)))
+    if isinstance(want, type):
+        assert got is want
+    else:
+        assert same_float(got, want)
+
+
+def assert_in_bands(x):
+    # the public constructor's checks accept the pair, and no numpy scalar rides along
+    assert ExtReal(x.level, x.mantissa) == x
+    assert type(x.level) is int and type(x.mantissa) is float
+
+
+@given(st.floats(allow_nan=False, allow_infinity=False), EXT_REALS,
+       st.integers(min_value=0, max_value=5))
+@example(math.nextafter(1.0, 0.0), ExtReal(0, math.nextafter(1.0, 0.0)), 1)
+@example(-0.0, ExtReal(0, -math.inf), 0)
+@settings(max_examples=500)
+def test_built_values_stay_in_the_bands(v, x, k):
+    assert_in_bands(from_real(v))
+    assert_in_bands(lift(v, k))
+    assert_in_bands(exp_iter(x, k))
+    try:
+        assert_in_bands(log_iter(x, k))
+    except DomainError:
+        assert x.level < k

@@ -7,6 +7,7 @@ module global, the tracer silently counts nothing; this test runs one
 traced surrogate evaluation and checks that the counters moved.
 """
 
+import hashlib
 from pathlib import Path
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -87,3 +88,24 @@ def test_indicator_unit_check(monkeypatch, capsys):
             "--sigma", "5:30:200", "--kind", "all"]
     assert main(argv) == 0
     assert checks.check_cli_unit(argv, capsys.readouterr().out) == []
+
+
+# sha256 of the joined stdout of the tiny seed-0 synthetic_relative batch.  Those
+# units are level-index arithmetic and inversion on closed-form curves, so a
+# change there that moves any (level, mantissa) pair shows up here.
+SYNTHETIC_RELATIVE_TINY_SHA256 = "4fe7ff52ce7581e278a09b4a1a700e6bfa79020b278511e7ca9e4d6414568978"
+
+
+def test_tiny_synthetic_relative_batch_is_byte_identical(monkeypatch, tmp_path, capsys):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import gen
+
+    from rittgrowth.cli import main
+
+    units = gen.synthetic_relative(0, tmp_path, tiny=True)["units"]
+    outputs = []
+    for argv in units:
+        assert main(list(argv)) == 0
+        outputs.append(capsys.readouterr().out)
+    digest = hashlib.sha256("".join(outputs).encode()).hexdigest()
+    assert digest == SYNTHETIC_RELATIVE_TINY_SHA256
